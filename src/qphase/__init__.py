@@ -23,6 +23,7 @@ from .dynamics import (
     evolve,
     evolve_block,
     evolve_unitary,
+    interval_propagators,
     real_block,
     transport_ensemble,
 )

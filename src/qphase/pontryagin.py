@@ -8,6 +8,12 @@ phase-invariant infidelity, escalated geometrically; a forward-backward
 argmax sweep is refined by bounded quasi-Newton steps on exact discrete
 gradients.  Single shooting on the initial adjoint is provided as a
 cross-check.
+
+Internally states and adjoints are complex amplitudes psi = q + i p, and
+every pass over the grid propagates with one batched eigendecomposition
+(``dynamics.interval_propagators``); exact gradients come from
+Daleckii-Krein divided differences in the same eigenbasis.  Flat (q, p)
+coordinates appear only at the public boundary.
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
+# expm and expm_frechet are unused here but stay importable: the benchmark's
+# tracer (perfbench/tracing.py) looks them up by name and raises if missing
+from scipy.linalg import expm, expm_frechet  # noqa: F401
 from scipy.optimize import least_squares, minimize
 
-from .dynamics import ControlSchedule, ControlledHamiltonian, real_block
+from .dynamics import ControlSchedule, ControlledHamiltonian, interval_propagators, real_block
 from .errors import ControlDomainError, DimensionMismatchError, MaxIterationsError
 from .geometry import PhasePoint, _readonly
 
@@ -152,8 +160,19 @@ def _flow_generator(plant: ControlledHamiltonian, u) -> np.ndarray:
     return real_block(-1j * plant.matrix_for(np.atleast_1d(u)))
 
 
-def _channel_generators(plant: ControlledHamiltonian) -> list:
-    return [real_block(-1j * h) for h in plant.controls]
+def _amplitudes(z: np.ndarray) -> np.ndarray:
+    """Complex amplitudes q + i p of flat phase-space coordinates (q, p)."""
+    n = z.size // 2
+    return z[:n] + 1j * z[n:]
+
+
+def _flat(psi: np.ndarray) -> np.ndarray:
+    """Flat phase-space coordinates (q, p) of complex amplitudes q + i p."""
+    return np.concatenate([psi.real, psi.imag])
+
+
+def _unit_amplitudes(x: PhasePoint) -> np.ndarray:
+    return (x.q + 1j * x.p) / np.sqrt(x.norm_sq())
 
 
 def control_hamiltonian(
@@ -201,6 +220,49 @@ def _golden_argmax(f, lo: float, hi: float) -> float:
     return _tie_break(candidates, [f(u) for u in candidates])
 
 
+def _slopes(plant: ControlledHamiltonian, psis: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Coupling slopes c[k, j] = phi_k . L_j z_k = Im(phi_k^H H_j psi_k) for every row k."""
+    hs = np.asarray(plant.controls, dtype=complex).reshape(-1, plant.dim, plant.dim)
+    return np.einsum("kx,jxy,ky->kj", phis.conj(), hs, psis).imag
+
+
+def _maximize(slopes: np.ndarray, phi0: float, cost: CostIntegrand, domain: ControlDomain, psis) -> np.ndarray:
+    """Row-wise maximizer of phi0 X0(psi_k, u) + slopes[k] . u over the box domain.
+
+    Energy and l1 costs maximize in closed form for all rows at once, ties
+    resolving to the smallest |u|, then the smallest u; custom costs refine
+    each row by a coordinate pass of golden-section searches.
+    """
+    u = np.tile(domain.clip(np.zeros(domain.n_channels)), (slopes.shape[0], 1))
+    if cost.kind == COST_CUSTOM:
+        for k, (c, psi) in enumerate(zip(slopes, psis)):
+            point = PhasePoint(psi.real, psi.imag)
+            for j, (lo, hi) in enumerate(zip(domain.lower, domain.upper)):
+                others = np.array(u[k])  # coordinate pass: frozen other channels
+
+                def along(v, j=j, others=others, c=c, point=point):
+                    trial = np.array(others)
+                    trial[j] = v
+                    return phi0 * cost.evaluate(point, trial) + float(c @ trial)
+
+                u[k, j] = lo if lo == hi else _golden_argmax(along, lo, hi)
+        return u
+    for j, (lo, hi) in enumerate(zip(domain.lower, domain.upper)):
+        c = slopes[:, j]
+        if cost.kind == COST_ENERGY and phi0 < 0:
+            # concave quadratic: clipped vertex
+            u[:, j] = np.clip(-c / (2.0 * phi0), lo, hi)
+            continue
+        # affine or convex along the channel: a bound or 0 maximizes; the
+        # candidates are listed in tie-break order, so the first tie wins
+        cands = np.array(sorted({lo, hi} | ({0.0} if lo <= 0.0 <= hi else set()), key=lambda v: (abs(v), v)))
+        scale = cands * cands if cost.kind == COST_ENERGY else np.abs(cands)
+        values = c[:, None] * cands + phi0 * scale
+        ties = values >= values.max(axis=1, keepdims=True) - 1e-15
+        u[:, j] = cands[np.argmax(ties, axis=1)]
+    return u
+
+
 def argmax_control(
     s: PmpState,
     plant: ControlledHamiltonian,
@@ -213,34 +275,12 @@ def argmax_control(
     c_j = phi_z . L_j z, so energy and l1 costs maximize in closed form;
     custom costs fall back to golden-section refinement per channel.
     """
-    z = s.x[1:]
-    phi0 = float(s.phi[0])
-    phiz = s.phi[1:]
-    slopes = np.array([phiz @ (lj @ z) for lj in _channel_generators(plant)])
-    if slopes.size != domain.n_channels:
+    if s.dim != plant.dim:
+        raise DimensionMismatchError("state and plant dimensions differ")
+    if len(plant.controls) != domain.n_channels:
         raise DimensionMismatchError("domain channel count must match the plant controls")
-    u = domain.clip(np.zeros(domain.n_channels))
-    for j, (c, lo, hi) in enumerate(zip(slopes, domain.lower, domain.upper)):
-        if cost.kind == COST_ENERGY:
-            if phi0 < 0:
-                # concave quadratic: clipped vertex
-                u[j] = min(max(-c / (2.0 * phi0), lo), hi)
-            else:
-                cands = sorted({lo, hi} | ({0.0} if lo <= 0.0 <= hi else set()))
-                u[j] = _tie_break(cands, [c * v + phi0 * v * v for v in cands])
-        elif cost.kind == COST_L1:
-            cands = sorted({lo, hi} | ({0.0} if lo <= 0.0 <= hi else set()))
-            u[j] = _tie_break(cands, [c * v + phi0 * abs(v) for v in cands])
-        else:
-            others = np.array(u)  # coordinate pass: frozen other channels
-
-            def along(v, j=j, others=others):
-                trial = np.array(others)
-                trial[j] = v
-                return phi0 * cost.evaluate(s.point, trial) + float(slopes @ trial)
-
-            u[j] = lo if lo == hi else _golden_argmax(along, lo, hi)
-    return u
+    psi, phi = _amplitudes(s.x[1:])[None], _amplitudes(s.phi[1:])[None]
+    return _maximize(_slopes(plant, psi, phi), float(s.phi[0]), cost, domain, psi)[0]
 
 
 def _penalty_terms(z_final: np.ndarray, z_goal: np.ndarray):
@@ -250,81 +290,98 @@ def _penalty_terms(z_final: np.ndarray, z_goal: np.ndarray):
     return float(z_goal @ z_final), float(jz_goal @ z_final), jz_goal
 
 
-def _terminal_adjoint(z_final: np.ndarray, z_goal: np.ndarray, weight: float) -> np.ndarray:
-    """Gradient of -w(1 - |<goal|psi(T)>|^2) with respect to the final state."""
-    a, b, jz_goal = _penalty_terms(z_final, z_goal)
-    return weight * (2.0 * a * z_goal + 2.0 * b * jz_goal)
+def _forward(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """States psi_0 .. psi_m at the grid points, psi_{k+1} = U_k psi_k."""
+    psis = np.empty((len(props) + 1, psi0.size), dtype=complex)
+    psis[0] = psi0
+    for k, prop in enumerate(props):
+        psis[k + 1] = prop @ psis[k]
+    return psis
 
 
-def _objective_and_gradient(
-    u_flat: np.ndarray,
-    plant: ControlledHamiltonian,
-    cost: CostIntegrand,
-    z0: np.ndarray,
-    z_goal: np.ndarray,
-    grid: np.ndarray,
-    weight: float,
-):
-    """Penalized objective sum X0 dt + w(1-|o|^2) with its exact discrete gradient."""
-    m = grid.size - 1
-    r = len(plant.controls)
-    u = u_flat.reshape(m, r)
-    ljs = _channel_generators(plant)
-    dts = np.diff(grid)
-    props = []
-    zs = [z0]
-    run_cost = 0.0
-    for k in range(m):
-        gen = _flow_generator(plant, u[k])
-        e = expm(gen * dts[k])
-        props.append((gen, e))
-        zs.append(e @ zs[-1])
-        run_cost += cost.evaluate(PhasePoint(zs[k][: z0.size // 2], zs[k][z0.size // 2 :]), u[k]) * dts[k]
-    a, b, _ = _penalty_terms(zs[-1], z_goal)
-    value = run_cost + weight * (1.0 - a * a - b * b)
-    grad = np.zeros((m, r))
-    lam = -_terminal_adjoint(zs[-1], z_goal, weight)  # d(penalty)/dz_T
-    for k in range(m - 1, -1, -1):
-        gen, e = props[k]
-        for j in range(r):
-            _, de = expm_frechet(gen * dts[k], ljs[j] * dts[k])
-            grad[k, j] = lam @ (de @ zs[k])
-        if cost.kind == COST_ENERGY:
-            grad[k] += 2.0 * u[k] * dts[k]
-        elif cost.kind == COST_L1:
-            grad[k] += np.sign(u[k]) * dts[k]
-        else:
-            eps = 1e-7
-            for j in range(r):
-                up, dn = np.array(u[k]), np.array(u[k])
-                up[j] += eps
-                dn[j] -= eps
-                x_k = PhasePoint(zs[k][: z0.size // 2], zs[k][z0.size // 2 :])
-                grad[k, j] += (cost.evaluate(x_k, up) - cost.evaluate(x_k, dn)) / (2 * eps) * dts[k]
-        lam = e.T @ lam
+def _backward(props: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Adjoints lam_0 .. lam_m from lam_m = lam, lam_k = U_k^H lam_{k+1}."""
+    adjoints = props.conj().transpose(0, 2, 1)
+    lams = np.empty((len(props) + 1, lam.size), dtype=complex)
+    lams[-1] = lam
+    for k in range(len(props) - 1, -1, -1):
+        lams[k] = adjoints[k] @ lams[k + 1]
+    return lams
+
+
+def _running_cost(cost: CostIntegrand, u: np.ndarray, psis: np.ndarray, dts: np.ndarray) -> float:
+    """sum_k X0(psi_k, u_k) dt_k over the grid."""
+    if cost.kind == COST_ENERGY:
+        return float(np.sum(u * u, axis=1) @ dts)
+    if cost.kind == COST_L1:
+        return float(np.sum(np.abs(u), axis=1) @ dts)
+    return float(sum(cost.evaluate(PhasePoint(psi.real, psi.imag), row) * dt for psi, row, dt in zip(psis, u, dts)))
+
+
+def _running_cost_gradient(cost: CostIntegrand, u: np.ndarray, psis: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    if cost.kind == COST_ENERGY:
+        return 2.0 * u * dts[:, None]
+    if cost.kind == COST_L1:
+        return np.sign(u) * dts[:, None]
+    grad = np.empty_like(u)
+    eps = 1e-7
+    for k, (psi, row, dt) in enumerate(zip(psis, u, dts)):
+        x_k = PhasePoint(psi.real, psi.imag)
+        for j in range(row.size):
+            up, dn = np.array(row), np.array(row)
+            up[j] += eps
+            dn[j] -= eps
+            grad[k, j] = (cost.evaluate(x_k, up) - cost.evaluate(x_k, dn)) / (2 * eps) * dt
+    return grad
+
+
+def _evaluate(plant, cost: CostIntegrand, u: np.ndarray, psi0: np.ndarray, goal: np.ndarray, dts: np.ndarray):
+    """(terminal fidelity, running cost) of a schedule."""
+    psis = _forward(interval_propagators(plant, u, dts)[0], psi0)
+    return float(abs(np.vdot(goal, psis[-1])) ** 2), _running_cost(cost, u, psis, dts)
+
+
+def _objective(u_flat, plant, cost, psi0, goal, dts, weight) -> float:
+    """Penalized objective sum X0 dt + w(1-|<goal|psi(T)>|^2)."""
+    fid, run_cost = _evaluate(plant, cost, u_flat.reshape(dts.size, -1), psi0, goal, dts)
+    return run_cost + weight * (1.0 - fid)
+
+
+def _objective_and_gradient(u_flat, plant, cost, psi0, goal, dts, weight):
+    """Penalized objective with its exact discrete gradient.
+
+    The derivative of U_k = exp(-i H_k dt_k) along -i H_j dt_k is the
+    Daleckii-Krein form V_k (F_k o (V_k^H (-i H_j dt_k) V_k)) V_k^H, where
+    F_k holds the divided differences of exp over the eigenvalues
+    -i w_k dt_k (exact GRAPE gradients in the eigenbasis).
+    """
+    u = u_flat.reshape(dts.size, -1)
+    props, w, v = interval_propagators(plant, u, dts)
+    psis = _forward(props, psi0)
+    overlap = np.vdot(goal, psis[-1])
+    value = _running_cost(cost, u, psis, dts) + weight * (1.0 - abs(overlap) ** 2)
+    lams = _backward(props, -2.0 * weight * overlap * goal)  # d(penalty)/dpsi_T
+    vh = v.conj().transpose(0, 2, 1)
+    a = np.einsum("kab,kb->ka", vh, lams[1:])
+    b = np.einsum("kab,kb->ka", vh, psis[:-1])
+    # (e^x - e^y)/(x - y) at x, y = -i w dt: exp of the mean times sinc of the
+    # half difference, which also covers equal eigenvalues (F = e^x there)
+    half = 0.5 * dts[:, None, None]
+    wa, wb = w[:, :, None], w[:, None, :]
+    f = np.exp(-1j * (wa + wb) * half) * np.sinc((wa - wb) * half / np.pi)
+    hs = np.asarray(plant.controls, dtype=complex)
+    h_eig = np.einsum("kxa,jxy,kyb->kjab", v.conj(), hs, v)
+    # Re(a^H (F o (-i dt V^H H_j V)) b) = dt Im(a^H (F o V^H H_j V) b)
+    grad = dts[:, None] * np.einsum("kab,kjab->kj", a.conj()[:, :, None] * f * b[:, None, :], h_eig).imag
+    grad += _running_cost_gradient(cost, u, psis, dts)
     return value, grad.ravel()
 
 
-def _simulate(plant, u: np.ndarray, z0: np.ndarray, grid: np.ndarray):
-    zs = [z0]
-    for k in range(grid.size - 1):
-        e = expm(_flow_generator(plant, u[k]) * (grid[k + 1] - grid[k]))
-        zs.append(e @ zs[-1])
-    return np.array(zs)
-
-
-def _fidelity(z_final: np.ndarray, z_goal: np.ndarray) -> float:
-    a, b, _ = _penalty_terms(z_final, z_goal)
-    return a * a + b * b
-
-
-def _run_cost(cost: CostIntegrand, u: np.ndarray, zs: np.ndarray, grid: np.ndarray) -> float:
-    n = zs.shape[1] // 2
-    total = 0.0
-    for k in range(grid.size - 1):
-        x_k = PhasePoint(zs[k][:n], zs[k][n:])
-        total += cost.evaluate(x_k, u[k]) * (grid[k + 1] - grid[k])
-    return total
+def _check_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be a strictly increasing array of >= 2 finite points")
+    return grid
 
 
 def forward_backward_sweep(
@@ -333,7 +390,7 @@ def forward_backward_sweep(
     x_goal: PhasePoint,
     cost: CostIntegrand,
     domain: ControlDomain,
-    grid: np.ndarray | int = 200,
+    grid: np.ndarray,
     penalty_weight: float = 4.0,
     max_iters: int = 60,
     tol: float = 1e-6,
@@ -342,18 +399,14 @@ def forward_backward_sweep(
     max_penalty_rounds: int = 6,
     rng: np.random.Generator | None = None,
 ) -> PmpSolution:
-    """Penalized maximum-principle solve on a uniform control grid.
+    """Penalized maximum-principle solve on the control grid ``grid``.
 
     Each round runs the damped argmax sweep with monotone acceptance, then
     polishes the same penalized objective with bounded quasi-Newton steps on
     exact discrete gradients; the penalty weight escalates geometrically
     until the terminal fidelity goal is met or the round budget runs out.
     """
-    if np.isscalar(grid):
-        grid = np.linspace(0.0, np.pi, int(grid) + 1)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing with >= 2 points")
+    grid = _check_grid(grid)
     if penalty_weight <= 0:
         raise ValueError("penalty weight must be positive")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -361,17 +414,12 @@ def forward_backward_sweep(
     if domain.n_channels != r:
         raise DimensionMismatchError("domain channel count must match the plant controls")
     m = grid.size - 1
-    z0 = x_init.flat() / np.sqrt(x_init.norm_sq())
-    zg = x_goal.flat() / np.sqrt(x_goal.norm_sq())
+    psi0, goal = _unit_amplitudes(x_init), _unit_amplitudes(x_goal)
     dts = np.diff(grid)
     singleton = np.allclose(domain.lower, domain.upper)
 
-    def evaluate(u):
-        zs = _simulate(plant, u, z0, grid)
-        return _fidelity(zs[-1], zg), _run_cost(cost, u, zs, grid), zs
-
     u = np.tile(domain.clip(np.zeros(r)), (m, 1))
-    best_fid, best_cost, _ = evaluate(u)
+    best_fid, best_cost = _evaluate(plant, cost, u, psi0, goal, dts)
     best_u = np.array(u)
     iterations = 0
     weight = penalty_weight
@@ -386,28 +434,18 @@ def forward_backward_sweep(
     u = np.clip(u, domain.lower, domain.upper)
 
     for _round in range(max_penalty_rounds):
-        value, _ = _objective_and_gradient(u.ravel(), plant, cost, z0, zg, grid, weight)
+        value = _objective(u.ravel(), plant, cost, psi0, goal, dts, weight)
         beta = damping
         for _ in range(max_iters):
             iterations += 1
-            zs = _simulate(plant, u, z0, grid)
-            phi = _terminal_adjoint(zs[-1], zg, weight)
-            u_star = np.empty_like(u)
-            # backward pass: the adjoint flows by the transpose propagator
-            phis = [phi]
-            for k in range(m - 1, -1, -1):
-                e = expm(_flow_generator(plant, u[k]) * dts[k])
-                phi = e.T @ phi
-                phis.append(phi)
-            phis.reverse()
-            for k in range(m):
-                s_k = PmpState(
-                    np.concatenate([[0.0], zs[k]]), np.concatenate([[-1.0], phis[k]])
-                )
-                u_star[k] = argmax_control(s_k, plant, cost, domain)
+            props, _, _ = interval_propagators(plant, u, dts)
+            psis = _forward(props, psi0)
+            # the adjoint starts at the gradient of -w(1 - |<goal|psi(T)>|^2)
+            phis = _backward(props, 2.0 * weight * np.vdot(goal, psis[-1]) * goal)
+            u_star = _maximize(_slopes(plant, psis[:-1], phis[:-1]), -1.0, cost, domain, psis[:-1])
             u_new = np.clip((1.0 - beta) * u + beta * u_star, domain.lower, domain.upper)
             step = float(np.max(np.abs(u_new - u))) if u_new.size else 0.0
-            new_value, _ = _objective_and_gradient(u_new.ravel(), plant, cost, z0, zg, grid, weight)
+            new_value = _objective(u_new.ravel(), plant, cost, psi0, goal, dts, weight)
             if new_value <= value + 1e-12:
                 u, value = u_new, new_value
                 beta = damping
@@ -421,7 +459,7 @@ def forward_backward_sweep(
         res = minimize(
             _objective_and_gradient,
             u.ravel(),
-            args=(plant, cost, z0, zg, grid, weight),
+            args=(plant, cost, psi0, goal, dts, weight),
             method="L-BFGS-B",
             jac=True,
             bounds=[(lo, hi) for lo, hi in zip(np.tile(domain.lower, m), np.tile(domain.upper, m))],
@@ -430,7 +468,7 @@ def forward_backward_sweep(
         iterations += int(res.nit)
         u = np.clip(res.x.reshape(m, r), domain.lower, domain.upper)
 
-        fid, run_cost, _ = evaluate(u)
+        fid, run_cost = _evaluate(plant, cost, u, psi0, goal, dts)
         if fid >= best_fid - 1e-12:
             best_fid, best_cost, best_u = fid, run_cost, np.array(u)
         if best_fid >= fidelity_goal:
@@ -447,7 +485,7 @@ def solve_shooting(
     x_goal: PhasePoint,
     cost: CostIntegrand,
     domain: ControlDomain,
-    grid: np.ndarray | int = 200,
+    grid: np.ndarray,
     phi_guess: np.ndarray | None = None,
     fidelity_goal: float = 0.999,
 ) -> PmpSolution:
@@ -457,40 +495,32 @@ def solve_shooting(
     adjoint) pair at the interval start; the residual is the phase-aligned
     terminal state mismatch.
     """
-    if np.isscalar(grid):
-        grid = np.linspace(0.0, np.pi, int(grid) + 1)
-    grid = np.asarray(grid, dtype=float)
-    m = grid.size - 1
-    z0 = x_init.flat() / np.sqrt(x_init.norm_sq())
-    zg = x_goal.flat() / np.sqrt(x_goal.norm_sq())
+    grid = _check_grid(grid)
+    psi0, goal = _unit_amplitudes(x_init), _unit_amplitudes(x_goal)
     dts = np.diff(grid)
-    n2 = z0.size
 
-    def rollout(phi0):
-        z, phi = np.array(z0), np.asarray(phi0, dtype=float)
-        u = np.empty((m, len(plant.controls)))
-        for k in range(m):
-            s_k = PmpState(np.concatenate([[0.0], z]), np.concatenate([[-1.0], phi]))
-            u[k] = argmax_control(s_k, plant, cost, domain)
-            e = expm(_flow_generator(plant, u[k]) * dts[k])
-            # the generator is antisymmetric, so the adjoint shares the flow
-            z, phi = e @ z, e @ phi
-        return z, u
+    def rollout(phi_flat):
+        psi, phi = psi0, _amplitudes(np.asarray(phi_flat, dtype=float))
+        u = np.empty((dts.size, len(plant.controls)))
+        for k in range(dts.size):
+            u[k] = _maximize(_slopes(plant, psi[None], phi[None]), -1.0, cost, domain, psi[None])[0]
+            prop = interval_propagators(plant, u[k : k + 1], dts[k : k + 1])[0][0]
+            # the generator is anti-Hermitian, so the adjoint shares the flow
+            psi, phi = prop @ psi, prop @ phi
+        return psi, u
 
-    def residual(phi0):
-        z_final, _ = rollout(phi0)
-        a, b, jzg = _penalty_terms(z_final, zg)
-        nrm = np.hypot(a, b)
-        aligned = zg if nrm <= 1e-15 else (a * zg + b * jzg) / nrm
-        return z_final - aligned
+    def residual(phi_flat):
+        psi_final, _ = rollout(phi_flat)
+        overlap = np.vdot(goal, psi_final)
+        nrm = abs(overlap)
+        aligned = goal if nrm <= 1e-15 else overlap / nrm * goal
+        return _flat(psi_final - aligned)
 
-    guess = np.zeros(n2) if phi_guess is None else np.asarray(phi_guess, dtype=float)
+    guess = np.zeros(2 * psi0.size) if phi_guess is None else np.asarray(phi_guess, dtype=float)
     if not np.any(guess):
-        guess = zg - z0
+        guess = _flat(goal - psi0)
     res = least_squares(residual, guess, xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
-    z_final, u = rollout(res.x)
-    zs = _simulate(plant, u, z0, grid)
-    fid = _fidelity(zs[-1], zg)
-    run_cost = _run_cost(cost, u, zs, grid)
+    _, u = rollout(res.x)
+    fid, run_cost = _evaluate(plant, cost, u, psi0, goal, dts)
     schedule = ControlSchedule(grid, u)
     return PmpSolution(schedule, run_cost, fid, int(res.nfev), fid >= fidelity_goal)

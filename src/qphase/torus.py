@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationOverflowError
+from .errors import QPhaseError, TruncationOverflowError
 from .geometry import PhasePoint
 from .steering import ProtocolStep, ProtocolTrace
 
@@ -277,7 +277,9 @@ def plan_kicks(k_start, k_target, cat: CatMap | None = None, allow_cat_moves: bo
         if shorter is not None:
             moves = shorter
     plan = KickPlan(_run_length(moves), k_start, k_target)
-    assert plan.replay_labels(cat) == k_target
+    reached = plan.replay_labels(cat)
+    if reached != k_target:
+        raise QPhaseError(f"plan from {k_start} replays to {reached}, not to the target {k_target}")
     return plan
 
 

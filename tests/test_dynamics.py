@@ -20,7 +20,7 @@ from qphase import (
     to_phase,
     transport_ensemble,
 )
-from qphase.dynamics import hamiltonian_value
+from qphase.dynamics import hamiltonian_value, interval_propagators
 from qphase.errors import ScheduleCoverageError
 from qphase.steering import h3_matrix, ladder_drift
 
@@ -131,6 +131,46 @@ class TestEvolve:
         approx = evolve(plant, x0, 0.0, 1.0, method="midpoint", steps=4000)
         assert abs(approx.norm_sq() - 1.0) < 1e-10  # unitary regardless of step
         assert np.max(np.abs(exact.flat() - approx.flat())) < 1e-6
+
+
+class TestIntervalPropagators:
+    def test_matches_expm(self, rng):
+        for n in (2, 3, 4, 5):
+            for r in (0, 1, 2):
+                plant = ControlledHamiltonian(
+                    random_hermitian(rng, n), tuple(random_hermitian(rng, n) for _ in range(r))
+                )
+                u = rng.uniform(-2, 2, size=(7, r))
+                dts = rng.uniform(0.01, 1.5, size=7)
+                props, w, v = interval_propagators(plant, u, dts)
+                for k in range(7):
+                    h = plant.matrix_for(u[k])
+                    assert np.max(np.abs(props[k] - expm(-1j * h * dts[k]))) < 1e-12
+                    assert np.max(np.abs((v[k] * w[k]) @ v[k].conj().T - h)) < 1e-12
+
+    @pytest.mark.parametrize("drift", [np.zeros((3, 3)), 1.5 * np.eye(3)])
+    def test_degenerate_spectrum(self, rng, drift):
+        plant = ControlledHamiltonian(drift.astype(complex), (random_hermitian(rng, 3),))
+        props, w, _ = interval_propagators(plant, np.zeros((2, 1)), [0.4, 1.1])
+        assert np.max(np.abs(w - drift[0, 0])) < 1e-14
+        for prop, dt in zip(props, (0.4, 1.1)):
+            assert np.max(np.abs(prop - expm(-1j * drift * dt))) < 1e-14
+
+    def test_rejects_mismatched_controls(self):
+        plant = ControlledHamiltonian(np.diag([1.0, -1.0]), (np.array([[0, 1], [1, 0]], complex),))
+        with pytest.raises(ValueError):
+            interval_propagators(plant, np.zeros((3, 2)), np.ones(3))
+
+    def test_evolve_unitary_matches_segment_products(self, rng):
+        plant = ControlledHamiltonian(
+            random_hermitian(rng, 3),
+            (random_hermitian(rng, 3), random_hermitian(rng, 3)),
+            ControlSchedule([0.0, 0.4, 1.0, 1.7], rng.uniform(-1, 1, size=(3, 2))),
+        )
+        want = np.eye(3, dtype=complex)
+        for ta, tb, u in plant.schedule.segments(0.2, 1.5):
+            want = expm(-1j * plant.matrix_for(u) * (tb - ta)) @ want
+        assert np.max(np.abs(evolve_unitary(plant, 0.2, 1.5) - want)) < 1e-12
 
 
 class TestEvolveBlock:

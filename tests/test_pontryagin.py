@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from qphase import (
     ControlDomain,
@@ -19,10 +19,19 @@ from qphase import (
     solve_shooting,
     to_phase,
 )
+from qphase.dynamics import real_block
 from qphase.errors import ControlDomainError
-from qphase.pontryagin import _flow_generator
+from qphase.pontryagin import (
+    _amplitudes,
+    _flow_generator,
+    _maximize,
+    _objective,
+    _objective_and_gradient,
+    _penalty_terms,
+    _slopes,
+)
 
-from conftest import random_point
+from conftest import random_hermitian, random_point
 
 H0 = np.diag([1.0, -1.0]).astype(complex)
 H1 = np.array([[0, 1], [1, 0]], complex)
@@ -69,6 +78,79 @@ def bang_bang_oracle(plant, z0, zg, t_final=np.pi, n_grid=100):
                 )
                 best = max(best, float(fid.max()))
     return best, t_final
+
+
+def reference_objective_and_gradient(u_flat, plant, cost, z0, z_goal, grid, weight):
+    """Per-interval real-block reference: one expm per interval, one
+    expm_frechet per interval and channel, in flat (q, p) coordinates."""
+    m, r = grid.size - 1, len(plant.controls)
+    n = z0.size // 2
+    u = u_flat.reshape(m, r)
+    ljs = [real_block(-1j * h) for h in plant.controls]
+    dts = np.diff(grid)
+    props, zs, run_cost = [], [z0], 0.0
+    for k in range(m):
+        gen = _flow_generator(plant, u[k])
+        e = expm(gen * dts[k])
+        props.append((gen, e))
+        zs.append(e @ zs[-1])
+        run_cost += cost.evaluate(PhasePoint(zs[k][:n], zs[k][n:]), u[k]) * dts[k]
+    a, b, jz_goal = _penalty_terms(zs[-1], z_goal)
+    value = run_cost + weight * (1.0 - a * a - b * b)
+    grad = np.zeros((m, r))
+    lam = -weight * (2.0 * a * z_goal + 2.0 * b * jz_goal)
+    for k in range(m - 1, -1, -1):
+        gen, e = props[k]
+        for j in range(r):
+            _, de = expm_frechet(gen * dts[k], ljs[j] * dts[k])
+            grad[k, j] = lam @ (de @ zs[k])
+        grad[k] += 2.0 * u[k] * dts[k] if cost.kind == "control-energy" else np.sign(u[k]) * dts[k]
+        lam = e.T @ lam
+    return value, grad.ravel()
+
+
+def reference_argmax(c, phi0, kind, lo, hi):
+    """Scalar closed-form maximizer of c u + phi0 X0(u) on [lo, hi]."""
+    if kind == "control-energy" and phi0 < 0:
+        return min(max(-c / (2.0 * phi0), lo), hi)
+    cands = sorted({lo, hi} | ({0.0} if lo <= 0.0 <= hi else set()))
+    vals = [c * v + phi0 * (v * v if kind == "control-energy" else abs(v)) for v in cands]
+    ties = [v for v, f in zip(cands, vals) if f >= max(vals) - 1e-15]
+    return min(ties, key=lambda v: (abs(v), v))
+
+
+def unit_flat(rng, n):
+    z = rng.normal(size=2 * n)
+    return z / np.linalg.norm(z)
+
+
+class TestSpectralObjective:
+    def _check(self, plant, u, grid, z0, zg, weight=3.0):
+        dts = np.diff(grid)
+        psi0, goal = _amplitudes(z0), _amplitudes(zg)
+        for kind in ("control-energy", "control-l1"):
+            cost = CostIntegrand(kind)
+            want_v, want_g = reference_objective_and_gradient(u.ravel(), plant, cost, z0, zg, grid, weight)
+            got_v, got_g = _objective_and_gradient(u.ravel(), plant, cost, psi0, goal, dts, weight)
+            assert abs(got_v - want_v) < 1e-12
+            assert np.max(np.abs(got_g - want_g)) < 1e-12
+            assert abs(_objective(u.ravel(), plant, cost, psi0, goal, dts, weight) - want_v) < 1e-12
+
+    def test_three_level_two_channels(self, rng):
+        plant = ControlledHamiltonian(
+            random_hermitian(rng, 3), (random_hermitian(rng, 3), random_hermitian(rng, 3))
+        )
+        for _ in range(5):
+            grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, 12))])
+            u = rng.uniform(-1.5, 1.5, size=(12, 2))
+            self._check(plant, u, grid, unit_flat(rng, 3), unit_flat(rng, 3))
+
+    @pytest.mark.parametrize("drift", [np.zeros((3, 3)), 1.5 * np.eye(3)])
+    def test_degenerate_spectrum(self, rng, drift):
+        # u = 0 leaves a fully degenerate H: every divided difference is e^lambda
+        plant = ControlledHamiltonian(drift.astype(complex), (random_hermitian(rng, 3),))
+        grid = np.array([0.0, 0.3, 1.0, 1.2])
+        self._check(plant, np.zeros((3, 1)), grid, unit_flat(rng, 3), unit_flat(rng, 3))
 
 
 class TestControlDomain:
@@ -156,6 +238,42 @@ class TestArgmax:
         assert u[0] == pytest.approx(0.25 ** (1 / 3), abs=1e-5)
 
 
+class TestVectorisedArgmax:
+    def test_matches_scalar_closed_form(self, rng):
+        plant = ControlledHamiltonian(
+            random_hermitian(rng, 3), (random_hermitian(rng, 3), random_hermitian(rng, 3))
+        )
+        ljs = [real_block(-1j * h) for h in plant.controls]
+        zs = np.array([unit_flat(rng, 3) for _ in range(40)])
+        phis = rng.normal(size=(40, 6))
+        phis[::7] = 0.0  # zero adjoint: every candidate ties
+        psis, lams = zs[:, :3] + 1j * zs[:, 3:], phis[:, :3] + 1j * phis[:, 3:]
+        domains = (
+            ControlDomain([-1.0, -0.5], [1.0, 2.0]),
+            ControlDomain([0.2, -2.0], [0.8, -0.3]),
+            ControlDomain([-1.0, 0.0], [1.0, 0.0]),
+        )
+        for dom in domains:
+            for kind in ("control-energy", "control-l1"):
+                for phi0 in (-1.0, -0.3, 0.0, 0.6):
+                    got = _maximize(_slopes(plant, psis, lams), phi0, CostIntegrand(kind), dom, psis)
+                    for k in range(40):
+                        for j in range(2):
+                            c = float(phis[k] @ (ljs[j] @ zs[k]))
+                            want = reference_argmax(c, phi0, kind, dom.lower[j], dom.upper[j])
+                            assert got[k, j] == pytest.approx(want, abs=1e-12)
+                        s = PmpState(np.concatenate([[0.0], zs[k]]), np.concatenate([[phi0], phis[k]]))
+                        assert np.array_equal(argmax_control(s, plant, CostIntegrand(kind), dom), got[k])
+
+    def test_zero_adjoint_ties_to_zero(self):
+        plant = ControlledHamiltonian(H0, (H1, H1))
+        psis = np.array([[1.0, 0.0], [0.6, 0.8j]])
+        slopes = _slopes(plant, psis, np.zeros_like(psis))
+        for kind in ("control-energy", "control-l1"):
+            u = _maximize(slopes, 0.0, CostIntegrand(kind), ControlDomain([-1.0, -2.0], [1.0, 0.5]), psis)
+            assert np.array_equal(u, np.zeros((2, 2)))
+
+
 class TestAdjointConsistency:
     def test_gradient_matches_finite_differences(self, rng):
         plant = two_level_plant()
@@ -236,6 +354,26 @@ class TestSweep:
             max_penalty_rounds=3,
         )
         assert np.max(np.abs(sol.schedule.values)) <= 0.8 + 1e-12
+
+
+class TestGrid:
+    """The horizon comes only from the grid: no integer shorthand, no default."""
+
+    def _args(self):
+        x0 = to_phase(StateVector([0, 1.0]))
+        goal = to_phase(StateVector([1.0, 0]))
+        return two_level_plant(), x0, goal, CostIntegrand(), ControlDomain([-1.0], [1.0])
+
+    @pytest.mark.parametrize("solver", [forward_backward_sweep, solve_shooting])
+    @pytest.mark.parametrize("grid", [8, [0.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan]])
+    def test_rejects_bad_grid(self, solver, grid):
+        with pytest.raises(ValueError, match="grid"):
+            solver(*self._args(), grid=grid)
+
+    @pytest.mark.parametrize("solver", [forward_backward_sweep, solve_shooting])
+    def test_grid_is_required(self, solver):
+        with pytest.raises(TypeError):
+            solver(*self._args())
 
 
 class TestShooting:

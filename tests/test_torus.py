@@ -13,7 +13,8 @@ from qphase import (
     plan_kicks,
     reach_state,
 )
-from qphase.errors import TruncationOverflowError
+from qphase import torus
+from qphase.errors import QPhaseError, TruncationOverflowError
 
 R2 = np.sqrt(2.0)
 moment = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
@@ -119,6 +120,12 @@ class TestPlanKicks:
             with_cat = plan_kicks(a, b, cat, allow_cat_moves=True)
             without = plan_kicks(a, b, cat, allow_cat_moves=False)
             assert len(with_cat) <= len(without)
+
+    def test_unreplayable_plan_raises(self, monkeypatch):
+        # a search result that misses the target must not be handed out
+        monkeypatch.setattr(torus, "_bidirectional_bfs", lambda *args, **kwargs: ["U1"])
+        with pytest.raises(QPhaseError, match="replays to"):
+            plan_kicks((0, 0), (3, 2))
 
     def test_deterministic(self):
         p1 = plan_kicks((-7, 12), (4, -9))
