@@ -32,12 +32,17 @@ from .measurement import (
     GaussianMeasurement,
     MeasurementOutcome,
     born_probability_via_metric,
+    born_weights,
+    branch_outcome,
     branch_probabilities,
     closest_point_check,
+    collapse,
     continuous_observe,
+    draw_branch,
     gaussian_apply,
     measure_nonselective,
     measure_selective,
+    select_branches,
 )
 from .controllability import (
     LieClosureReport,
@@ -60,6 +65,7 @@ from .steering import (
     ladder_drift,
     stabilize_middle_level,
     steer,
+    steer_outcome,
 )
 from .torus import (
     CatMap,

@@ -2,18 +2,23 @@
 
 Each subcommand reads a JSON scenario file, runs one module operation, and
 writes its artifacts plus a run manifest into the output directory.  All
-stochastic commands require a seed; trial k always draws from sub-stream k,
-so outputs are byte-identical across re-runs and worker counts.
+stochastic commands require a seed.  Trial k draws from its own stream,
+Philox keyed by the seed with counter word 2 set to k, and each projective
+measurement takes one uniform from it, so outputs are byte-identical across
+re-runs and a short run is a prefix of a longer one.  ``measure`` and
+``steer`` start every trial from the same state: they compute the Born
+weights and each drawn branch's outcome once and draw only the uniforms
+per trial.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +36,20 @@ from .errors import (
     MaxIterationsError,
     QPhaseError,
     ScenarioError,
+    SteeringLabelError,
 )
-from .geometry import Observable, PhasePoint, StateVector, to_phase
-from .measurement import measure_selective
+from .geometry import Observable, PhasePoint, StateVector, from_phase, to_phase
+from .measurement import born_weights, branch_outcome, select_branches
 from .pontryagin import ControlDomain, CostIntegrand, forward_backward_sweep
-from .rng import BIT_GENERATOR, stream
+from .rng import BIT_GENERATOR, first_uniforms, stream
 from .serialize import (
+    fmt,
     matrix_from_json,
     vector_from_json,
     write_csv,
     write_json,
 )
-from .steering import build_frame_3level, stabilize_middle_level, steer
+from .steering import build_frame_3level, stabilize_middle_level, steer_outcome
 from .torus import CatMap, plan_kicks
 
 EXIT_OK = 0
@@ -75,6 +82,11 @@ class Scenario:
                 return default
             node = node[part]
         return node
+
+    def number(self, field: str, default=None):
+        """Finite number at ``field``, or ``default`` when it is absent."""
+        value = self.get(field)
+        return default if value is None else _finite(field, value)
 
     def matrix(self, field: str) -> np.ndarray:
         try:
@@ -136,6 +148,12 @@ class Scenario:
             raise ScenarioError("control_bounds", str(exc))
 
 
+def _finite(field: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(field, f"not a finite number: {value!r}")
+    return float(value)
+
+
 def load_scenario(path: str) -> Scenario:
     if not os.path.exists(path):
         raise ScenarioError("scenario", f"file not found: {path}")
@@ -170,13 +188,16 @@ def _write_manifest(out_dir, command, scenario, seed, trials, artifacts, t0):
     )
 
 
-def _map_trials(fn, trials: int) -> list:
-    """Run per-trial work on a pool; results come back ordered by trial."""
-    workers = min(trials, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(k) for k in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+def _trial_outcomes(x0: PhasePoint, obs: Observable, seed: int, trials: int):
+    """Measured branch of each trial, and each drawn branch's outcome.
+
+    Every trial starts from x0, so the odds and the outcomes are computed
+    once; trial k takes one uniform from its own stream.
+    """
+    psi0 = x0.q + 1j * x0.p
+    probs = born_weights(psi0, obs)
+    branches = select_branches(probs, first_uniforms(seed, trials)).tolist()
+    return branches, {b: branch_outcome(psi0, obs, probs, b) for b in sorted(set(branches))}
 
 
 def cmd_evolve(scenario: Scenario, args) -> list:
@@ -210,12 +231,12 @@ def cmd_evolve(scenario: Scenario, args) -> list:
 def cmd_measure(scenario: Scenario, args, seed: int) -> list:
     obs = Observable(scenario.matrix("measurement.observable"))
     x0 = scenario.state("initial_state")
-
-    def one(trial):
-        out = measure_selective(x0, obs, stream(seed, trial))
-        return [trial, out.branch, out.value, out.probability, *out.post_state.q, *out.post_state.p]
-
-    rows = _map_trials(one, args.trials)
+    branches, outcomes = _trial_outcomes(x0, obs, seed, args.trials)
+    tails = {
+        b: ",".join(map(fmt, [b, out.value, out.probability, *out.post_state.q, *out.post_state.p]))
+        for b, out in outcomes.items()
+    }
+    rows = [[trial, tails[b]] for trial, b in enumerate(branches)]
     header = (
         ["trial", "branch", "value", "probability"]
         + [f"q{k+1}" for k in range(x0.dim)]
@@ -234,49 +255,52 @@ def cmd_closure(scenario: Scenario, args) -> list:
 
 def cmd_steer(scenario: Scenario, args, seed: int) -> list:
     goal = scenario.state("goal_state")
-    eigenvalues = tuple(scenario.get("steering_eigenvalues", (1.0, 2.0, 3.0)))
-    from .geometry import from_phase
-
-    frame = build_frame_3level(from_phase(goal).normalized(), eigenvalues)
-
-    def one(trial):
-        x0 = scenario.state("initial_state")
-        trace = steer(x0, frame, rng=stream(seed, trial))
-        return {
-            "trial": trial,
+    labels = scenario.get("steering_eigenvalues", (1.0, 2.0, 3.0))
+    if not isinstance(labels, (list, tuple)):
+        raise ScenarioError("steering_eigenvalues", "not a list of numbers")
+    eigenvalues = tuple(_finite("steering_eigenvalues", a) for a in labels)
+    try:
+        frame = build_frame_3level(from_phase(goal).normalized(), eigenvalues)
+    except SteeringLabelError as exc:
+        raise ScenarioError("steering_eigenvalues", str(exc))
+    x0 = scenario.state("initial_state")
+    branches, outcomes = _trial_outcomes(x0, frame.observable(), seed, args.trials)
+    traces = {}
+    for b, out in outcomes.items():
+        trace = steer_outcome(frame, out)
+        traces[b] = {
             "final_fidelity": trace.final_fidelity,
-            "steps": [
-                {"action": s.action, "detail": s.detail} for s in trace.steps
-            ],
+            "steps": [{"action": st.action, "detail": st.detail} for st in trace.steps],
         }
-
-    results = _map_trials(one, args.trials)
+    results = [{"trial": trial, **traces[b]} for trial, b in enumerate(branches)]
     write_json(os.path.join(args.out, "steer.json"), {"trials": results})
     return ["steer.json"]
 
 
 def cmd_stabilize(scenario: Scenario, args, seed: int) -> list:
     x0 = scenario.state("initial_state")
-    mu = float(scenario.get("mu", 1.0))
-    disturbance = scenario.get("disturbance")
-    n_periods = int(scenario.get("n_periods", 0))
-
-    def one(trial):
+    mu = scenario.number("mu", 1.0)
+    disturbance = scenario.number("disturbance")
+    if disturbance is not None and not 0.0 <= disturbance <= 1.0:
+        raise ScenarioError("disturbance", "must lie in [0, 1]")
+    n_periods = scenario.number("n_periods", 0)
+    if n_periods < 0 or not float(n_periods).is_integer():
+        raise ScenarioError("n_periods", "must be a non-negative integer")
+    results = []
+    for trial in range(args.trials):
         trace = stabilize_middle_level(
             x0,
             mu=mu,
             disturbance=disturbance,
-            n_periods=n_periods,
+            n_periods=int(n_periods),
             rng=stream(seed, trial),
         )
-        return {
+        results.append({
             "trial": trial,
             "iterations": trace.iterations,
             "final_fidelity": trace.final_fidelity,
             "occupancy": trace.occupancy,
-        }
-
-    results = _map_trials(one, args.trials)
+        })
     write_json(os.path.join(args.out, "stabilize.json"), {"trials": results})
     return ["stabilize.json"]
 

@@ -37,6 +37,10 @@ class FrameSearchError(QPhaseError, RuntimeError):
     """No orthonormal steering frame was found within the search budget."""
 
 
+class SteeringLabelError(QPhaseError, ValueError):
+    """Steering eigenvalues are not one distinct finite label per frame vector."""
+
+
 class FrameUnnecessaryError(QPhaseError, ValueError):
     """Steering frame requested for a fully controllable system."""
 

@@ -47,31 +47,76 @@ class MeasurementOutcome:
     branch: int = 0
 
 
+def _weights(psi: np.ndarray, a: Observable) -> np.ndarray:
+    if psi.size != a.dim:
+        raise DimensionMismatchError("state and observable dimensions differ")
+    return np.array([np.vdot(psi, proj @ psi).real for _, proj in a.spectrum])
+
+
 def branch_probabilities(x: PhasePoint, a: Observable) -> np.ndarray:
     """Born weights ||P_a psi||^2 for every spectral branch."""
-    if x.dim != a.dim:
-        raise DimensionMismatchError("state and observable dimensions differ")
-    psi = x.q + 1j * x.p
-    return np.array([float(np.real(np.vdot(psi, proj @ psi))) for _, proj in a.spectrum])
+    return _weights(x.q + 1j * x.p, a)
+
+
+def born_weights(psi: np.ndarray, a: Observable) -> np.ndarray:
+    """Odds of each spectral branch for the complex amplitudes psi.
+
+    The Born weights clipped at zero and scaled to sum 1; psi must be
+    normalized, or ``NormalizationError`` is raised.
+    """
+    norm_sq = float(np.vdot(psi, psi).real)
+    if abs(norm_sq - 1.0) > _STATE_TOL:
+        raise NormalizationError(f"state has squared norm {norm_sq!r}, expected 1")
+    probs = np.maximum(_weights(psi, a), 0.0)
+    return probs / probs.sum()
+
+
+def select_branches(probs: np.ndarray, uniforms) -> np.ndarray:
+    """Branch index for each uniform in [0, 1), with odds ``probs``.
+
+    The inverse-CDF rule of ``Generator.choice``; a zero-weight branch is
+    never selected.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
+
+
+def draw_branch(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Branch index drawn with odds ``probs`` from one uniform of ``rng``.
+
+    Returns the same index as ``rng.choice(len(probs), p=probs)`` and leaves
+    ``rng`` in the same state.
+    """
+    return int(select_branches(probs, rng.random()))
+
+
+def collapse(psi: np.ndarray, a: Observable, branch: int) -> np.ndarray:
+    """Normalized projection of the amplitudes psi onto one spectral branch."""
+    post = a.spectrum[branch][1] @ psi
+    return post / np.linalg.norm(post)
+
+
+def branch_outcome(
+    psi: np.ndarray, a: Observable, probs: np.ndarray, branch: int
+) -> MeasurementOutcome:
+    """Outcome of a measurement of psi that landed on ``branch``."""
+    post = collapse(psi, a, branch)
+    return MeasurementOutcome(
+        value=a.spectrum[branch][0],
+        probability=float(probs[branch]),
+        post_state=PhasePoint(post.real, post.imag),
+        branch=branch,
+    )
 
 
 def measure_selective(
     x: PhasePoint, a: Observable, rng: np.random.Generator
 ) -> MeasurementOutcome:
     """Sample a projective outcome with Born statistics and jump the state."""
-    _require_normalized(x)
-    probs = np.clip(branch_probabilities(x, a), 0.0, None)
-    probs = probs / probs.sum()
-    branch = int(rng.choice(len(probs), p=probs))
-    value, proj = a.spectrum[branch]
-    psi = proj @ (x.q + 1j * x.p)
-    psi = psi / np.linalg.norm(psi)
-    return MeasurementOutcome(
-        value=value,
-        probability=float(probs[branch]),
-        post_state=PhasePoint(psi.real, psi.imag),
-        branch=branch,
-    )
+    psi = x.q + 1j * x.p
+    probs = born_weights(psi, a)
+    return branch_outcome(psi, a, probs, draw_branch(probs, rng))
 
 
 def born_probability_via_metric(x: PhasePoint, a: Observable, eigenvalue: float) -> float:
@@ -113,14 +158,13 @@ def closest_point_check(
     xa = PhasePoint((ppsi / nrm).real, (ppsi / nrm).imag)
     d = x - xa
     dist_min = g_form(d, d)
-    r = basis.shape[1]
-    for _ in range(trials):
-        c = rng.normal(size=r) + 1j * rng.normal(size=r)
-        phi = basis @ (c / np.linalg.norm(c))
-        dphi = x - PhasePoint(phi.real, phi.imag)
-        if g_form(dphi, dphi) < dist_min - 1e-12:
-            return False
-    return True
+    # trial t draws its r real parts, then its r imaginary parts
+    z = rng.normal(size=(trials, 2, basis.shape[1]))
+    c = z[:, 0] + 1j * z[:, 1]
+    phi = (c / np.linalg.norm(c, axis=1, keepdims=True)) @ basis.T
+    dphi = psi - phi
+    dist = np.sum(dphi.real**2 + dphi.imag**2, axis=1)
+    return not np.any(dist < dist_min - 1e-12)
 
 
 def measure_nonselective(x: PhasePoint, basis: Observable) -> PhaseEnsemble:
@@ -220,13 +264,10 @@ def gaussian_apply(
     The post state is exp(-s dt (Lambda - alpha)^2) psi renormalized; it is
     a projection only in the infinite-strength limit.
     """
-    _require_normalized(x)
-    probs = np.clip(branch_probabilities(x, m.observable), 0.0, None)
-    probs = probs / probs.sum()
-    branch = int(rng.choice(len(probs), p=probs))
-    lam = m.observable.eigenvalues[branch]
+    psi = x.q + 1j * x.p
+    probs = born_weights(psi, m.observable)
+    lam = m.observable.eigenvalues[draw_branch(probs, rng)]
     alpha = float(rng.normal(lam, np.sqrt(m.readout_variance)))
-    psi = (x.q + 1j * x.p).astype(complex)
     post = np.zeros_like(psi)
     sdt = m.strength * m.dt
     for val, proj in m.observable.spectrum:

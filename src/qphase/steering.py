@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from .controllability import LieClosureReport, VERDICT_NOT, group_element
@@ -24,9 +23,23 @@ from .errors import (
     FrameUnnecessaryError,
     MaxIterationsError,
     NormalizationError,
+    SteeringLabelError,
 )
-from .geometry import Observable, PhasePoint, StateVector, from_phase, to_phase
-from .measurement import measure_selective
+from .geometry import (
+    DEGENERACY_RTOL,
+    Observable,
+    PhasePoint,
+    StateVector,
+    from_phase,
+    to_phase,
+)
+from .measurement import (
+    MeasurementOutcome,
+    born_weights,
+    collapse,
+    draw_branch,
+    measure_selective,
+)
 
 
 def ladder_drift(mu: float = 1.0) -> np.ndarray:
@@ -147,8 +160,16 @@ class SteeringObservable:
     goal: StateVector
 
     def __post_init__(self):
-        if len(set(self.eigenvalues)) != len(self.eigenvalues):
-            raise ValueError("steering eigenvalues must be distinct")
+        labels = np.asarray(self.eigenvalues, dtype=float)
+        if labels.shape != (len(self.frame),) or not np.all(np.isfinite(labels)):
+            raise SteeringLabelError(
+                f"need one finite eigenvalue per frame vector ({len(self.frame)}), "
+                f"got {list(self.eigenvalues)!r}"
+            )
+        # labels the Observable would merge into one branch are duplicates
+        gaps = np.diff(np.sort(labels))
+        if np.any(gaps <= DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(labels))))):
+            raise SteeringLabelError(f"steering eigenvalues must be distinct, got {list(self.eigenvalues)!r}")
         mats = np.column_stack([f.amplitudes for f in self.frame])
         gram = mats.conj().T @ mats
         if np.max(np.abs(gram - np.eye(len(self.frame)))) > 1e-10:
@@ -338,7 +359,11 @@ def steer(
     rng = np.random.default_rng(0) if rng is None else rng
     if plant is not None and plant.dim != m.dim:
         raise DimensionMismatchError("plant and steering observable dimensions differ")
-    outcome = measure_selective(x0, m.observable(), rng)
+    return steer_outcome(m, measure_selective(x0, m.observable(), rng))
+
+
+def steer_outcome(m: SteeringObservable, outcome: MeasurementOutcome) -> ProtocolTrace:
+    """Run the steering word of a measured outcome of ``m.observable()``."""
     idx = int(np.argmin(np.abs(np.asarray(m.eigenvalues) - outcome.value)))
     word = m.words[idx]
     if word is None:
@@ -371,42 +396,43 @@ def stabilize_middle_level(
     obs = Observable(ladder_drift(mu))
     kick = SteeringWord.from_h_steps((("h2", np.pi / 2),))
     steps = []
-    state = x0
+    psi = x0.q + 1j * x0.p
     middle = StateVector(np.array([0, 1, 0], dtype=complex))
 
-    def acquire(state, iter_budget):
+    def measure(psi):
+        branch = draw_branch(born_weights(psi, obs), rng)
+        return obs.spectrum[branch][0], collapse(psi, obs, branch)
+
+    def acquire(psi, iter_budget):
         cycles = 0
         while True:
-            out = measure_selective(state, obs, rng)
-            steps.append(ProtocolStep("measure", {"value": out.value}, out.post_state))
-            state = out.post_state
-            if abs(out.value) < 1e-12:
-                return state, cycles
+            value, psi = measure(psi)
+            steps.append(ProtocolStep("measure", {"value": value}, PhasePoint(psi.real, psi.imag)))
+            if abs(value) < 1e-12:
+                return psi, cycles
             if cycles >= iter_budget:
                 raise MaxIterationsError(f"no middle-level projection in {iter_budget} cycles")
-            state = to_phase(kick.apply(from_phase(state)))
-            steps.append(ProtocolStep("evolve", {"word": kick.describe()}, state))
+            psi = kick.unitary @ psi
+            steps.append(ProtocolStep("evolve", {"word": kick.describe()}, PhasePoint(psi.real, psi.imag)))
             cycles += 1
 
-    state, cycles = acquire(state, max_iters)
+    psi, cycles = acquire(psi, max_iters)
     occupancy = None
     if disturbance is not None and n_periods > 0:
         hits = 0
         for _ in range(n_periods):
             if rng.random() < disturbance:
                 level = int(rng.integers(0, 3))
-                amps = np.zeros(3, dtype=complex)
-                amps[level] = 1.0
-                state = PhasePoint(amps.real, amps.imag)
-                steps.append(ProtocolStep("disturb", {"level": level}, state))
-            out = measure_selective(state, obs, rng)
-            state = out.post_state
-            if abs(out.value) < 1e-12:
+                psi = np.zeros(3, dtype=complex)
+                psi[level] = 1.0
+                steps.append(ProtocolStep("disturb", {"level": level}, PhasePoint(psi.real, psi.imag)))
+            value, psi = measure(psi)
+            if abs(value) < 1e-12:
                 hits += 1
             else:
-                state, _ = acquire(state, max_iters)
+                psi, _ = acquire(psi, max_iters)
         occupancy = hits / n_periods
-    fidelity = from_phase(state).fidelity(middle)
+    fidelity = StateVector(psi).fidelity(middle)
     return ProtocolTrace(
         steps=tuple(steps), final_fidelity=fidelity, iterations=cycles, occupancy=occupancy
     )

@@ -6,8 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from qphase import Observable, PhasePoint, StateVector, from_phase, to_phase
 from qphase.cli import EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, run
-from qphase.steering import h3_matrix
+from qphase.measurement import branch_probabilities, measure_selective
+from qphase.rng import stream
+from qphase.serialize import write_csv, write_json
+from qphase.steering import build_frame_3level, h3_matrix, stabilize_middle_level, steer
 
 R2 = np.sqrt(2.0)
 
@@ -194,6 +198,112 @@ class TestStabilizeCommand:
         data = json.loads(read(out / "stabilize.json"))
         assert all(t["iterations"] >= 1 for t in data["trials"])
         assert all(t["final_fidelity"] == pytest.approx(1.0) for t in data["trials"])
+
+
+class TestTrialOracles:
+    """Each command's artifact equals the one built trial by trial from the
+    library functions on ``stream(seed, k)``, byte for byte."""
+
+    def _run(self, tmp_path, command, payload, trials, artifact):
+        scen = write_scenario(tmp_path / f"{command}.json", payload)
+        out = tmp_path / command
+        assert run([command, "--scenario", scen, "--out", str(out), "--trials", str(trials)]) == EXIT_OK
+        return read(out / artifact)
+
+    def _measure_oracle(self, tmp_path, obs, psi, seed, trials):
+        x0 = to_phase(StateVector(psi))
+        rows = []
+        for k in range(trials):
+            out = measure_selective(x0, Observable(obs), stream(seed, k))
+            rows.append([k, out.branch, out.value, out.probability, *out.post_state.q, *out.post_state.p])
+        header = ["trial", "branch", "value", "probability"]
+        header += [f"q{k+1}" for k in range(len(psi))] + [f"p{k+1}" for k in range(len(psi))]
+        write_csv(tmp_path / "oracle.csv", header, rows)
+        return read(tmp_path / "oracle.csv")
+
+    def test_measure_three_level(self, tmp_path):
+        rng = np.random.default_rng(41)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        obs = (m + m.conj().T) / 2
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi /= np.linalg.norm(psi)
+        payload = {"measurement": {"observable": cm(obs)}, "initial_state": cv(psi), "seed": 2**63 + 17}
+        got = self._run(tmp_path, "measure", payload, 3000, "measurements.csv")
+        assert got == self._measure_oracle(tmp_path, obs, psi, 2**63 + 17, 3000)
+
+    def test_measure_degenerate_eight_level_with_a_zero_weight_branch(self, tmp_path):
+        rng = np.random.default_rng(42)
+        lam = np.array([0.7, -2.0, 1.5, -2.0, 3.0, -2.0, 0.2, 2.4])  # -2 three-fold
+        perm = rng.permutation(8)
+        obs = np.diag(lam[perm]).astype(complex)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi[np.flatnonzero(lam[perm] == 1.5)] = 0.0  # the 1.5 branch has weight exactly 0
+        psi /= np.linalg.norm(psi)
+        probs = branch_probabilities(to_phase(StateVector(psi)), Observable(obs))
+        assert len(probs) == 6 and np.count_nonzero(probs == 0.0) == 1
+        payload = {"measurement": {"observable": cm(obs)}, "initial_state": cv(psi), "seed": 8}
+        got = self._run(tmp_path, "measure", payload, 2000, "measurements.csv")
+        assert got == self._measure_oracle(tmp_path, obs, psi, 8, 2000)
+        values = {line.split(b",")[2] for line in got.splitlines()[1:]}
+        assert b"1.5" not in values and len(values) == 5
+
+    def test_steer(self, tmp_path):
+        goal = np.array([1j, 0, 1j]) / R2
+        psi = np.array([0.3, 0.5 - 0.2j, -0.6 + 0.1j])
+        psi /= np.linalg.norm(psi)
+        labels = [2.5, -1.0, 0.25]
+        payload = {"goal_state": cv(goal), "initial_state": cv(psi), "steering_eigenvalues": labels, "seed": 99}
+        got = self._run(tmp_path, "steer", payload, 500, "steer.json")
+        frame = build_frame_3level(StateVector(goal).normalized(), tuple(labels))
+        trials = []
+        for k in range(500):
+            tr = steer(to_phase(StateVector(psi)), frame, rng=stream(99, k))
+            steps = [{"action": s.action, "detail": s.detail} for s in tr.steps]
+            trials.append({"trial": k, "final_fidelity": tr.final_fidelity, "steps": steps})
+        write_json(tmp_path / "oracle.json", {"trials": trials})
+        assert got == read(tmp_path / "oracle.json")
+        assert len({t["steps"][0]["detail"]["branch"] for t in trials}) == 3
+
+    def test_stabilize(self, tmp_path):
+        x0 = np.array([0.0, 0.0, np.exp(0.4j)])
+        payload = {"initial_state": cv(x0), "mu": 1.3, "disturbance": 0.1, "n_periods": 60, "seed": 5}
+        got = self._run(tmp_path, "stabilize", payload, 12, "stabilize.json")
+        trials = []
+        for k in range(12):
+            tr = stabilize_middle_level(to_phase(StateVector(x0)), mu=1.3, disturbance=0.1, n_periods=60,
+                                        rng=stream(5, k))
+            trials.append({"trial": k, "iterations": tr.iterations, "final_fidelity": tr.final_fidelity,
+                           "occupancy": tr.occupancy})
+        write_json(tmp_path / "oracle.json", {"trials": trials})
+        assert got == read(tmp_path / "oracle.json")
+
+
+class TestStochasticScenarioErrors:
+    """Malformed stochastic scenarios exit with a schema error, not a crash."""
+
+    def _code(self, tmp_path, command, payload, capsys):
+        scen = write_scenario(tmp_path / "s.json", dict(payload, seed=3))
+        code = run([command, "--scenario", scen, "--out", str(tmp_path / "o"), "--trials", "20"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0], [1.0, "two", 3.0], 3.0])
+    def test_steering_eigenvalues(self, tmp_path, capsys, labels):
+        payload = {"goal_state": cv([1j / R2, 0, 1j / R2]), "initial_state": cv([1.0, 0, 0]),
+                   "steering_eigenvalues": labels}
+        code, err = self._code(tmp_path, "steer", payload, capsys)
+        assert code == EXIT_SCHEMA and "steering_eigenvalues" in err
+
+    @pytest.mark.parametrize("disturbance", ["often", [0.1], -0.1, 1.5])
+    def test_disturbance(self, tmp_path, capsys, disturbance):
+        payload = {"initial_state": cv([1.0, 0, 0]), "disturbance": disturbance, "n_periods": 10}
+        code, err = self._code(tmp_path, "stabilize", payload, capsys)
+        assert code == EXIT_SCHEMA and "disturbance" in err
+
+    @pytest.mark.parametrize("n_periods", [-1, 2.5, "ten"])
+    def test_n_periods(self, tmp_path, capsys, n_periods):
+        payload = {"initial_state": cv([1.0, 0, 0]), "disturbance": 0.1, "n_periods": n_periods}
+        code, err = self._code(tmp_path, "stabilize", payload, capsys)
+        assert code == EXIT_SCHEMA and "n_periods" in err
 
 
 class TestTorusPlanCommand:

@@ -13,7 +13,9 @@ from qphase import (
     branch_probabilities,
     closest_point_check,
     continuous_observe,
+    draw_branch,
     from_phase,
+    g_form,
     gaussian_apply,
     measure_nonselective,
     measure_selective,
@@ -24,6 +26,7 @@ from qphase.errors import (
     NormalizationError,
     ZeroProbabilityBranchError,
 )
+from qphase.rng import stream
 from qphase.steering import ladder_drift
 
 from conftest import random_hermitian, random_point
@@ -64,6 +67,34 @@ class TestSelective:
         assert abs(hits / n - p) < 3 * se
 
 
+class TestDrawBranch:
+    """The one-uniform draw against ``Generator.choice`` on per-trial streams."""
+
+    WEIGHTS = (
+        np.array([0.25, 0.5, 0.25]),
+        np.array([0.0, 0.3, 0.0, 0.7, 0.0]),  # zero-weight branches first, inside and last
+        np.array([1.0, 0.0]),
+        np.array([0.0, 1.0]),
+        np.array([1 / 3, 1 / 3, 1 / 3]),  # weights whose cumulative sum misses 1
+    )
+
+    def test_matches_choice_and_leaves_the_same_stream_state(self):
+        rng = np.random.default_rng(5)
+        for k in range(20_000):
+            probs = self.WEIGHTS[k % len(self.WEIGHTS)] if k % 2 else rng.dirichlet(np.ones(4))
+            ours, ref = stream(77, k), stream(77, k)
+            assert draw_branch(probs, ours) == int(ref.choice(len(probs), p=probs))
+            assert ours.bit_generator.state["state"]["counter"].tolist() == \
+                ref.bit_generator.state["state"]["counter"].tolist()
+            assert ours.bit_generator.state["buffer_pos"] == ref.bit_generator.state["buffer_pos"]
+            assert ours.random() == ref.random()
+
+    def test_zero_weight_branches_are_never_drawn(self):
+        probs = self.WEIGHTS[1]
+        drawn = {draw_branch(probs, stream(3, k)) for k in range(2000)}
+        assert drawn == {1, 3}
+
+
 class TestMetricFormula:
     def test_eigenstate(self):
         x = PhasePoint([1, 0], [0, 0])
@@ -93,7 +124,57 @@ class TestMetricFormula:
             born_probability_via_metric(x, Observable(np.diag([0.0, 1.0])), 1.0)
 
 
+def closest_point_loop(x, a, eigenvalue, trials, rng):
+    """Trial-by-trial reference for ``closest_point_check``."""
+    basis = a.eigenspace_basis(eigenvalue)
+    psi = x.q + 1j * x.p
+    ppsi = basis @ (basis.conj().T @ psi)
+    ppsi = ppsi / np.linalg.norm(ppsi)
+    d = x - PhasePoint(ppsi.real, ppsi.imag)
+    dist_min = g_form(d, d)
+    r = basis.shape[1]
+    for _ in range(trials):
+        c = rng.normal(size=r) + 1j * rng.normal(size=r)
+        phi = basis @ (c / np.linalg.norm(c))
+        dphi = x - PhasePoint(phi.real, phi.imag)
+        if g_form(dphi, dphi) < dist_min - 1e-12:
+            return False
+    return True
+
+
+class SkewedBasis:
+    """Observable stand-in whose eigenspace basis is not orthonormal.
+
+    Its false projection is not the closest point of the span, so closer
+    points are planted among the samples.
+    """
+
+    def __init__(self, basis):
+        self.basis = np.asarray(basis, dtype=complex)
+
+    def eigenspace_basis(self, eigenvalue):
+        return self.basis
+
+
 class TestClosestPoint:
+    def test_matches_the_loop_and_leaves_the_same_generator_state(self):
+        gen = np.random.default_rng(31)
+        for n, vals in ((3, [1.0, 1.0, 2.0]), (5, [0.0, 0.0, 0.0, 1.0, 3.0]), (4, [2.0, 2.0, 2.0, 2.0])):
+            basis = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))[0]
+            obs = Observable(basis @ np.diag(vals) @ basis.conj().T)
+            for _ in range(5):
+                x = random_point(gen, n)
+                a, b = np.random.default_rng(7), np.random.default_rng(7)
+                assert closest_point_check(x, obs, vals[0], 500, a)
+                assert closest_point_loop(x, obs, vals[0], 500, b)
+                assert a.random() == b.random()
+
+    def test_planted_closer_point_fails(self):
+        skewed = SkewedBasis([[1, 0], [0, 0.1], [0, 0]])
+        x = PhasePoint([0.6, 0.8, 0.0], [0.0, 0.0, 0.0])
+        assert not closest_point_loop(x, skewed, 0.0, 1000, np.random.default_rng(2))
+        assert not closest_point_check(x, skewed, 0.0, 1000, np.random.default_rng(2))
+
     def test_vacuous_trials(self, rng):
         x = PhasePoint([1 / R2, 1 / R2], [0, 0])
         assert closest_point_check(x, Observable(np.diag([0.0, 1.0])), 0.0, 0, rng)

@@ -11,6 +11,7 @@ from qphase import (
     build_frame_general,
     from_phase,
     lie_closure,
+    measure_selective,
     steer,
     stabilize_middle_level,
     to_phase,
@@ -18,7 +19,10 @@ from qphase import (
 from qphase.errors import (
     FrameSearchError,
     FrameUnnecessaryError,
+    MaxIterationsError,
     NormalizationError,
+    QPhaseError,
+    SteeringLabelError,
 )
 from qphase.steering import (
     SteeringWord,
@@ -28,6 +32,8 @@ from qphase.steering import (
     ladder_control,
     ladder_drift,
 )
+
+from qphase.rng import stream
 
 from conftest import random_point, random_state
 
@@ -102,6 +108,21 @@ class TestFrame3Level:
         m = build_frame_3level(PSI_F, eigenvalues=(2.0, 5.0, -1.0))
         assert np.allclose(m.observable().eigenvalues, (-1.0, 2.0, 5.0), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (1.0, 2.0),  # too few: the observable would miss a frame vector
+            (1.0, 2.0, 3.0, 4.0),
+            (1.0, 2.0, 1.0),
+            (5.0, 5.0 + 1e-12, 0.0),  # merged into one branch by the observable
+            (1.0, float("nan"), 3.0),
+        ],
+    )
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(SteeringLabelError) as info:
+            build_frame_3level(PSI_F, eigenvalues=labels)
+        assert isinstance(info.value, QPhaseError)
+
 
 class TestFrameGeneral:
     def test_recovers_orbit_frame(self, ladder_closure):
@@ -174,7 +195,62 @@ class TestSteer:
             assert "action" in json.loads(line)
 
 
+def stabilize_reference(x0, mu=1.0, disturbance=None, n_periods=0, max_iters=10_000, rng=None):
+    """Phase-point reference for ``stabilize_middle_level``: one
+    ``measure_selective`` call (``Generator.choice``) per measurement."""
+    obs = Observable(ladder_drift(mu))
+    kick = SteeringWord.from_h_steps((("h2", np.pi / 2),))
+    steps = []
+
+    def acquire(state):
+        cycles = 0
+        while True:
+            out = measure_selective(state, obs, rng)
+            steps.append(("measure", {"value": out.value}, out.post_state))
+            state = out.post_state
+            if abs(out.value) < 1e-12:
+                return state, cycles
+            if cycles >= max_iters:
+                raise MaxIterationsError("cap")
+            state = to_phase(kick.apply(from_phase(state)))
+            steps.append(("evolve", {"word": kick.describe()}, state))
+            cycles += 1
+
+    state, cycles = acquire(x0)
+    occupancy = None
+    if disturbance is not None and n_periods > 0:
+        hits = 0
+        for _ in range(n_periods):
+            if rng.random() < disturbance:
+                level = int(rng.integers(0, 3))
+                amps = np.zeros(3, dtype=complex)
+                amps[level] = 1.0
+                state = PhasePoint(amps.real, amps.imag)
+                steps.append(("disturb", {"level": level}, state))
+            out = measure_selective(state, obs, rng)
+            state = out.post_state
+            if abs(out.value) < 1e-12:
+                hits += 1
+            else:
+                state, _ = acquire(state)
+        occupancy = hits / n_periods
+    return steps, from_phase(state).fidelity(PSI_1), cycles, occupancy
+
+
 class TestStabilize:
+    def test_matches_the_phase_point_reference_exactly(self):
+        gen = np.random.default_rng(21)
+        for seed in range(12):
+            x0 = random_point(gen, 3) if seed % 3 else to_phase(StateVector([0, 0, np.exp(0.3j)]))
+            kwargs = dict(mu=float(gen.uniform(0.5, 2.0)), disturbance=0.1, n_periods=80)
+            tr = stabilize_middle_level(x0, rng=stream(seed, 3), **kwargs)
+            steps, fidelity, cycles, occupancy = stabilize_reference(x0, rng=stream(seed, 3), **kwargs)
+            assert (tr.final_fidelity, tr.iterations, tr.occupancy) == (fidelity, cycles, occupancy)
+            assert len(tr.steps) == len(steps)
+            for got, (action, detail, state) in zip(tr.steps, steps):
+                assert (got.action, got.detail) == (action, detail)
+                assert got.state.q.tolist() == state.q.tolist() and got.state.p.tolist() == state.p.tolist()
+
     def test_middle_level_terminates_immediately(self):
         tr = stabilize_middle_level(to_phase(PSI_1), rng=np.random.default_rng(1))
         assert tr.iterations == 0 and tr.final_fidelity == pytest.approx(1.0)
@@ -188,6 +264,15 @@ class TestStabilize:
         # geometric with p = 1/2: mean 2, P(1) = 1/2
         assert abs(counts.mean() - 2.0) < 0.15
         assert abs(np.mean(counts == 1) - 0.5) < 0.03
+
+    def test_unnormalized_state_rejected(self):
+        with pytest.raises(NormalizationError):
+            stabilize_middle_level(PhasePoint([1.0, 1.0, 0.0], [0.0, 0.0, 0.0]))
+
+    def test_iteration_cap(self):
+        # an extreme level is never the middle one, and no kick is allowed
+        with pytest.raises(MaxIterationsError):
+            stabilize_middle_level(to_phase(StateVector([1.0, 0, 0])), max_iters=0)
 
     def test_disturbed_occupancy_stays_high(self):
         tr = stabilize_middle_level(

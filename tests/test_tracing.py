@@ -60,3 +60,40 @@ def test_tracer_wraps_a_pmp_run_and_evolve(tmp_path):
     # the spectral propagator path leaves the wrapped matrix exponentials unused
     for name in ("pontryagin.expm.calls", "pontryagin.expm_frechet.calls", "dynamics.expm.calls"):
         assert metrics[name] == 0
+
+
+def test_tracer_wraps_measure_steer_and_stabilize_runs(tmp_path):
+    def cv(v):
+        return [[float(complex(z).real), float(complex(z).imag)] for z in v]
+
+    r2 = np.sqrt(2.0)
+    scenarios = {
+        "measure": {
+            "measurement": {"observable": [[[float(a == b) * (a - 1.0), 0.0] for b in range(3)] for a in range(3)]},
+            "initial_state": cv([0.5, 1 / r2, 0.5]),
+        },
+        "steer": {"goal_state": cv([1j / r2, 0, 1j / r2]), "initial_state": cv(np.full(3, 1 / np.sqrt(3)))},
+        "stabilize": {"initial_state": cv([1.0, 0, 0]), "disturbance": 0.2, "n_periods": 10},
+    }
+    trials = {"measure": 30, "steer": 20, "stabilize": 3}
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for command, payload in scenarios.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(dict(payload, seed=12)))
+            argv = [command, "--scenario", str(path), "--out", str(tmp_path / command), "--trials", str(trials[command])]
+            assert qphase.cli.run(argv) == qphase.cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    for command in scenarios:
+        assert metrics[f"cli.cmd_{command}.s"] > 0.0
+    # measure and steer reset one generator per run; stabilize builds one per trial
+    assert metrics["rng.stream.calls"] == 2 + trials["stabilize"]
+    assert metrics["steering.stabilize_middle_level.calls"] == trials["stabilize"]
+    assert metrics["steering.build_frame_3level.s"] > 0.0
+    assert metrics["serialize.bytes_written"] > 0
+    # the batched engine measures without going through the per-trial entry points
+    assert metrics["measurement.measure_selective.calls"] == 0
+    assert metrics["steering.steer.calls"] == 0
