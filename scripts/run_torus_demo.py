@@ -2,9 +2,9 @@
 """Drive a kicked torus superposition to a target momentum eigenstate.
 
 Prepares a random superposition of momentum modes, measures it, plans a
-minimal kick sequence (translations plus hyperbolic relabeling kicks), and
-replays the plan.  Also compares plan lengths with and without the
-relabeling kick over random endpoint pairs.
+minimal kick sequence (translations plus hyperbolic relabeling kicks) that
+stays inside the truncation box, and replays the plan.  Also compares plan
+lengths with and without the relabeling kick over random endpoint pairs.
 """
 
 import argparse

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .geometry import Observable, PhasePoint, StateVector, from_phase, to_phase
 from .measurement import born_weights, branch_outcome, select_branches
-from .pontryagin import ControlDomain, CostIntegrand, forward_backward_sweep
+from .pontryagin import COST_ENERGY, COST_L1, ControlDomain, CostIntegrand, forward_backward_sweep
 from .rng import BIT_GENERATOR, first_uniforms, stream
 from .serialize import (
     fmt,
@@ -50,7 +50,7 @@ from .serialize import (
     write_json,
 )
 from .steering import build_frame_3level, stabilize_middle_level, steer_outcome
-from .torus import CatMap, plan_kicks
+from .torus import DEFAULT_CAT, CatMap, plan_kicks
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -88,6 +88,11 @@ class Scenario:
         value = self.get(field)
         return default if value is None else _finite(field, value)
 
+    def integer(self, field: str, default=None):
+        """Integer at ``field``, or ``default`` when it is absent."""
+        value = self.get(field)
+        return default if value is None else _integer(field, value)
+
     def matrix(self, field: str) -> np.ndarray:
         try:
             return matrix_from_json(self.require(field))
@@ -112,7 +117,7 @@ class Scenario:
         value = self.get("seed") if override is None else override
         if value is None:
             raise ScenarioError("seed", "a seed is mandatory for stochastic commands")
-        value = int(value)
+        value = _integer("seed", value)
         if not 0 <= value < 2**64:
             raise ScenarioError("seed", "seed must fit in an unsigned 64-bit integer")
         return value
@@ -152,6 +157,21 @@ def _finite(field: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ScenarioError(field, f"not a finite number: {value!r}")
     return float(value)
+
+
+def _integer(field: str, value) -> int:
+    """A JSON integer, or a float with an integer value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ScenarioError(field, f"not an integer: {value!r}")
+    return value
+
+
+def _integer_pair(field: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError(field, f"not a pair of integers: {value!r}")
+    return tuple(_integer(field, x) for x in value)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -203,8 +223,8 @@ def _trial_outcomes(x0: PhasePoint, obs: Observable, seed: int, trials: int):
 def cmd_evolve(scenario: Scenario, args) -> list:
     plant = scenario.plant()
     x0 = scenario.state("initial_state")
-    t_final = float(scenario.require("horizon.t_final"))
-    samples = int(scenario.get("horizon.samples", 100))
+    t_final = _finite("horizon.t_final", scenario.require("horizon.t_final"))
+    samples = scenario.integer("horizon.samples", 100)
     if t_final <= 0 or samples < 1:
         raise ScenarioError("horizon", "t_final must be > 0 and samples >= 1")
     from .dynamics import evolve  # local import keeps the module graph flat
@@ -283,8 +303,8 @@ def cmd_stabilize(scenario: Scenario, args, seed: int) -> list:
     disturbance = scenario.number("disturbance")
     if disturbance is not None and not 0.0 <= disturbance <= 1.0:
         raise ScenarioError("disturbance", "must lie in [0, 1]")
-    n_periods = scenario.number("n_periods", 0)
-    if n_periods < 0 or not float(n_periods).is_integer():
+    n_periods = scenario.integer("n_periods", 0)
+    if n_periods < 0:
         raise ScenarioError("n_periods", "must be a non-negative integer")
     results = []
     for trial in range(args.trials):
@@ -292,7 +312,7 @@ def cmd_stabilize(scenario: Scenario, args, seed: int) -> list:
             x0,
             mu=mu,
             disturbance=disturbance,
-            n_periods=int(n_periods),
+            n_periods=n_periods,
             rng=stream(seed, trial),
         )
         results.append({
@@ -306,10 +326,19 @@ def cmd_stabilize(scenario: Scenario, args, seed: int) -> list:
 
 
 def cmd_torus_plan(scenario: Scenario, args) -> list:
-    cat = CatMap(tuple(map(tuple, scenario.get("system.torus.cat", ((2, 1), (1, 1))))))
-    k_start = tuple(scenario.require("torus_start"))
-    k_target = tuple(scenario.require("torus_target"))
-    allow_cat = bool(scenario.get("allow_cat_moves", True))
+    rows = scenario.get("system.torus.cat", DEFAULT_CAT)
+    if not isinstance(rows, (list, tuple)) or len(rows) != 2:
+        raise ScenarioError("system.torus.cat", f"not a 2x2 integer matrix: {rows!r}")
+    rows = tuple(_integer_pair("system.torus.cat", row) for row in rows)
+    try:
+        cat = CatMap(rows)
+    except ValueError as exc:
+        raise ScenarioError("system.torus.cat", str(exc))
+    k_start = _integer_pair("torus_start", scenario.require("torus_start"))
+    k_target = _integer_pair("torus_target", scenario.require("torus_target"))
+    allow_cat = scenario.get("allow_cat_moves", True)
+    if not isinstance(allow_cat, bool):
+        raise ScenarioError("allow_cat_moves", f"not true or false: {allow_cat!r}")
     plan = plan_kicks(k_start, k_target, cat, allow_cat)
     write_json(os.path.join(args.out, "plan.json"), plan.to_json_dict())
     return ["plan.json"]
@@ -320,9 +349,16 @@ def cmd_pmp(scenario: Scenario, args) -> list:
     x0 = scenario.state("initial_state")
     goal = scenario.state("goal_state")
     domain = scenario.domain()
-    cost = CostIntegrand(scenario.get("cost", "control-energy"))
-    t_final = float(scenario.get("horizon.t_final", np.pi))
-    points = int(scenario.get("grid_points", 200))
+    kind = scenario.get("cost", COST_ENERGY)
+    if kind not in (COST_ENERGY, COST_L1):
+        raise ScenarioError("cost", f"must be {COST_ENERGY!r} or {COST_L1!r}, not {kind!r}")
+    cost = CostIntegrand(kind)
+    t_final = scenario.number("horizon.t_final", np.pi)
+    points = scenario.integer("grid_points", 200)
+    if t_final <= 0:
+        raise ScenarioError("horizon.t_final", "must be > 0")
+    if points < 1:
+        raise ScenarioError("grid_points", "must be >= 1")
     grid = np.linspace(0.0, t_final, points + 1)
     sol = forward_backward_sweep(plant, x0, goal, cost, domain, grid)
     write_json(os.path.join(args.out, "pmp.json"), sol.to_json_dict())

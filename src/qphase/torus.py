@@ -4,19 +4,20 @@ States are sparse maps from integer momentum pairs to amplitudes.  The
 Floquet components are: free propagation (a pure phase per momentum), a
 hyperbolic cat-map relabeling of the momentum lattice, and two unit
 translations of the momentum components.  Plans are integer-exact move
-sequences from a measured momentum to a target eigenstate.
+sequences, inside the truncation box, from a measured momentum to a target
+eigenstate.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QPhaseError, TruncationOverflowError
 from .geometry import PhasePoint
+from .measurement import draw_branch
 from .steering import ProtocolStep, ProtocolTrace
 
 DEFAULT_CAT = ((2, 1), (1, 1))
@@ -54,6 +55,10 @@ class CatMap:
         return cls(DEFAULT_CAT)
 
 
+def _outside(k, radius: int) -> bool:
+    return max(abs(k[0]), abs(k[1])) > radius
+
+
 def move_step(move: str, k: tuple, cat: CatMap) -> tuple:
     """Apply one plan move to a momentum label."""
     if move == "U1":
@@ -83,7 +88,7 @@ class TorusState:
         if not items:
             raise ValueError("state must have non-empty support")
         for k, _ in items:
-            if max(abs(k[0]), abs(k[1])) > self.radius:
+            if _outside(k, self.radius):
                 raise TruncationOverflowError(f"momentum {k} outside |k_i| <= {self.radius}")
         nrm = np.sqrt(sum(abs(a) ** 2 for _, a in items))
         if abs(nrm - 1.0) > 1e-12:
@@ -130,7 +135,7 @@ def apply_floquet_component(
         relabeled = []
         for k, a in s.support:
             k2 = move_step(move, k, cat)
-            if max(abs(k2[0]), abs(k2[1])) > s.radius:
+            if _outside(k2, s.radius):
                 raise TruncationOverflowError(f"{move} sends {k} to {k2}, outside the box")
             relabeled.append((k2, a))
         return TorusState(tuple(relabeled), s.radius)
@@ -143,8 +148,7 @@ def measure_momentum(
     """Born-sample a momentum; the state collapses onto that eigenstate."""
     ks = [k for k, _ in s.support]
     probs = np.array([abs(a) ** 2 for _, a in s.support])
-    probs = probs / probs.sum()
-    idx = int(rng.choice(len(ks), p=probs))
+    idx = draw_branch(probs / probs.sum(), rng)
     return ks[idx], TorusState.eigenstate(ks[idx], s.radius)
 
 
@@ -202,85 +206,79 @@ def _translation_moves(k_start, k_target) -> list:
     return moves
 
 
-def _bidirectional_bfs(k_start, k_target, cat: CatMap, depth_cap: int) -> list | None:
-    """Minimal move sequence of length < depth_cap, or None.
+def _index(k, radius: int) -> int:
+    return (k[0] + radius) * (2 * radius + 1) + k[1] + radius
 
-    Deterministic meet-in-the-middle search; expansion follows the
-    lexicographic move order.
+
+@functools.lru_cache(maxsize=8)
+def _neighbours(cat: CatMap, radius: int) -> np.ndarray:
+    """Row ``_index(k)``: the box index of k's neighbour under each move in
+    MOVES, or -1 outside the box.  Read-only, as it is shared between calls."""
+    side = range(-radius, radius + 1)
+    table = np.full(((2 * radius + 1) ** 2, len(MOVES)), -1, dtype=np.intp)
+    for k in ((k1, k2) for k1 in side for k2 in side):
+        for j, move in enumerate(MOVES):
+            nxt = move_step(move, k, cat)
+            if not _outside(nxt, radius):
+                table[_index(k, radius), j] = _index(nxt, radius)
+    table.flags.writeable = False
+    return table
+
+
+def _in_box_moves(k_start, k_target, cat: CatMap, radius: int) -> list:
+    """Lexicographically first minimal move sequence that stays in the box.
+
+    A breadth-first search from the target labels the box with distances
+    until the start has one (every move's inverse is a move, so distances
+    are symmetric); the walk down from the start takes the first move in
+    MOVES order that lowers the distance.
     """
-    if depth_cap <= 0:
-        return None
-    inverse = {"U1": "U1^-1", "U1^-1": "U1", "U2": "U2^-1", "U2^-1": "U2",
-               "U3": "U3^-1", "U3^-1": "U3"}
-    fwd = {k_start: None}  # node -> (parent, move)
-    bwd = {k_target: None}
-    fwd_frontier = [k_start]
-    bwd_frontier = [k_target]
-    depth = 0
-
-    def path_from(side: dict, node) -> list:
-        moves = []
-        while side[node] is not None:
-            parent, move = side[node]
-            moves.append(move)
-            node = parent
-        moves.reverse()
-        return moves
-
-    meet = k_start if k_start in bwd else None
-    while meet is None and depth < depth_cap and fwd_frontier and bwd_frontier:
-        if len(fwd_frontier) <= len(bwd_frontier):
-            side, other, frontier, forward = fwd, bwd, fwd_frontier, True
-        else:
-            side, other, frontier, forward = bwd, fwd, bwd_frontier, False
-        new_frontier = []
-        for node in frontier:
-            for move in MOVES:
-                nxt = move_step(move, node, cat)
-                if nxt in side:
-                    continue
-                side[nxt] = (node, move)
-                new_frontier.append(nxt)
-                if nxt in other:
-                    meet = nxt
-                    break
-            if meet is not None:
-                break
-        if forward:
-            fwd_frontier = new_frontier
-        else:
-            bwd_frontier = new_frontier
-        depth += 1
-    if meet is None:
-        return None
-    fwd_moves = path_from(fwd, meet)
-    bwd_moves = [inverse[m] for m in reversed(path_from(bwd, meet))]
-    moves = fwd_moves + bwd_moves
-    return moves if len(moves) < depth_cap else None
+    table = _neighbours(cat, radius)
+    start, target = _index(k_start, radius), _index(k_target, radius)
+    dist = np.full(len(table), -1)
+    dist[target] = 0
+    frontier, level = np.array([target]), 0
+    while dist[start] < 0:
+        level += 1
+        reached = table[frontier].ravel()
+        reached = reached[reached >= 0]
+        dist[reached[dist[reached] < 0]] = level
+        frontier = np.flatnonzero(dist == level)
+    moves, node = [], start
+    while node != target:
+        j = next(j for j, nxt in enumerate(table[node]) if nxt >= 0 and dist[nxt] == dist[node] - 1)
+        moves.append(MOVES[j])
+        node = table[node, j]
+    return moves
 
 
-def plan_kicks(k_start, k_target, cat: CatMap | None = None, allow_cat_moves: bool = True) -> KickPlan:
-    """Move sequence from one momentum label to another.
+def plan_kicks(k_start, k_target, cat: CatMap | None = None, allow_cat_moves: bool = True,
+               radius: int = DEFAULT_RADIUS) -> KickPlan:
+    """Move sequence from one momentum label to another in the box |k_i| <= radius.
 
-    Without cat moves the plan is the canonical translation sequence of
-    Manhattan length.  With cat moves a minimal-length plan is searched;
-    ties between cat and translation plans resolve to the translation plan
-    (fewer cat kicks).
+    Every label the plan passes through stays in the box.  Without cat moves
+    the plan is the translation sequence of Manhattan length; with them it is
+    the lexicographically first (in MOVES order) minimal-length sequence, and
+    ties resolve to the translation plan (fewer cat kicks).
     """
     k_start = tuple(int(x) for x in k_start)
     k_target = tuple(int(x) for x in k_target)
+    for k in (k_start, k_target):
+        if _outside(k, radius):
+            raise TruncationOverflowError(f"endpoint {k} outside |k_i| <= {radius}")
     cat = CatMap.default() if cat is None else cat
-    translation = _translation_moves(k_start, k_target)
-    moves = translation
-    if allow_cat_moves and translation:
-        shorter = _bidirectional_bfs(k_start, k_target, cat, depth_cap=len(translation))
-        if shorter is not None:
-            moves = shorter
-    plan = KickPlan(_run_length(moves), k_start, k_target)
-    reached = plan.replay_labels(cat)
-    if reached != k_target:
-        raise QPhaseError(f"plan from {k_start} replays to {reached}, not to the target {k_target}")
-    return plan
+    moves = _translation_moves(k_start, k_target)
+    if allow_cat_moves and moves:
+        # min keeps the first of equal lengths, the translation plan
+        moves = min(moves, _in_box_moves(k_start, k_target, cat, radius), key=len)
+    k = k_start
+    for move in moves:
+        k = move_step(move, k, cat)
+        if _outside(k, radius):
+            raise TruncationOverflowError(f"plan from {k_start} leaves |k_i| <= {radius} at {k}")
+    if k != k_target:
+        raise QPhaseError(f"plan from {k_start} replays to {k}, not to the target {k_target}")
+    return KickPlan(_run_length(moves), k_start, k_target)
 
 
 def reach_state(
@@ -294,10 +292,8 @@ def reach_state(
     rng = np.random.default_rng(0) if rng is None else rng
     cat = CatMap.default() if cat is None else cat
     k_target = tuple(int(x) for x in k_target)
-    if max(abs(k_target[0]), abs(k_target[1])) > s0.radius:
-        raise TruncationOverflowError(f"target {k_target} outside the truncation box")
     k0, state = measure_momentum(s0, rng)
-    plan = plan_kicks(k0, k_target, cat, allow_cat_moves)
+    plan = plan_kicks(k0, k_target, cat, allow_cat_moves, s0.radius)
     steps = [ProtocolStep("measure", {"k": list(k0)}, PhasePoint([0.0], [0.0]))]
     for move in plan.moves():
         which = move.split("^")[0]

@@ -317,6 +317,78 @@ class TestTorusPlanCommand:
         assert plan["length"] == 1
 
 
+class TestTorusPlanScenarioErrors:
+    """Malformed torus-plan scenarios exit with a schema error, not a crash
+    or a silent plan; an endpoint outside the radius-32 box is a domain error."""
+
+    def _code(self, tmp_path, payload, capsys):
+        scen = write_scenario(tmp_path / "s.json", payload)
+        code = run(["torus-plan", "--scenario", scen, "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["torus_start", "torus_target"])
+    @pytest.mark.parametrize("label", [["a", 1], 5, [1, 1, 1], [1.7, 1]])
+    def test_endpoint_not_two_integers(self, tmp_path, capsys, field, label):
+        payload = dict({"torus_start": [1, 1], "torus_target": [0, 1]}, **{field: label})
+        code, err = self._code(tmp_path, payload, capsys)
+        assert code == EXIT_SCHEMA and field in err
+
+    @pytest.mark.parametrize("cat", [[[2, 0], [0, 2]], [[0, -1], [1, 0]], 5, [[2, 1]], [["a", 1], [1, 1]]])
+    def test_bad_cat(self, tmp_path, capsys, cat):
+        payload = {"system": {"torus": {"cat": cat}}, "torus_start": [1, 1], "torus_target": [0, 1]}
+        code, err = self._code(tmp_path, payload, capsys)
+        assert code == EXIT_SCHEMA and "system.torus.cat" in err
+
+    @pytest.mark.parametrize("flag", ["false", 0])
+    def test_allow_cat_moves_not_a_boolean(self, tmp_path, capsys, flag):
+        # bool("false") is True: a string flag used to turn cat moves on
+        payload = {"torus_start": [1, 1], "torus_target": [3, 2], "allow_cat_moves": flag}
+        code, err = self._code(tmp_path, payload, capsys)
+        assert code == EXIT_SCHEMA and "allow_cat_moves" in err
+
+    def test_endpoint_outside_box(self, tmp_path, capsys):
+        code, err = self._code(tmp_path, {"torus_start": [1000, 1], "torus_target": [0, 1]}, capsys)
+        assert code == EXIT_DOMAIN and "1000" in err
+
+
+class TestNumericFieldErrors:
+    """Non-numeric or out-of-range numbers exit with a schema error naming the field."""
+
+    def _code(self, tmp_path, command, payload, capsys):
+        scen = write_scenario(tmp_path / "s.json", payload)
+        code = run([command, "--scenario", scen, "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["abc", 1.9])
+    def test_seed(self, tmp_path, capsys, seed):
+        payload = {"measurement": {"observable": cm(np.diag([0.0, 1.0]))}, "initial_state": cv([1.0, 0.0]),
+                   "seed": seed}
+        code, err = self._code(tmp_path, "measure", payload, capsys)
+        assert code == EXIT_SCHEMA and "seed" in err
+
+    @pytest.mark.parametrize("field, value", [("samples", "many"), ("t_final", "x")])
+    def test_evolve_horizon(self, tmp_path, capsys, field, value):
+        horizon = dict({"t_final": 1.0, "samples": 4}, **{field: value})
+        payload = {"system": {"drift": cm([[1.0]])}, "initial_state": cv([1.0]), "horizon": horizon}
+        code, err = self._code(tmp_path, "evolve", payload, capsys)
+        assert code == EXIT_SCHEMA and field in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid_points", "x"), ("grid_points", 0), ("horizon", {"t_final": "x"}), ("cost", "foo"),
+    ])
+    def test_pmp_fields(self, tmp_path, capsys, field, value):
+        payload = {
+            "system": {"drift": cm(np.diag([1.0, -1.0])), "controls": [cm([[0, 1], [1, 0]])]},
+            "initial_state": cv([0.0, 1.0]),
+            "goal_state": cv([1.0, 0.0]),
+            "control_bounds": {"lower": [-1.0], "upper": [1.0]},
+            "grid_points": 8,
+            field: value,
+        }
+        code, err = self._code(tmp_path, "pmp", payload, capsys)
+        assert code == EXIT_SCHEMA and field in err
+
+
 class TestPmpCommand:
     def test_two_level_flip(self, tmp_path):
         scen = write_scenario(

@@ -1,5 +1,7 @@
 """Kicked torus dynamics, momentum measurement, and plan search."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from qphase import (
 )
 from qphase import torus
 from qphase.errors import QPhaseError, TruncationOverflowError
+from qphase.measurement import draw_branch
 
 R2 = np.sqrt(2.0)
 moment = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
@@ -90,6 +93,21 @@ class TestMeasureMomentum:
         for k, w in weights.items():
             assert abs(counts[k] / n - w) < 3 * np.sqrt(w * (1 - w) / n)
 
+    def test_draw_matches_generator_choice(self):
+        # draw_branch is the rule of Generator.choice: same index, same stream state after
+        weights = np.array([0.5, 0.0, 0.3, 0.2])
+        s = TorusState(tuple(((j, -j), np.sqrt(w)) for j, w in enumerate(weights)))
+        ks = [k for k, _ in s.support]
+        probs = np.array([abs(a) ** 2 for _, a in s.support])
+        probs = probs / probs.sum()
+        for seed in range(2000):
+            rng, ref, direct = (np.random.default_rng(seed) for _ in range(3))
+            k, _ = measure_momentum(s, rng)
+            want = int(ref.choice(len(ks), p=probs))
+            assert k == ks[want]
+            assert draw_branch(probs, direct) == want
+            assert rng.bit_generator.state == ref.bit_generator.state == direct.bit_generator.state
+
 
 class TestPlanKicks:
     def test_manhattan_translations(self):
@@ -123,14 +141,70 @@ class TestPlanKicks:
 
     def test_unreplayable_plan_raises(self, monkeypatch):
         # a search result that misses the target must not be handed out
-        monkeypatch.setattr(torus, "_bidirectional_bfs", lambda *args, **kwargs: ["U1"])
+        monkeypatch.setattr(torus, "_in_box_moves", lambda *args, **kwargs: ["U1"])
         with pytest.raises(QPhaseError, match="replays to"):
             plan_kicks((0, 0), (3, 2))
+
+    def test_plan_leaving_the_box_raises(self, monkeypatch):
+        # the unbounded minimal plan passes through (-4, -3), outside radius 3
+        monkeypatch.setattr(torus, "_in_box_moves", lambda *args, **kwargs: ["U2", "U1"])
+        with pytest.raises(QPhaseError, match="leaves"):
+            plan_kicks((-3, -3), (-1, -2), radius=3)
+
+    @pytest.mark.parametrize("start, target", [((33, 0), (0, 0)), ((0, 0), (0, -33))])
+    def test_endpoint_outside_box_raises(self, start, target):
+        for allow_cat_moves in (True, False):
+            with pytest.raises(TruncationOverflowError):
+                plan_kicks(start, target, allow_cat_moves=allow_cat_moves)
 
     def test_deterministic(self):
         p1 = plan_kicks((-7, 12), (4, -9))
         p2 = plan_kicks((-7, 12), (4, -9))
         assert p1.moves() == p2.moves()
+
+
+def in_box_distances(target, cat, radius) -> dict:
+    """Plain breadth-first search over the box: label -> distance to target."""
+    dist, queue = {target: 0}, deque([target])
+    while queue:
+        k = queue.popleft()
+        for move in torus.MOVES:
+            nxt = torus.move_step(move, k, cat)
+            if max(abs(nxt[0]), abs(nxt[1])) <= radius and nxt not in dist:
+                dist[nxt] = dist[k] + 1
+                queue.append(nxt)
+    return dist
+
+
+@pytest.mark.parametrize("radius", [4, 5])
+def test_plans_match_in_box_oracle(radius):
+    """Every pair in the box: minimal in-box length, the lexicographically
+    first minimal plan, ties to the translation plan, no label outside."""
+    cat = CatMap.default()
+    side = range(-radius, radius + 1)
+    labels = [(k1, k2) for k1 in side for k2 in side]
+    rank = {move: i for i, move in enumerate(torus.MOVES)}
+    for target in labels:
+        dist = in_box_distances(target, cat, radius)
+        assert len(dist) == len(labels)
+        for start in labels:
+            moves = plan_kicks(start, target, cat, radius=radius).moves()
+            translation = plan_kicks(start, target, cat, allow_cat_moves=False, radius=radius).moves()
+            assert len(moves) == dist[start]
+            if dist[start] == len(translation):
+                assert moves == translation
+                continue
+            k = start
+            for move in moves:
+                # no move ranked before the chosen one also lies on a minimal path
+                for earlier in torus.MOVES[: rank[move]]:
+                    alt = torus.move_step(earlier, k, cat)
+                    assert dist.get(alt, -1) != dist[k] - 1
+                nxt = torus.move_step(move, k, cat)
+                assert max(abs(nxt[0]), abs(nxt[1])) <= radius
+                assert dist[nxt] == dist[k] - 1
+                k = nxt
+            assert k == target
 
 
 class TestReachState:
@@ -152,6 +226,14 @@ class TestReachState:
             trace, final = reach_state(s0, target, rng=rng)
             assert trace.final_fidelity == 1.0
             assert final.support[0][0] == target
+
+    def test_unbounded_plan_would_leave_the_box(self, rng):
+        # the minimal plan without the box, U2 then U1, passes through (-4, -3)
+        s0 = TorusState.eigenstate((-3, -3), radius=3)
+        trace, final = reach_state(s0, (-1, -2), rng=rng)
+        assert trace.final_fidelity == 1.0
+        assert final.support[0][0] == (-1, -2) and final.radius == 3
+        assert trace.iterations == len(plan_kicks((-3, -3), (-1, -2), radius=3))
 
     def test_target_outside_box(self, rng):
         with pytest.raises(TruncationOverflowError):

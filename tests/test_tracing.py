@@ -12,7 +12,8 @@ import os
 import numpy as np
 
 import qphase.cli
-from qphase import ControlSchedule, ControlledHamiltonian, evolve_unitary
+import qphase.torus
+from qphase import ControlSchedule, ControlledHamiltonian, TorusState, evolve_unitary
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -97,3 +98,24 @@ def test_tracer_wraps_measure_steer_and_stabilize_runs(tmp_path):
     # the batched engine measures without going through the per-trial entry points
     assert metrics["measurement.measure_selective.calls"] == 0
     assert metrics["steering.steer.calls"] == 0
+
+
+def test_tracer_wraps_a_torus_plan_run_and_reach_state(tmp_path):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"torus_start": [-7, 12], "torus_target": [4, -9]}))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = qphase.cli.run(["torus-plan", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        # looked up at call time, where the tracer put its wrapper
+        trace, final = qphase.torus.reach_state(TorusState.eigenstate((-3, -3), radius=3), (-1, -2))
+    finally:
+        tracer.uninstall()
+    assert code == qphase.cli.EXIT_OK
+    assert trace.final_fidelity == 1.0 and final.support[0][0] == (-1, -2)
+    metrics = tracer.layer_metrics()
+    assert metrics["cli.cmd_torus_plan.s"] > 0.0
+    assert metrics["torus.plan_kicks.calls"] == 2
+    assert metrics["torus.reach_state.calls"] == 1
+    assert metrics["torus.apply_floquet_component.calls"] == trace.iterations
+    assert metrics["torus.move_step.calls"] >= trace.iterations
