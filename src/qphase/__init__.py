@@ -13,6 +13,7 @@ from .geometry import (
     from_phase,
     g_form,
     omega_form,
+    real_block,
     to_phase,
 )
 from .dynamics import (
@@ -24,7 +25,6 @@ from .dynamics import (
     evolve_block,
     evolve_unitary,
     interval_propagators,
-    real_block,
     transport_ensemble,
 )
 from .measurement import (

@@ -30,6 +30,7 @@ from .dynamics import (
     ClassicalHamiltonian,
     ControlSchedule,
     ControlledHamiltonian,
+    evolve,
 )
 from .errors import (
     FrameSearchError,
@@ -94,12 +95,7 @@ class Scenario:
         return default if value is None else _integer(field, value)
 
     def matrix(self, field: str) -> np.ndarray:
-        try:
-            return matrix_from_json(self.require(field))
-        except ScenarioError:
-            raise
-        except Exception as exc:
-            raise ScenarioError(field, f"not a matrix of [re, im] pairs ({exc})")
+        return _matrix(field, self.require(field))
 
     def state(self, field: str) -> PhasePoint:
         node = self.require(field)
@@ -124,18 +120,20 @@ class Scenario:
 
     def plant(self) -> ControlledHamiltonian:
         drift = self.matrix("system.drift")
-        controls = tuple(
-            matrix_from_json(c) for c in self.get("system.controls", [])
-        )
-        dim = self.get("system.dimension")
-        if dim is not None and int(dim) != drift.shape[0]:
+        nodes = self.get("system.controls", [])
+        if not isinstance(nodes, list):
+            raise ScenarioError("system.controls", "not a list of matrices")
+        controls = tuple(_matrix(f"system.controls[{k}]", c) for k, c in enumerate(nodes))
+        dim = self.integer("system.dimension")
+        if dim is not None and dim != drift.shape[0]:
             raise ScenarioError("system.dimension", "does not match the drift matrix")
         schedule = None
         if self.get("schedule") is not None:
-            schedule = ControlSchedule(
-                np.asarray(self.require("schedule.grid"), float),
-                np.asarray(self.require("schedule.values"), float),
-            )
+            grid, values = self.require("schedule.grid"), self.require("schedule.values")
+            try:
+                schedule = ControlSchedule(np.asarray(grid, float), np.asarray(values, float))
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError("schedule", str(exc))
         try:
             return ControlledHamiltonian(drift, controls, schedule)
         except QPhaseError as exc:
@@ -151,6 +149,13 @@ class Scenario:
             raise
         except Exception as exc:
             raise ScenarioError("control_bounds", str(exc))
+
+
+def _matrix(field: str, node) -> np.ndarray:
+    try:
+        return matrix_from_json(node)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(field, f"not a matrix of [re, im] pairs ({exc})")
 
 
 def _finite(field: str, value) -> float:
@@ -227,13 +232,15 @@ def cmd_evolve(scenario: Scenario, args) -> list:
     samples = scenario.integer("horizon.samples", 100)
     if t_final <= 0 or samples < 1:
         raise ScenarioError("horizon", "t_final must be > 0 and samples >= 1")
-    from .dynamics import evolve  # local import keeps the module graph flat
-
     times = np.linspace(0.0, t_final, samples + 1)
     rows = []
     n = x0.dim
+    # one pass: each sample advances the previous one, so every schedule
+    # segment is diagonalised once rather than once per later sample
+    x, t_prev = x0, 0.0
     for t in times:
-        x = evolve(plant, x0, 0.0, float(t)) if t > 0 else x0
+        if t > t_prev:
+            x, t_prev = evolve(plant, x, t_prev, float(t)), float(t)
         u = plant.schedule.value_at(t) if plant.controls and plant.schedule else np.zeros(0)
         h_now = ClassicalHamiltonian(plant.matrix_for(u))
         rows.append([float(t), *x.q, *x.p, h_now.value(x)])

@@ -3,13 +3,13 @@
 Per interval of constant control the flow is the exact exponential of the
 linear Hamiltonian field, so norm and energy are conserved to rounding.  All
 intervals are diagonalized in one batched eigendecomposition
-(``interval_propagators``).  A fixed-step implicit-midpoint (Cayley)
-integrator is available for densely modulated schedules.
+(``interval_propagators``), the only propagator path; states move as complex
+amplitudes and ``real_block`` gives the (q, p) matrix at the public edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # expm is unused here but stays importable: the benchmark's tracer
@@ -21,7 +21,7 @@ from .errors import (
     HermiticityError,
     ScheduleCoverageError,
 )
-from .geometry import HERMITICITY_TOL, Observable, PhasePoint, _readonly
+from .geometry import HERMITICITY_TOL, Observable, PhasePoint, _readonly, real_block
 
 
 def _as_hermitian(m) -> np.ndarray:
@@ -31,11 +31,6 @@ def _as_hermitian(m) -> np.ndarray:
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise HermiticityError("Hamiltonian matrix is not Hermitian")
     return m
-
-
-def real_block(u: np.ndarray) -> np.ndarray:
-    """Real 2N x 2N representation of a complex-linear map on amplitudes."""
-    return np.block([[u.real, -u.imag], [u.imag, u.real]])
 
 
 @dataclass(frozen=True)
@@ -55,10 +50,6 @@ class ClassicalHamiltonian:
         return 0.5 * float(np.real(np.vdot(psi, self.h_matrix @ psi)))
 
 
-def hamiltonian_value(h: ClassicalHamiltonian, x: PhasePoint) -> float:
-    return h.value(x)
-
-
 @dataclass(frozen=True)
 class ControlSchedule:
     """Piecewise-constant control amplitudes on a strictly increasing grid.
@@ -74,8 +65,8 @@ class ControlSchedule:
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing with >= 2 points")
+        if g.ndim != 1 or g.size < 2 or not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
+            raise ValueError("grid must be finite and strictly increasing with >= 2 points")
         if v.shape[0] != g.size - 1:
             raise ValueError("values must have one row per grid interval")
         if not np.all(np.isfinite(v)):
@@ -192,27 +183,11 @@ def interval_propagators(plant: ControlledHamiltonian, u, dts):
     return props, w, v
 
 
-def _cayley_propagator(h: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    # Cayley transform: unitary, second order, symplectic in phase coords
-    n = h.shape[0]
-    sub = dt / steps
-    a = -0.5j * sub * h
-    step = np.linalg.solve(np.eye(n) - a, np.eye(n) + a)
-    return np.linalg.matrix_power(step, steps)
-
-
-def evolve_unitary(
-    h: ControlledHamiltonian, t0: float, t1: float, method: str = "exact", steps: int = 64
-) -> np.ndarray:
+def evolve_unitary(h: ControlledHamiltonian, t0: float, t1: float) -> np.ndarray:
     """Complex N x N propagator of the Schroedinger flow over [t0, t1]."""
-    if method not in ("exact", "midpoint"):
-        raise ValueError(f"unknown integrator {method!r}")
     segments = list(h._segments(t0, t1))
     u = np.eye(h.dim, dtype=complex)
-    if method == "midpoint":
-        for ta, tb, uval in segments:
-            u = _cayley_propagator(h.matrix_for(uval), tb - ta, steps) @ u
-    elif segments:
+    if segments:
         values = np.array([uval for _, _, uval in segments])
         props, _, _ = interval_propagators(h, values, [tb - ta for ta, tb, _ in segments])
         for prop in props:
@@ -220,27 +195,18 @@ def evolve_unitary(
     return u
 
 
-def evolve(
-    h: ControlledHamiltonian,
-    x0: PhasePoint,
-    t0: float,
-    t1: float,
-    method: str = "exact",
-    steps: int = 64,
-) -> PhasePoint:
+def evolve(h: ControlledHamiltonian, x0: PhasePoint, t0: float, t1: float) -> PhasePoint:
     """Advance a phase point along Hamilton's equations from t0 to t1."""
     if x0.dim != h.dim:
         raise DimensionMismatchError("phase point and Hamiltonian dimensions differ")
     psi = (x0.q + 1j * x0.p).astype(complex)
-    psi = evolve_unitary(h, t0, t1, method, steps) @ psi
+    psi = evolve_unitary(h, t0, t1) @ psi
     return PhasePoint(psi.real, psi.imag)
 
 
-def evolve_block(
-    h: ControlledHamiltonian, t0: float, t1: float, method: str = "exact", steps: int = 64
-) -> np.ndarray:
+def evolve_block(h: ControlledHamiltonian, t0: float, t1: float) -> np.ndarray:
     """Real 2N x 2N phase-space propagator over [t0, t1]."""
-    return real_block(evolve_unitary(h, t0, t1, method, steps))
+    return real_block(evolve_unitary(h, t0, t1))
 
 
 @dataclass(frozen=True)
@@ -267,9 +233,9 @@ class PhaseEnsemble:
 
 
 def transport_ensemble(
-    h: ControlledHamiltonian, e: PhaseEnsemble, t0: float, t1: float, method: str = "exact"
+    h: ControlledHamiltonian, e: PhaseEnsemble, t0: float, t1: float
 ) -> PhaseEnsemble:
     """Advance every member point; weights are Liouville-invariant."""
-    block = evolve_block(h, t0, t1, method)
-    moved = tuple(PhasePoint.from_flat(block @ x.flat()) for x in e.points)
-    return PhaseEnsemble(e.weights, moved)
+    u = evolve_unitary(h, t0, t1)
+    moved = (u @ (x.q + 1j * x.p) for x in e.points)
+    return PhaseEnsemble(e.weights, tuple(PhasePoint(psi.real, psi.imag) for psi in moved))

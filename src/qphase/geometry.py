@@ -103,6 +103,11 @@ class PhasePoint:
         return PhasePoint(self.q - other.q, self.p - other.p)
 
 
+def real_block(u: np.ndarray) -> np.ndarray:
+    """Real 2N x 2N matrix, layout (q, p), of a complex-linear map on amplitudes."""
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
 def to_phase(psi: StateVector) -> PhasePoint:
     """Split amplitudes into real/imaginary phase coordinates."""
     return PhasePoint(psi.amplitudes.real, psi.amplitudes.imag)
@@ -221,35 +226,20 @@ class CanonicalGenerator:
             raise ValueError("two-channel generators need distinct indices")
 
     def matrix(self, n: int) -> np.ndarray:
-        """Explicit 2n x 2n real matrix, layout (q_1..q_n, p_1..p_n)."""
+        """The complex n x n unitary as a 2n x 2n real matrix, layout (q_1..q_n, p_1..p_n)."""
         for idx in (self.i, self.j):
             if not 0 <= idx < n:
                 raise IndexError(f"channel index {idx} out of range for dimension {n}")
         c, s = np.cos(self.theta), np.sin(self.theta)
-        m = np.eye(2 * n)
+        u = np.eye(n, dtype=complex)
         i, j = self.i, self.j
-        qi, qj, pi, pj = i, j, n + i, n + j
         if self.kind == "qq-rotation":
-            for a, b in ((qi, qj), (pi, pj)):
-                m[a, a] = c
-                m[a, b] = s
-                m[b, a] = -s
-                m[b, b] = c
+            u[i, i], u[i, j], u[j, i], u[j, j] = c, s, -s, c
         elif self.kind == "qp-rotation":
-            m[qi, qi] = c
-            m[qi, pj] = -s
-            m[qj, qj] = c
-            m[qj, pi] = -s
-            m[pi, pi] = c
-            m[pi, qj] = s
-            m[pj, pj] = c
-            m[pj, qi] = s
-        else:  # phase-rotation on channel i
-            m[qi, qi] = c
-            m[qi, pi] = -s
-            m[pi, qi] = s
-            m[pi, pi] = c
-        return m
+            u[i, i], u[i, j], u[j, i], u[j, j] = c, 1j * s, 1j * s, c
+        else:  # phase-rotation on channel i: e^{i theta}
+            u[i, i] = complex(c, s)
+        return real_block(u)
 
 
 def canonical_apply(g: CanonicalGenerator, x: PhasePoint) -> PhasePoint:

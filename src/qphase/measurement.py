@@ -34,6 +34,11 @@ _STATE_TOL = 1e-9
 _ZERO_WEIGHT = 1e-14
 
 
+def _positive(value) -> bool:
+    """A finite number above 0; ``value <= 0`` alone lets NaN through."""
+    return bool(np.isfinite(value) and value > 0)
+
+
 def _require_normalized(x: PhasePoint):
     if abs(x.norm_sq() - 1.0) > _STATE_TOL:
         raise NormalizationError(f"phase point has squared norm {x.norm_sq()!r}, expected 1")
@@ -235,8 +240,8 @@ class GaussianMeasurement:
     dt: float
 
     def __post_init__(self):
-        if self.strength <= 0 or self.dt <= 0:
-            raise ValueError("strength and dt must be positive")
+        if not (_positive(self.strength) and _positive(self.dt)):
+            raise ValueError("strength and dt must be finite and positive")
 
     @property
     def readout_variance(self) -> float:
@@ -288,10 +293,10 @@ def continuous_observe(
     Fixed-step classical RK4 with trace renormalization per step.  Returns
     (times, rhos) with rhos of shape (steps + 1, N, N).
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not _positive(t_final):
+        raise ValueError("t_final must be finite and positive")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError("steps must be an integer >= 1")
     hm = h.matrix
     lam = m.observable.matrix
     if hm.shape != lam.shape or rho0.dim != hm.shape[0]:

@@ -26,9 +26,9 @@ import numpy as np
 from scipy.linalg import expm, expm_frechet  # noqa: F401
 from scipy.optimize import least_squares, minimize
 
-from .dynamics import ControlSchedule, ControlledHamiltonian, interval_propagators, real_block
+from .dynamics import ControlSchedule, ControlledHamiltonian, interval_propagators
 from .errors import ControlDomainError, DimensionMismatchError, MaxIterationsError
-from .geometry import PhasePoint, _readonly
+from .geometry import PhasePoint, _readonly, real_block
 
 COST_ENERGY = "control-energy"
 COST_L1 = "control-l1"

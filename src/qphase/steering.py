@@ -31,6 +31,7 @@ from .geometry import (
     PhasePoint,
     StateVector,
     from_phase,
+    real_block,
     to_phase,
 )
 from .measurement import (
@@ -54,59 +55,40 @@ def ladder_control(d: float = 1.0) -> np.ndarray:
     return m
 
 
+def _h1(theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    a, b, k = (c + 1) / 2, (c - 1) / 2, 1j * (s / np.sqrt(2.0))
+    return np.array([[a, k, b], [k, c, k], [b, k, a]])
+
+
+def _h2(theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    a, b, k = (c + 1) / 2, (1 - c) / 2, s / np.sqrt(2.0)
+    return np.array([[a, -k, b], [k, c, -k], [b, k, a]], dtype=complex)
+
+
+def _h3(theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return np.diag([complex(c, -s), 1.0, complex(c, s)])
+
+
 def h1_matrix(theta: float) -> np.ndarray:
     """First one-parameter subgroup of the ladder control group (6x6)."""
-    c, s = np.cos(theta), np.sin(theta)
-    r2 = np.sqrt(2.0)
-    return np.array(
-        [
-            [(c + 1) / 2, 0, (c - 1) / 2, 0, -s / r2, 0],
-            [0, c, 0, -s / r2, 0, -s / r2],
-            [(c - 1) / 2, 0, (c + 1) / 2, 0, -s / r2, 0],
-            [0, s / r2, 0, (c + 1) / 2, 0, (c - 1) / 2],
-            [s / r2, 0, s / r2, 0, c, 0],
-            [0, s / r2, 0, (c - 1) / 2, 0, (c + 1) / 2],
-        ]
-    )
+    return real_block(_h1(theta))
 
 
 def h2_matrix(theta: float) -> np.ndarray:
     """Second subgroup: a real rotation acting identically on q and p."""
-    c, s = np.cos(theta), np.sin(theta)
-    r2 = np.sqrt(2.0)
-    r = np.array(
-        [
-            [(c + 1) / 2, -s / r2, (1 - c) / 2],
-            [s / r2, c, -s / r2],
-            [(1 - c) / 2, s / r2, (c + 1) / 2],
-        ]
-    )
-    z = np.zeros((3, 3))
-    return np.block([[r, z], [z, r]])
+    return real_block(_h2(theta))
 
 
 def h3_matrix(theta: float) -> np.ndarray:
-    """Third subgroup; equals free ladder evolution with theta = -mu t."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array(
-        [
-            [c, 0, 0, s, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, 0, c, 0, 0, -s],
-            [-s, 0, 0, c, 0, 0],
-            [0, 0, 0, 0, 1, 0],
-            [0, 0, s, 0, 0, c],
-        ]
-    )
+    """Third subgroup, diag(e^{-i theta}, 1, e^{i theta}): free ladder evolution at theta = -mu t."""
+    return real_block(_h3(theta))
 
 
-_H_FAMILIES = {"h1": h1_matrix, "h2": h2_matrix, "h3": h3_matrix}
-
-
-def _complex_from_block(b: np.ndarray) -> np.ndarray:
-    """Recover the complex N x N unitary from its real 2N x 2N representation."""
-    n = b.shape[0] // 2
-    return b[:n, :n] + 1j * b[n:, :n]
+# complex 3 x 3 forms of the subgroups, which the matrices above read in (q, p)
+_H_FAMILIES = {"h1": _h1, "h2": _h2, "h3": _h3}
 
 
 @dataclass(frozen=True)
@@ -129,7 +111,7 @@ class SteeringWord:
     def from_h_steps(cls, steps) -> "SteeringWord":
         u = np.eye(3, dtype=complex)
         for family, angle in steps:
-            u = _complex_from_block(_H_FAMILIES[family](angle)) @ u
+            u = _H_FAMILIES[family](angle) @ u
         return cls(steps=tuple(steps), unitary=u)
 
     @classmethod

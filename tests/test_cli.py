@@ -6,12 +6,24 @@ import os
 import numpy as np
 import pytest
 
-from qphase import Observable, PhasePoint, StateVector, from_phase, to_phase
+import qphase.dynamics
+from qphase import (
+    ControlSchedule,
+    ControlledHamiltonian,
+    Observable,
+    PhasePoint,
+    StateVector,
+    evolve,
+    from_phase,
+    to_phase,
+)
 from qphase.cli import EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, run
 from qphase.measurement import branch_probabilities, measure_selective
 from qphase.rng import stream
 from qphase.serialize import write_csv, write_json
 from qphase.steering import build_frame_3level, h3_matrix, stabilize_middle_level, steer
+
+from conftest import random_hermitian, random_point
 
 R2 = np.sqrt(2.0)
 
@@ -88,6 +100,76 @@ class TestEvolve:
             },
         )
         assert run(["evolve", "--scenario", scen, "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+
+    def _controlled(self, tmp_path, grid, t_final, samples):
+        rng = np.random.default_rng(31)
+        drift, c1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        values = rng.uniform(-1, 1, (len(grid) - 1, 1))
+        x0 = random_point(rng, 3)
+        scen = write_scenario(tmp_path / "s.json", {
+            "system": {"dimension": 3, "drift": cm(drift), "controls": [cm(c1)]},
+            "schedule": {"grid": list(grid), "values": values.tolist()},
+            "initial_state": cv(from_phase(x0).amplitudes),
+            "horizon": {"t_final": t_final, "samples": samples},
+        })
+        return scen, ControlledHamiltonian(drift, (c1,), ControlSchedule(grid, values)), x0
+
+    def test_one_pass_matches_per_sample_evolve(self, tmp_path):
+        # samples every 0.25 up to 1.5, short of the grid's end: on the
+        # breakpoints 0.5 and 1.0 and between the others
+        scen, plant, x0 = self._controlled(tmp_path, [0.0, 0.5, 0.8, 1.0, 1.7, 2.0], 1.5, 6)
+        out = tmp_path / "out"
+        assert run(["evolve", "--scenario", scen, "--out", str(out)]) == EXIT_OK
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, 1.5, 7))
+        for row in rows:
+            want = evolve(plant, x0, 0.0, row[0]) if row[0] > 0 else x0
+            assert np.max(np.abs(row[1:7] - want.flat())) < 1e-12
+
+    def test_each_segment_diagonalised_once(self, tmp_path, monkeypatch):
+        sizes = []
+        original = qphase.dynamics.interval_propagators
+
+        def counting(plant, u, dts):
+            sizes.append(len(dts))
+            return original(plant, u, dts)
+
+        monkeypatch.setattr(qphase.dynamics, "interval_propagators", counting)
+        samples, segments = 40, 10
+        scen, _, _ = self._controlled(tmp_path, np.linspace(0.0, 2.0, segments + 1).tolist(), 2.0, samples)
+        assert run(["evolve", "--scenario", scen, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert 0 < sum(sizes) <= samples + segments
+
+
+class TestPlantErrors:
+    """Malformed system and schedule fields exit 2 in every command that builds the plant."""
+
+    BASE = {
+        "system": {"dimension": 2, "drift": cm(np.diag([1.0, -1.0])), "controls": [cm([[0, 1], [1, 0]])]},
+        "schedule": {"grid": [0.0, 0.5, 1.0], "values": [[0.1], [0.2]]},
+        "initial_state": cv([0.0, 1.0]),
+        "goal_state": cv([1.0, 0.0]),
+        "control_bounds": {"lower": [-1.0], "upper": [1.0]},
+        "horizon": {"t_final": 1.0, "samples": 2},
+        "grid_points": 4,
+    }
+
+    @pytest.mark.parametrize("command", ["evolve", "closure", "pmp"])
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("system", "dimension", "abc", "system.dimension"),
+        ("system", "controls", [5], "system.controls[0]"),
+        ("schedule", "grid", [0.0, 1.0, 0.5], "schedule"),
+        ("schedule", "grid", [0.0, "x", 1.0], "schedule"),
+        ("schedule", "grid", [0.0, float("nan"), 1.0], "schedule"),
+        ("schedule", "values", [[0.1]], "schedule"),
+        ("schedule", "values", [[0.1], [float("nan")]], "schedule"),
+    ])
+    def test_bad_field_exits_2(self, tmp_path, capsys, command, section, key, value, field):
+        payload = json.loads(json.dumps(self.BASE))
+        payload[section][key] = value
+        scen = write_scenario(tmp_path / "s.json", payload)
+        assert run([command, "--scenario", scen, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert f"scenario error: {field}: " in capsys.readouterr().err
 
 
 class TestSchemaDiagnostics:

@@ -168,6 +168,35 @@ class TestCanonicalGenerators:
         assert abs(g_form(gx, gy) - g_form(x, y)) < 1e-12
         assert abs(omega_form(gx, gy) - omega_form(x, y)) < 1e-12
 
+    @staticmethod
+    def _literal(kind, i, j, theta, n):
+        # element-wise 2n x 2n construction: a reference for real_block of
+        # the complex n x n unitary that matrix() builds
+        c, s = np.cos(theta), np.sin(theta)
+        m = np.eye(2 * n)
+        qi, qj, pi, pj = i, j, n + i, n + j
+        if kind == "qq-rotation":
+            for a, b in ((qi, qj), (pi, pj)):
+                m[a, a], m[a, b], m[b, a], m[b, b] = c, s, -s, c
+        elif kind == "qp-rotation":
+            m[qi, qi], m[qi, pj], m[qj, qj], m[qj, pi] = c, -s, c, -s
+            m[pi, pi], m[pi, qj], m[pj, pj], m[pj, qi] = c, s, c, s
+        else:
+            m[qi, qi], m[qi, pi], m[pi, qi], m[pi, pi] = c, -s, s, c
+        return m
+
+    def test_matrix_equals_the_literal_construction(self):
+        rng = np.random.default_rng(11)
+        kinds = ("qq-rotation", "qp-rotation", "phase-rotation")
+        for k in range(1500):
+            kind, n = kinds[k % 3], int(rng.integers(2, 7))
+            i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+            if kind == "phase-rotation":
+                j = i
+            theta = (0.0, np.pi, float(rng.uniform(-10, 10)))[k % 5 // 2]
+            g = CanonicalGenerator(kind, i, j, theta)
+            assert np.array_equal(g.matrix(n), self._literal(kind, i, j, theta, n))
+
     def test_index_out_of_range(self):
         g = CanonicalGenerator("qq-rotation", 0, 5, 1.0)
         with pytest.raises(IndexError):

@@ -262,6 +262,21 @@ class TestContinuousObservation:
                 got = rhos[-1][k, kp].real
                 assert abs(got - want) / want < 1e-6
 
+    @pytest.mark.parametrize("t_final, steps", [
+        (np.nan, 10), (np.inf, 10), (-np.inf, 10), (0.0, 10), (1.0, 2.5), (1.0, 0), (1.0, 10.0),
+    ])
+    def test_rejects_bad_horizon(self, t_final, steps):
+        rho0 = DensityMatrix(np.diag([0.2, 0.8]).astype(complex))
+        m = GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 1.0, 0.01)
+        with pytest.raises(ValueError):
+            continuous_observe(rho0, Observable(np.zeros((2, 2))), m, t_final, steps)
+
+    def test_numpy_integer_steps(self):
+        rho0 = DensityMatrix(np.diag([0.2, 0.8]).astype(complex))
+        m = GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 1.0, 0.01)
+        times, rhos = continuous_observe(rho0, Observable(np.zeros((2, 2))), m, 1.0, np.int64(5))
+        assert times.shape == (6,) and rhos.shape == (6, 2, 2)
+
     def test_positivity_preserved(self, rng):
         rho0 = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
         m = GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 2.0, 0.01)
@@ -288,6 +303,13 @@ class TestGaussian:
         _, post = gaussian_apply(x, m, rng)
         psi = from_phase(post).amplitudes
         assert max(abs(psi[0]) ** 2, abs(psi[1]) ** 2) > 1 - 1e-6
+
+    @pytest.mark.parametrize("strength, dt", [
+        (np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, np.inf), (0.0, 0.1), (1.0, -0.1),
+    ])
+    def test_rejects_non_positive_or_non_finite(self, strength, dt):
+        with pytest.raises(ValueError):
+            GaussianMeasurement(Observable(np.diag([1.0, -1.0])), strength, dt)
 
     def test_readout_density_mixture(self):
         m = GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 1.0, 0.25)

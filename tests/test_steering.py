@@ -84,6 +84,75 @@ class TestSubgroupMatrices:
             assert v[1] ** 2 + v[4] ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
+def _h1_literal(theta):
+    # element-wise 6x6 literals of the subgroups: a reference for the
+    # complex closed forms that h*_matrix reads through real_block
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array(
+        [
+            [(c + 1) / 2, 0, (c - 1) / 2, 0, -s / R2, 0],
+            [0, c, 0, -s / R2, 0, -s / R2],
+            [(c - 1) / 2, 0, (c + 1) / 2, 0, -s / R2, 0],
+            [0, s / R2, 0, (c + 1) / 2, 0, (c - 1) / 2],
+            [s / R2, 0, s / R2, 0, c, 0],
+            [0, s / R2, 0, (c - 1) / 2, 0, (c + 1) / 2],
+        ]
+    )
+
+
+def _h2_literal(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    r = np.array(
+        [
+            [(c + 1) / 2, -s / R2, (1 - c) / 2],
+            [s / R2, c, -s / R2],
+            [(1 - c) / 2, s / R2, (c + 1) / 2],
+        ]
+    )
+    z = np.zeros((3, 3))
+    return np.block([[r, z], [z, r]])
+
+
+def _h3_literal(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array(
+        [
+            [c, 0, 0, s, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, c, 0, 0, -s],
+            [-s, 0, 0, c, 0, 0],
+            [0, 0, 0, 0, 1, 0],
+            [0, 0, s, 0, 0, c],
+        ]
+    )
+
+
+_LITERALS = {"h1": _h1_literal, "h2": _h2_literal, "h3": _h3_literal}
+
+
+class TestSubgroupClosedForms:
+    """The complex closed forms reproduce the literal matrices exactly."""
+
+    ANGLES = np.concatenate(
+        [np.random.default_rng(8).uniform(-10, 10, 500), [0.0, np.pi / 2, -np.pi / 2, np.pi, 2 * np.pi]]
+    )
+
+    @pytest.mark.parametrize("family, fn", [("h1", h1_matrix), ("h2", h2_matrix), ("h3", h3_matrix)])
+    def test_matrices_equal_the_literals(self, family, fn):
+        for theta in self.ANGLES:
+            assert np.array_equal(fn(theta), _LITERALS[family](theta))
+
+    def test_words_equal_products_of_the_literals(self):
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            steps = [(f"h{rng.integers(1, 4)}", float(rng.uniform(-5, 5))) for _ in range(rng.integers(1, 6))]
+            want = np.eye(3, dtype=complex)
+            for family, angle in steps:
+                b = _LITERALS[family](angle)
+                want = (b[:3, :3] + 1j * b[3:, :3]) @ want
+            assert np.array_equal(SteeringWord.from_h_steps(steps).unitary, want)
+
+
 class TestFrame3Level:
     def test_frame_matches_worked_example(self):
         m = build_frame_3level(PSI_F)

@@ -100,6 +100,39 @@ def test_tracer_wraps_measure_steer_and_stabilize_runs(tmp_path):
     assert metrics["steering.steer.calls"] == 0
 
 
+def test_tracer_wraps_evolve_and_closure_runs(tmp_path):
+    def cm(m):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+
+    system = {"drift": cm(np.diag([-1.0, 0.0, 1.0])), "controls": [cm([[0, 1, 0], [1, 0, 1], [0, 1, 0]])]}
+    samples = 12
+    scenarios = {
+        "evolve": {
+            "system": system,
+            "schedule": {"grid": [0.0, 0.4, 1.0], "values": [[0.5], [-0.3]]},
+            "initial_state": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "horizon": {"t_final": 1.0, "samples": samples},
+        },
+        "closure": {"system": system},
+    }
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for command, payload in scenarios.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(payload))
+            argv = [command, "--scenario", str(path), "--out", str(tmp_path / command)]
+            assert qphase.cli.run(argv) == qphase.cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["cli.cmd_evolve.s"] > 0.0 and metrics["cli.cmd_closure.s"] > 0.0
+    # one evolve call per sample after t = 0, each from the previous sample
+    assert metrics["dynamics.evolve.calls"] == samples
+    assert metrics["dynamics.expm.calls"] == 0
+    assert metrics["controllability.lie_closure.calls"] == 1
+
+
 def test_tracer_wraps_a_torus_plan_run_and_reach_state(tmp_path):
     path = tmp_path / "torus.json"
     path.write_text(json.dumps({"torus_start": [-7, 12], "torus_target": [4, -9]}))
