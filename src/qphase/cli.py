@@ -101,13 +101,14 @@ class Scenario:
         node = self.require(field)
         try:
             if isinstance(node, dict):
-                return PhasePoint(np.asarray(node["q"], float), np.asarray(node["p"], float))
-            amps = vector_from_json(node)
-            return to_phase(StateVector(amps))
-        except ScenarioError:
-            raise
+                x = PhasePoint(np.asarray(node["q"], float), np.asarray(node["p"], float))
+            else:
+                x = to_phase(StateVector(vector_from_json(node)))
         except Exception as exc:
             raise ScenarioError(field, f"not a state vector ({exc})")
+        if not np.all(np.isfinite(x.flat())):
+            raise ScenarioError(field, "amplitudes must be finite")
+        return x
 
     def seed(self, override) -> int:
         value = self.get("seed") if override is None else override
@@ -219,7 +220,7 @@ def _trial_outcomes(x0: PhasePoint, obs: Observable, seed: int, trials: int):
     Every trial starts from x0, so the odds and the outcomes are computed
     once; trial k takes one uniform from its own stream.
     """
-    psi0 = x0.q + 1j * x0.p
+    psi0 = x0.amplitudes
     probs = born_weights(psi0, obs)
     branches = select_branches(probs, first_uniforms(seed, trials)).tolist()
     return branches, {b: branch_outcome(psi0, obs, probs, b) for b in sorted(set(branches))}

@@ -22,6 +22,8 @@ VERDICT_U = "controllable-u(N)"
 VERDICT_SU = "controllable-su(N)"
 VERDICT_NOT = "not-controllable"
 
+_FIDELITY_TOL = 1e-6  # orbit membership is accepted at fidelity >= 1 - this
+
 
 def _vec(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m.real.ravel(), m.imag.ravel()])
@@ -145,7 +147,6 @@ def orbit_membership(
     y: PhasePoint,
     budget: int = 20000,
     rng: np.random.Generator | None = None,
-    fidelity_tol: float = 1e-6,
 ) -> OrbitMembership:
     """Search products exp(sum theta_m B_m) mapping x exactly onto y.
 
@@ -158,7 +159,7 @@ def orbit_membership(
     psi_x = from_phase(x).normalized().amplitudes
     psi_y = from_phase(y).normalized().amplitudes
     d = report.dimension
-    threshold = np.sqrt(1.0 - fidelity_tol)
+    threshold = np.sqrt(1.0 - _FIDELITY_TOL)
 
     def aligned_overlap(theta: np.ndarray) -> float:
         u = group_element(report, theta)

@@ -16,21 +16,12 @@ import numpy as np
 # (perfbench/tracing.py) looks it up by name and raises if it is missing
 from scipy.linalg import expm  # noqa: F401
 
-from .errors import (
-    DimensionMismatchError,
-    HermiticityError,
-    ScheduleCoverageError,
-)
-from .geometry import HERMITICITY_TOL, Observable, PhasePoint, _readonly, real_block
+from .errors import DimensionMismatchError, ScheduleCoverageError
+from .geometry import Observable, PhasePoint, _readonly, hermitian, real_block
 
 
 def _as_hermitian(m) -> np.ndarray:
-    if isinstance(m, Observable):
-        return m.matrix
-    m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise HermiticityError("Hamiltonian matrix is not Hermitian")
-    return m
+    return m.matrix if isinstance(m, Observable) else hermitian(m)
 
 
 @dataclass(frozen=True)
@@ -46,7 +37,7 @@ class ClassicalHamiltonian:
         """Energy at a phase point; equals <psi|H|psi>/2 in this convention."""
         if x.dim != self.h_matrix.shape[0]:
             raise DimensionMismatchError("phase point and Hamiltonian dimensions differ")
-        psi = x.q + 1j * x.p
+        psi = x.amplitudes
         return 0.5 * float(np.real(np.vdot(psi, self.h_matrix @ psi)))
 
 
@@ -199,9 +190,7 @@ def evolve(h: ControlledHamiltonian, x0: PhasePoint, t0: float, t1: float) -> Ph
     """Advance a phase point along Hamilton's equations from t0 to t1."""
     if x0.dim != h.dim:
         raise DimensionMismatchError("phase point and Hamiltonian dimensions differ")
-    psi = (x0.q + 1j * x0.p).astype(complex)
-    psi = evolve_unitary(h, t0, t1) @ psi
-    return PhasePoint(psi.real, psi.imag)
+    return PhasePoint.from_amplitudes(evolve_unitary(h, t0, t1) @ x0.amplitudes)
 
 
 def evolve_block(h: ControlledHamiltonian, t0: float, t1: float) -> np.ndarray:
@@ -221,9 +210,9 @@ class PhaseEnsemble:
         pts = tuple(self.points)
         if w.ndim != 1 or w.size != len(pts):
             raise ValueError("one weight per point required")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-10:
+        if not abs(w.sum() - 1.0) <= 1e-10:
             raise ValueError("weights must sum to 1 within 1e-10")
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "points", pts)
@@ -237,5 +226,4 @@ def transport_ensemble(
 ) -> PhaseEnsemble:
     """Advance every member point; weights are Liouville-invariant."""
     u = evolve_unitary(h, t0, t1)
-    moved = (u @ (x.q + 1j * x.p) for x in e.points)
-    return PhaseEnsemble(e.weights, tuple(PhasePoint(psi.real, psi.imag) for psi in moved))
+    return PhaseEnsemble(e.weights, tuple(PhasePoint.from_amplitudes(u @ x.amplitudes) for x in e.points))

@@ -10,6 +10,7 @@ point ``q_k = Re psi_k``, ``p_k = Im psi_k``.  With this convention
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.setflags(write=False)
     return a
+
+
+def hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """``matrix`` as a complex square array, finite and Hermitian within ``tol``.
+
+    ``max|m - m^H| > tol`` alone lets NaN through, so finiteness is checked.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise HermiticityError("matrix must be square")
+    if not (np.all(np.isfinite(m)) and np.max(np.abs(m - m.conj().T)) <= tol):
+        raise HermiticityError(f"matrix is not finite and Hermitian within {tol:g}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -89,6 +103,17 @@ class PhasePoint:
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm_sq() - 1.0) <= tol
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Complex amplitudes psi_k = q_k + i p_k of this phase point."""
+        return self.q + 1j * self.p
+
+    @classmethod
+    def from_amplitudes(cls, psi) -> "PhasePoint":
+        """Phase point q = Re psi, p = Im psi of complex amplitudes."""
+        psi = np.asarray(psi)
+        return cls(psi.real, psi.imag)
+
     def flat(self) -> np.ndarray:
         """Concatenated (q_1..q_N, p_1..p_N) vector."""
         return np.concatenate([self.q, self.p])
@@ -110,12 +135,12 @@ def real_block(u: np.ndarray) -> np.ndarray:
 
 def to_phase(psi: StateVector) -> PhasePoint:
     """Split amplitudes into real/imaginary phase coordinates."""
-    return PhasePoint(psi.amplitudes.real, psi.amplitudes.imag)
+    return PhasePoint.from_amplitudes(psi.amplitudes)
 
 
 def from_phase(x: PhasePoint) -> StateVector:
     """Reassemble amplitudes psi_k = q_k + i p_k."""
-    return StateVector(x.q + 1j * x.p)
+    return StateVector(x.amplitudes)
 
 
 def g_form(x: PhasePoint, y: PhasePoint) -> float:
@@ -140,45 +165,37 @@ def complex_structure(x: PhasePoint) -> PhasePoint:
 class Observable:
     """Hermitian matrix with a cached, degeneracy-grouped spectral decomposition.
 
-    Eigenvalues closer than ``degeneracy_rtol`` (relative, floored at 1) are
-    merged into a single projector.  The spectrum is listed in ascending
-    order of eigenvalue.
+    One ``eigh`` gives the eigenvector matrix V, columns in ascending order
+    of eigenvalue; eigenvalues closer than ``DEGENERACY_RTOL`` (relative,
+    floored at 1) form one branch, a contiguous range of columns.  Every
+    measurement formula is a product with V: the Born weights, the
+    projection onto a branch and a spectral function of the matrix.
     """
 
-    def __init__(self, matrix, degeneracy_rtol: float = DEGENERACY_RTOL):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("observable matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise HermiticityError("matrix is not Hermitian within 1e-12")
+    def __init__(self, matrix):
+        m = hermitian(matrix)
         self.matrix = _readonly(m)
         vals, vecs = np.linalg.eigh(m)
         scale = max(1.0, float(np.max(np.abs(vals))))
-        groups: list[list[int]] = [[0]]
+        starts = [0]
         for i in range(1, vals.size):
-            if vals[i] - vals[groups[-1][0]] <= degeneracy_rtol * scale:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        spectrum = []
-        eigenvectors = []
-        for idx in groups:
-            v = vecs[:, idx]
-            spectrum.append((float(np.mean(vals[idx])), _readonly(v @ v.conj().T)))
-            eigenvectors.append(_readonly(v))
-        self.spectrum = tuple(spectrum)
-        self._eigenvectors = tuple(eigenvectors)
+            if vals[i] - vals[starts[-1]] > DEGENERACY_RTOL * scale:
+                starts.append(i)
+        bounds = starts + [vals.size]
+        # branch b is the columns bounds[b]:bounds[b + 1] of V
+        self._columns = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+        self._starts = np.array(starts)
+        self._vecs = _readonly(vecs)
+        self.eigenvalues = tuple(float(np.mean(vals[c])) for c in self._columns)
+        # each column's branch eigenvalue, the argument of spectral functions
+        self._levels = np.repeat(self.eigenvalues, np.diff(bounds))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def eigenvalues(self) -> tuple:
-        return tuple(a for a, _ in self.spectrum)
-
     def is_nondegenerate(self) -> bool:
-        return len(self.spectrum) == self.dim
+        return len(self.eigenvalues) == self.dim
 
     def is_traceless(self, tol: float = 1e-10) -> bool:
         return abs(np.trace(self.matrix)) <= tol * max(1.0, np.max(np.abs(self.matrix)))
@@ -188,12 +205,44 @@ class Observable:
         vals = np.asarray(self.eigenvalues)
         return int(np.argmin(np.abs(vals - a)))
 
+    def _branch_vectors(self, branch: int) -> np.ndarray:
+        return self._vecs[:, self._columns[branch]]
+
+    def _check_dim(self, psi: np.ndarray):
+        if psi.shape[-1] != self.dim:
+            raise DimensionMismatchError("state and observable dimensions differ")
+
+    def weights(self, psi: np.ndarray) -> np.ndarray:
+        """Born weights ||P_b psi||^2 of every branch: |V^H psi|^2 summed per branch."""
+        self._check_dim(psi)
+        return np.add.reduceat(np.abs(self._vecs.conj().T @ psi) ** 2, self._starts)
+
+    def project(self, psi: np.ndarray, branch: int) -> np.ndarray:
+        """P_b psi = V_b (V_b^H psi), the (unnormalized) projection onto a branch."""
+        self._check_dim(psi)
+        v = self._branch_vectors(branch)
+        return v @ (v.conj().T @ psi)
+
+    def apply(self, f, psi: np.ndarray) -> np.ndarray:
+        """f(A) psi = V f(Lambda) V^H psi, f called on each column's branch eigenvalue."""
+        self._check_dim(psi)
+        return self._vecs @ (f(self._levels) * (self._vecs.conj().T @ psi))
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """(eigenvalue, projector) pairs in ascending order, built on first use."""
+        pairs = []
+        for branch, a in enumerate(self.eigenvalues):
+            v = self._branch_vectors(branch)
+            pairs.append((a, _readonly(v @ v.conj().T)))
+        return tuple(pairs)
+
     def projector(self, a: float) -> np.ndarray:
         return self.spectrum[self.branch_index(a)][1]
 
     def eigenspace_basis(self, a: float) -> np.ndarray:
         """Orthonormal column basis of the eigenspace of ``a``."""
-        return self._eigenvectors[self.branch_index(a)]
+        return self._branch_vectors(self.branch_index(a))
 
     def expectation(self, psi: StateVector) -> float:
         if psi.dim != self.dim:

@@ -20,15 +20,7 @@ from .errors import (
     NormalizationError,
     ZeroProbabilityBranchError,
 )
-from .geometry import (
-    Observable,
-    PhasePoint,
-    StateVector,
-    _readonly,
-    from_phase,
-    g_form,
-    to_phase,
-)
+from .geometry import Observable, PhasePoint, StateVector, _readonly, g_form, hermitian
 
 _STATE_TOL = 1e-9
 _ZERO_WEIGHT = 1e-14
@@ -40,7 +32,7 @@ def _positive(value) -> bool:
 
 
 def _require_normalized(x: PhasePoint):
-    if abs(x.norm_sq() - 1.0) > _STATE_TOL:
+    if not abs(x.norm_sq() - 1.0) <= _STATE_TOL:
         raise NormalizationError(f"phase point has squared norm {x.norm_sq()!r}, expected 1")
 
 
@@ -52,27 +44,21 @@ class MeasurementOutcome:
     branch: int = 0
 
 
-def _weights(psi: np.ndarray, a: Observable) -> np.ndarray:
-    if psi.size != a.dim:
-        raise DimensionMismatchError("state and observable dimensions differ")
-    return np.array([np.vdot(psi, proj @ psi).real for _, proj in a.spectrum])
-
-
 def branch_probabilities(x: PhasePoint, a: Observable) -> np.ndarray:
     """Born weights ||P_a psi||^2 for every spectral branch."""
-    return _weights(x.q + 1j * x.p, a)
+    return a.weights(x.amplitudes)
 
 
 def born_weights(psi: np.ndarray, a: Observable) -> np.ndarray:
     """Odds of each spectral branch for the complex amplitudes psi.
 
-    The Born weights clipped at zero and scaled to sum 1; psi must be
-    normalized, or ``NormalizationError`` is raised.
+    The Born weights scaled to sum 1; psi must be normalized, or
+    ``NormalizationError`` is raised.
     """
     norm_sq = float(np.vdot(psi, psi).real)
-    if abs(norm_sq - 1.0) > _STATE_TOL:
+    if not abs(norm_sq - 1.0) <= _STATE_TOL:
         raise NormalizationError(f"state has squared norm {norm_sq!r}, expected 1")
-    probs = np.maximum(_weights(psi, a), 0.0)
+    probs = a.weights(psi)
     return probs / probs.sum()
 
 
@@ -98,7 +84,7 @@ def draw_branch(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 def collapse(psi: np.ndarray, a: Observable, branch: int) -> np.ndarray:
     """Normalized projection of the amplitudes psi onto one spectral branch."""
-    post = a.spectrum[branch][1] @ psi
+    post = a.project(psi, branch)
     return post / np.linalg.norm(post)
 
 
@@ -108,9 +94,9 @@ def branch_outcome(
     """Outcome of a measurement of psi that landed on ``branch``."""
     post = collapse(psi, a, branch)
     return MeasurementOutcome(
-        value=a.spectrum[branch][0],
+        value=a.eigenvalues[branch],
         probability=float(probs[branch]),
-        post_state=PhasePoint(post.real, post.imag),
+        post_state=PhasePoint.from_amplitudes(post),
         branch=branch,
     )
 
@@ -119,7 +105,7 @@ def measure_selective(
     x: PhasePoint, a: Observable, rng: np.random.Generator
 ) -> MeasurementOutcome:
     """Sample a projective outcome with Born statistics and jump the state."""
-    psi = x.q + 1j * x.p
+    psi = x.amplitudes
     probs = born_weights(psi, a)
     return branch_outcome(psi, a, probs, draw_branch(probs, rng))
 
@@ -131,14 +117,11 @@ def born_probability_via_metric(x: PhasePoint, a: Observable, eigenvalue: float)
     normalized projection onto the eigenspace; equals ||P_a psi||^2.
     """
     _require_normalized(x)
-    proj = a.projector(eigenvalue)
-    psi = x.q + 1j * x.p
-    ppsi = proj @ psi
+    ppsi = a.project(x.amplitudes, a.branch_index(eigenvalue))
     nrm = np.linalg.norm(ppsi)
     if nrm <= 1e-15:
         raise ZeroProbabilityBranchError("metric formula undefined on a zero-weight branch")
-    xa = PhasePoint((ppsi / nrm).real, (ppsi / nrm).imag)
-    d = x - xa
+    d = x - PhasePoint.from_amplitudes(ppsi / nrm)
     return (1.0 - 0.5 * g_form(d, d)) ** 2
 
 
@@ -155,13 +138,12 @@ def closest_point_check(
     checks none comes closer to x than the normalized projection.
     """
     basis = a.eigenspace_basis(eigenvalue)
-    psi = x.q + 1j * x.p
+    psi = x.amplitudes
     ppsi = basis @ (basis.conj().T @ psi)
     nrm = np.linalg.norm(ppsi)
     if nrm <= 1e-15:
         raise ZeroProbabilityBranchError("closest point undefined on a zero-weight branch")
-    xa = PhasePoint((ppsi / nrm).real, (ppsi / nrm).imag)
-    d = x - xa
+    d = x - PhasePoint.from_amplitudes(ppsi / nrm)
     dist_min = g_form(d, d)
     # trial t draws its r real parts, then its r imaginary parts
     z = rng.normal(size=(trials, 2, basis.shape[1]))
@@ -186,19 +168,11 @@ def measure_nonselective(x: PhasePoint, basis: Observable) -> PhaseEnsemble:
         raise DegenerateBasisError(
             "coordinate-wise non-selective measurement needs a nondegenerate basis"
         )
-    psi = x.q + 1j * x.p
-    weights = []
-    points = []
-    for vecs in basis._eigenvectors:
-        v = vecs[:, 0]
-        c = np.vdot(v, psi)
-        w = abs(c) ** 2
-        if w <= _ZERO_WEIGHT:
-            continue
-        post = (c / abs(c)) * v
-        weights.append(w)
-        points.append(PhasePoint(post.real, post.imag))
-    return PhaseEnsemble(np.asarray(weights), tuple(points))
+    psi = x.amplitudes
+    weights = basis.weights(psi)
+    kept = np.flatnonzero(weights > _ZERO_WEIGHT)
+    points = tuple(PhasePoint.from_amplitudes(collapse(psi, basis, b)) for b in kept)
+    return PhaseEnsemble(weights[kept], points)
 
 
 @dataclass(frozen=True)
@@ -208,10 +182,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
+        m = hermitian(self.matrix, 1e-10)
+        if not abs(np.trace(m).real - 1.0) <= 1e-10:
             raise ValueError("density matrix must have unit trace")
         if np.min(np.linalg.eigvalsh(m)) < -1e-10:
             raise ValueError("density matrix must be positive semidefinite")
@@ -249,16 +221,11 @@ class GaussianMeasurement:
 
     def readout_density(self, x: PhasePoint, alpha) -> np.ndarray:
         """Probability density of the readout alpha for state x."""
-        alpha = np.asarray(alpha, dtype=float)
+        alpha = np.asarray(alpha, dtype=float)[..., None]
         probs = branch_probabilities(x, self.observable)
-        vals = np.asarray(self.observable.eigenvalues)
         var = self.readout_variance
-        dens = np.zeros_like(alpha, dtype=float)
-        for p, lam in zip(probs, vals):
-            dens = dens + p * np.exp(-((alpha - lam) ** 2) / (2 * var)) / np.sqrt(
-                2 * np.pi * var
-            )
-        return dens
+        kernels = np.exp(-((alpha - self.observable.eigenvalues) ** 2) / (2 * var))
+        return kernels @ probs / np.sqrt(2 * np.pi * var)
 
 
 def gaussian_apply(
@@ -269,16 +236,13 @@ def gaussian_apply(
     The post state is exp(-s dt (Lambda - alpha)^2) psi renormalized; it is
     a projection only in the infinite-strength limit.
     """
-    psi = x.q + 1j * x.p
+    psi = x.amplitudes
     probs = born_weights(psi, m.observable)
     lam = m.observable.eigenvalues[draw_branch(probs, rng)]
     alpha = float(rng.normal(lam, np.sqrt(m.readout_variance)))
-    post = np.zeros_like(psi)
     sdt = m.strength * m.dt
-    for val, proj in m.observable.spectrum:
-        post = post + np.exp(-sdt * (val - alpha) ** 2) * (proj @ psi)
-    post = post / np.linalg.norm(post)
-    return alpha, PhasePoint(post.real, post.imag)
+    post = m.observable.apply(lambda val: np.exp(-sdt * (val - alpha) ** 2), psi)
+    return alpha, PhasePoint.from_amplitudes(post / np.linalg.norm(post))
 
 
 def continuous_observe(

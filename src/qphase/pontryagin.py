@@ -49,8 +49,8 @@ class ControlDomain:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower and upper bounds must be 1-d and share a shape")
-        if np.any(lo > hi):
-            raise ValueError("each channel needs lower <= upper")
+        if not np.all(lo <= hi):  # also false for a NaN bound
+            raise ValueError("each channel needs lower <= upper, neither NaN")
         object.__setattr__(self, "lower", _readonly(lo))
         object.__setattr__(self, "upper", _readonly(hi))
 
@@ -160,21 +160,6 @@ def _flow_generator(plant: ControlledHamiltonian, u) -> np.ndarray:
     return real_block(-1j * plant.matrix_for(np.atleast_1d(u)))
 
 
-def _amplitudes(z: np.ndarray) -> np.ndarray:
-    """Complex amplitudes q + i p of flat phase-space coordinates (q, p)."""
-    n = z.size // 2
-    return z[:n] + 1j * z[n:]
-
-
-def _flat(psi: np.ndarray) -> np.ndarray:
-    """Flat phase-space coordinates (q, p) of complex amplitudes q + i p."""
-    return np.concatenate([psi.real, psi.imag])
-
-
-def _unit_amplitudes(x: PhasePoint) -> np.ndarray:
-    return (x.q + 1j * x.p) / np.sqrt(x.norm_sq())
-
-
 def control_hamiltonian(
     s: PmpState,
     u,
@@ -236,7 +221,7 @@ def _maximize(slopes: np.ndarray, phi0: float, cost: CostIntegrand, domain: Cont
     u = np.tile(domain.clip(np.zeros(domain.n_channels)), (slopes.shape[0], 1))
     if cost.kind == COST_CUSTOM:
         for k, (c, psi) in enumerate(zip(slopes, psis)):
-            point = PhasePoint(psi.real, psi.imag)
+            point = PhasePoint.from_amplitudes(psi)
             for j, (lo, hi) in enumerate(zip(domain.lower, domain.upper)):
                 others = np.array(u[k])  # coordinate pass: frozen other channels
 
@@ -279,7 +264,7 @@ def argmax_control(
         raise DimensionMismatchError("state and plant dimensions differ")
     if len(plant.controls) != domain.n_channels:
         raise DimensionMismatchError("domain channel count must match the plant controls")
-    psi, phi = _amplitudes(s.x[1:])[None], _amplitudes(s.phi[1:])[None]
+    psi, phi = s.point.amplitudes[None], PhasePoint.from_flat(s.phi[1:]).amplitudes[None]
     return _maximize(_slopes(plant, psi, phi), float(s.phi[0]), cost, domain, psi)[0]
 
 
@@ -315,7 +300,7 @@ def _running_cost(cost: CostIntegrand, u: np.ndarray, psis: np.ndarray, dts: np.
         return float(np.sum(u * u, axis=1) @ dts)
     if cost.kind == COST_L1:
         return float(np.sum(np.abs(u), axis=1) @ dts)
-    return float(sum(cost.evaluate(PhasePoint(psi.real, psi.imag), row) * dt for psi, row, dt in zip(psis, u, dts)))
+    return float(sum(cost.evaluate(PhasePoint.from_amplitudes(psi), row) * dt for psi, row, dt in zip(psis, u, dts)))
 
 
 def _running_cost_gradient(cost: CostIntegrand, u: np.ndarray, psis: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -326,7 +311,7 @@ def _running_cost_gradient(cost: CostIntegrand, u: np.ndarray, psis: np.ndarray,
     grad = np.empty_like(u)
     eps = 1e-7
     for k, (psi, row, dt) in enumerate(zip(psis, u, dts)):
-        x_k = PhasePoint(psi.real, psi.imag)
+        x_k = PhasePoint.from_amplitudes(psi)
         for j in range(row.size):
             up, dn = np.array(row), np.array(row)
             up[j] += eps
@@ -414,7 +399,7 @@ def forward_backward_sweep(
     if domain.n_channels != r:
         raise DimensionMismatchError("domain channel count must match the plant controls")
     m = grid.size - 1
-    psi0, goal = _unit_amplitudes(x_init), _unit_amplitudes(x_goal)
+    psi0, goal = (x.amplitudes / np.sqrt(x.norm_sq()) for x in (x_init, x_goal))
     dts = np.diff(grid)
     singleton = np.allclose(domain.lower, domain.upper)
 
@@ -486,21 +471,20 @@ def solve_shooting(
     cost: CostIntegrand,
     domain: ControlDomain,
     grid: np.ndarray,
-    phi_guess: np.ndarray | None = None,
     fidelity_goal: float = 0.999,
 ) -> PmpSolution:
     """Cross-check mode: single shooting on the initial adjoint.
 
     The control on each interval is the argmax for the current (state,
     adjoint) pair at the interval start; the residual is the phase-aligned
-    terminal state mismatch.
+    terminal state mismatch; the search starts from the adjoint goal - psi0.
     """
     grid = _check_grid(grid)
-    psi0, goal = _unit_amplitudes(x_init), _unit_amplitudes(x_goal)
+    psi0, goal = (x.amplitudes / np.sqrt(x.norm_sq()) for x in (x_init, x_goal))
     dts = np.diff(grid)
 
     def rollout(phi_flat):
-        psi, phi = psi0, _amplitudes(np.asarray(phi_flat, dtype=float))
+        psi, phi = psi0, PhasePoint.from_flat(phi_flat).amplitudes
         u = np.empty((dts.size, len(plant.controls)))
         for k in range(dts.size):
             u[k] = _maximize(_slopes(plant, psi[None], phi[None]), -1.0, cost, domain, psi[None])[0]
@@ -514,11 +498,9 @@ def solve_shooting(
         overlap = np.vdot(goal, psi_final)
         nrm = abs(overlap)
         aligned = goal if nrm <= 1e-15 else overlap / nrm * goal
-        return _flat(psi_final - aligned)
+        return PhasePoint.from_amplitudes(psi_final - aligned).flat()
 
-    guess = np.zeros(2 * psi0.size) if phi_guess is None else np.asarray(phi_guess, dtype=float)
-    if not np.any(guess):
-        guess = _flat(goal - psi0)
+    guess = PhasePoint.from_amplitudes(goal - psi0).flat()
     res = least_squares(residual, guess, xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
     _, u = rollout(res.x)
     fid, run_cost = _evaluate(plant, cost, u, psi0, goal, dts)

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .controllability import LieClosureReport, VERDICT_NOT, group_element
-from .dynamics import ControlledHamiltonian
 from .errors import (
     DimensionMismatchError,
     FrameSearchError,
@@ -154,7 +153,7 @@ class SteeringObservable:
             raise SteeringLabelError(f"steering eigenvalues must be distinct, got {list(self.eigenvalues)!r}")
         mats = np.column_stack([f.amplitudes for f in self.frame])
         gram = mats.conj().T @ mats
-        if np.max(np.abs(gram - np.eye(len(self.frame)))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(len(self.frame)))) <= 1e-10:
             raise FrameSearchError("frame is not orthonormal within 1e-10")
         for f, w in zip(self.frame, self.words):
             if w is not None and w.apply(f).fidelity(self.goal) < 1.0 - 1e-9:
@@ -334,13 +333,10 @@ def build_frame_general(
 def steer(
     x0: PhasePoint,
     m: SteeringObservable,
-    plant: ControlledHamiltonian | None = None,
     rng: np.random.Generator | None = None,
 ) -> ProtocolTrace:
     """Measure the steering observable, then run the outcome's word."""
     rng = np.random.default_rng(0) if rng is None else rng
-    if plant is not None and plant.dim != m.dim:
-        raise DimensionMismatchError("plant and steering observable dimensions differ")
     return steer_outcome(m, measure_selective(x0, m.observable(), rng))
 
 
@@ -378,24 +374,24 @@ def stabilize_middle_level(
     obs = Observable(ladder_drift(mu))
     kick = SteeringWord.from_h_steps((("h2", np.pi / 2),))
     steps = []
-    psi = x0.q + 1j * x0.p
+    psi = x0.amplitudes
     middle = StateVector(np.array([0, 1, 0], dtype=complex))
 
     def measure(psi):
         branch = draw_branch(born_weights(psi, obs), rng)
-        return obs.spectrum[branch][0], collapse(psi, obs, branch)
+        return obs.eigenvalues[branch], collapse(psi, obs, branch)
 
     def acquire(psi, iter_budget):
         cycles = 0
         while True:
             value, psi = measure(psi)
-            steps.append(ProtocolStep("measure", {"value": value}, PhasePoint(psi.real, psi.imag)))
+            steps.append(ProtocolStep("measure", {"value": value}, PhasePoint.from_amplitudes(psi)))
             if abs(value) < 1e-12:
                 return psi, cycles
             if cycles >= iter_budget:
                 raise MaxIterationsError(f"no middle-level projection in {iter_budget} cycles")
             psi = kick.unitary @ psi
-            steps.append(ProtocolStep("evolve", {"word": kick.describe()}, PhasePoint(psi.real, psi.imag)))
+            steps.append(ProtocolStep("evolve", {"word": kick.describe()}, PhasePoint.from_amplitudes(psi)))
             cycles += 1
 
     psi, cycles = acquire(psi, max_iters)
@@ -407,7 +403,7 @@ def stabilize_middle_level(
                 level = int(rng.integers(0, 3))
                 psi = np.zeros(3, dtype=complex)
                 psi[level] = 1.0
-                steps.append(ProtocolStep("disturb", {"level": level}, PhasePoint(psi.real, psi.imag)))
+                steps.append(ProtocolStep("disturb", {"level": level}, PhasePoint.from_amplitudes(psi)))
             value, psi = measure(psi)
             if abs(value) < 1e-12:
                 hits += 1

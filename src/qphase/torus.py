@@ -91,7 +91,7 @@ class TorusState:
             if _outside(k, self.radius):
                 raise TruncationOverflowError(f"momentum {k} outside |k_i| <= {self.radius}")
         nrm = np.sqrt(sum(abs(a) ** 2 for _, a in items))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError("state must be normalized within 1e-12")
         object.__setattr__(self, "support", items)
 

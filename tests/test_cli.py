@@ -455,8 +455,16 @@ class TestNumericFieldErrors:
         code, err = self._code(tmp_path, "evolve", payload, capsys)
         assert code == EXIT_SCHEMA and field in err
 
+    def test_non_finite_initial_state(self, tmp_path, capsys):
+        payload = {"measurement": {"observable": cm(np.diag([0.0, 1.0]))},
+                   "initial_state": [[float("nan"), 0.0], [0.0, 0.0]], "seed": 1}
+        code, err = self._code(tmp_path, "measure", payload, capsys)
+        assert code == EXIT_SCHEMA and "scenario error: initial_state: " in err
+        assert not (tmp_path / "o" / "measurements.csv").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("grid_points", "x"), ("grid_points", 0), ("horizon", {"t_final": "x"}), ("cost", "foo"),
+        ("control_bounds", {"lower": [float("nan")], "upper": [1.0]}),
     ])
     def test_pmp_fields(self, tmp_path, capsys, field, value):
         payload = {

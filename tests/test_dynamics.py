@@ -21,12 +21,19 @@ from qphase import (
     transport_ensemble,
 )
 from qphase.dynamics import interval_propagators
-from qphase.errors import ScheduleCoverageError
+from qphase.errors import HermiticityError, ScheduleCoverageError
 from qphase.steering import h3_matrix, ladder_drift
 
 from conftest import random_hermitian, random_point
 
 R2 = np.sqrt(2.0)
+
+
+class TestHermitianInputs:
+    @pytest.mark.parametrize("drift", [[[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]])
+    def test_non_finite_hamiltonian_rejected(self, drift):
+        with pytest.raises(HermiticityError):
+            ControlledHamiltonian(drift)
 
 
 class TestClassicalHamiltonian:
@@ -216,6 +223,10 @@ class TestPhaseEnsemble:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             PhaseEnsemble([0.5, 0.4], (PhasePoint([1], [0]), PhasePoint([0], [1])))
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError):
+            PhaseEnsemble([np.nan], (PhasePoint([1], [0]),))
 
     def test_singleton_transport_matches_evolve(self, rng):
         plant = ControlledHamiltonian.drift_only(random_hermitian(rng, 2))

@@ -1,5 +1,8 @@
 """States, phase coordinates, the (G, Omega, J) forms and canonical generators."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,10 +111,49 @@ class TestComplexStructure:
             assert abs(g_form(x, y) - omega_form(x, complex_structure(y))) < 1e-12
 
 
+class TestAmplitudeMap:
+    """The (q, p) <-> psi identification lives in PhasePoint alone."""
+
+    INLINE_FORMS = (
+        re.compile(r"\.q\s*\+\s*1j\s*\*\s*\w+\.p\b"),  # x.q + 1j * x.p
+        re.compile(r"PhasePoint\(.*\.real,.*\.imag\)"),  # PhasePoint(psi.real, psi.imag)
+        re.compile(r"\[:n\]\s*\+\s*1j\s*\*"),  # z[:n] + 1j * z[n:]
+    )
+
+    def test_round_trip(self, rng):
+        x = random_point(rng, 4)
+        assert np.array_equal(x.amplitudes, x.q + 1j * x.p)
+        y = PhasePoint.from_amplitudes(x.amplitudes)
+        assert np.array_equal(y.q, x.q) and np.array_equal(y.p, x.p)
+        assert np.array_equal(PhasePoint.from_amplitudes([1.0, 2.0]).p, [0.0, 0.0])
+
+    def test_no_inline_copies_outside_geometry(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "qphase"
+        found = [
+            f"{path.name}:{k}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            if path.name != "geometry.py"
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if any(form.search(line) for form in self.INLINE_FORMS)
+        ]
+        assert found == []
+
+
 class TestObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             Observable([[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(HermiticityError):
+            Observable([[bad, 0], [0, 1]])
+
+    def test_projectors_built_on_first_use(self):
+        obs = Observable(np.diag([1.0, 1.0, 2.0]))
+        assert "spectrum" not in vars(obs)
+        assert np.array_equal(obs.projector(1.0), np.diag([1.0, 1.0, 0.0]))
+        assert "spectrum" in vars(obs)
 
     def test_projector_completeness(self, rng):
         h = random_hermitian(rng, 5)

@@ -10,8 +10,10 @@ from qphase import (
     PhasePoint,
     StateVector,
     born_probability_via_metric,
+    born_weights,
     branch_probabilities,
     closest_point_check,
+    collapse,
     continuous_observe,
     draw_branch,
     from_phase,
@@ -26,7 +28,8 @@ from qphase.errors import (
     NormalizationError,
     ZeroProbabilityBranchError,
 )
-from qphase.rng import stream
+from qphase.measurement import select_branches
+from qphase.rng import first_uniforms, stream
 from qphase.steering import ladder_drift
 
 from conftest import random_hermitian, random_point
@@ -55,6 +58,10 @@ class TestSelective:
     def test_unnormalized_rejected(self, rng):
         with pytest.raises(NormalizationError):
             measure_selective(PhasePoint([2.0], [0.0]), Observable([[1.0]]), rng)
+
+    def test_nan_state_rejected(self, rng):
+        with pytest.raises(NormalizationError):
+            measure_selective(PhasePoint([np.nan, 0.0], [0.0, 0.0]), Observable(np.diag([0.0, 1.0])), rng)
 
     def test_born_statistics_3sigma(self):
         rng = np.random.default_rng(99)
@@ -332,3 +339,84 @@ class TestDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.array([[1.0, np.nan], [np.nan, 0.0]], dtype=complex))
+
+
+def degenerate_observable(rng, n):
+    """Observable with eigenvalues drawn from {0, 1, 2, 3} (forced repeats) in a random frame.
+
+    Returns it with the projectors Q_b Q_b^H of the frame, in ascending order.
+    """
+    vals = rng.integers(0, 4, n).astype(float)
+    frame = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    projectors = [frame[:, vals == a] @ frame[:, vals == a].conj().T for a in np.unique(vals)]
+    return Observable((frame * vals) @ frame.conj().T), projectors
+
+
+class TestSpectralKernelOracle:
+    """The eigenbasis kernel against the projector formulas it replaced.
+
+    Born weights are checked against the projectors of the frame the
+    observable was built in; the jumps, which divide by a branch's norm,
+    against the observable's own projectors ``spectrum``, as before.
+    """
+
+    def cases(self, rng, count=300):
+        for _ in range(count):
+            n = int(rng.integers(1, 7))
+            obs, projectors = degenerate_observable(rng, n)
+            assert len(obs.eigenvalues) == len(projectors)
+            yield obs, projectors, random_point(rng, n)
+
+    def test_born_weights_and_collapse(self, rng):
+        for obs, projectors, x in self.cases(rng):
+            psi = x.amplitudes
+            want = np.array([np.vdot(psi, p @ psi).real for p in projectors])
+            assert np.max(np.abs(branch_probabilities(x, obs) - want)) < 1e-14
+            assert np.max(np.abs(born_weights(psi, obs) - want / want.sum())) < 1e-14
+            for b, (_, p) in enumerate(obs.spectrum):
+                if want[b] > 1e-3:  # the normalized projection is ill-conditioned near zero weight
+                    ref = p @ psi / np.linalg.norm(p @ psi)
+                    assert np.max(np.abs(collapse(psi, obs, b) - ref)) < 1e-14
+
+    def test_gaussian_post_state_and_readout_density(self, rng):
+        grid = np.linspace(-2.0, 5.0, 71)
+        for obs, projectors, x in self.cases(rng, 100):
+            m = GaussianMeasurement(obs, 0.7, 0.5)
+            alpha, post = gaussian_apply(x, m, rng)
+            psi, sdt = x.amplitudes, m.strength * m.dt
+            ref = sum(np.exp(-sdt * (a - alpha) ** 2) * (p @ psi) for a, p in obs.spectrum)
+            assert np.max(np.abs(post.amplitudes - ref / np.linalg.norm(ref))) < 1e-14
+            var = m.readout_variance
+            want = sum(
+                np.vdot(psi, p @ psi).real * np.exp(-((grid - a) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
+                for a, p in zip(obs.eigenvalues, projectors)
+            )
+            assert np.max(np.abs(m.readout_density(x, grid) - want)) < 1e-14
+
+    def test_nonselective_atoms(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            frame = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            obs = Observable((frame * np.arange(n)) @ frame.conj().T)
+            x = random_point(rng, n)
+            psi = x.amplitudes
+            e = measure_nonselective(x, obs)
+            assert len(e) == n
+            assert np.max(np.abs(e.weights - np.abs(frame.conj().T @ psi) ** 2)) < 1e-14
+            for a, atom in zip(obs.eigenvalues, e.points):
+                v = obs.eigenspace_basis(a)[:, 0]
+                c = np.vdot(v, psi)
+                assert np.max(np.abs(atom.amplitudes - (c / abs(c)) * v)) < 1e-14
+
+    def test_exact_zero_branch_is_never_drawn(self):
+        obs = Observable(np.diag([0.0, 1.0, 1.0, 2.0]))
+        psi = np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2.0)
+        probs = born_weights(psi, obs)
+        assert probs[1] == 0.0 and np.array_equal(probs, [0.5, 0.0, 0.5])
+        assert 1 not in set(select_branches(probs, first_uniforms(11, 5000)).tolist())
+        e = measure_nonselective(PhasePoint.from_amplitudes(psi[[0, 1, 3]]), Observable(np.diag([0.0, 1.0, 2.0])))
+        assert len(e) == 2 and np.allclose(e.weights, [0.5, 0.5], rtol=0, atol=1e-15)

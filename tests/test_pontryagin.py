@@ -22,7 +22,6 @@ from qphase import (
 from qphase.dynamics import real_block
 from qphase.errors import ControlDomainError
 from qphase.pontryagin import (
-    _amplitudes,
     _flow_generator,
     _maximize,
     _objective,
@@ -127,7 +126,7 @@ def unit_flat(rng, n):
 class TestSpectralObjective:
     def _check(self, plant, u, grid, z0, zg, weight=3.0):
         dts = np.diff(grid)
-        psi0, goal = _amplitudes(z0), _amplitudes(zg)
+        psi0, goal = PhasePoint.from_flat(z0).amplitudes, PhasePoint.from_flat(zg).amplitudes
         for kind in ("control-energy", "control-l1"):
             cost = CostIntegrand(kind)
             want_v, want_g = reference_objective_and_gradient(u.ravel(), plant, cost, z0, zg, grid, weight)
@@ -162,6 +161,11 @@ class TestControlDomain:
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
             ControlDomain([1.0], [-1.0])
+
+    @pytest.mark.parametrize("lower, upper", [([np.nan], [1.0]), ([-1.0], [np.nan])])
+    def test_rejects_nan_bound(self, lower, upper):
+        with pytest.raises(ValueError):
+            ControlDomain(lower, upper)
 
 
 class TestControlHamiltonian:

@@ -23,6 +23,12 @@ R2 = np.sqrt(2.0)
 moment = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
 
 
+class TestTorusState:
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError):
+            TorusState((((0, 0), complex(np.nan, 0.0)),))
+
+
 class TestCatMap:
     def test_default_inverse(self):
         cat = CatMap.default()
