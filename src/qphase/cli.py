@@ -34,6 +34,7 @@ from .dynamics import (
 )
 from .errors import (
     FrameSearchError,
+    HermiticityError,
     MaxIterationsError,
     QPhaseError,
     ScenarioError,
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .geometry import Observable, PhasePoint, StateVector, from_phase, to_phase
 from .measurement import born_weights, branch_outcome, select_branches
-from .pontryagin import COST_ENERGY, COST_L1, ControlDomain, CostIntegrand, forward_backward_sweep
+from .pontryagin import COST_ENERGY, ControlDomain, CostIntegrand, forward_backward_sweep
 from .rng import BIT_GENERATOR, first_uniforms, stream
 from .serialize import (
     fmt,
@@ -257,7 +258,10 @@ def cmd_evolve(scenario: Scenario, args) -> list:
 
 
 def cmd_measure(scenario: Scenario, args, seed: int) -> list:
-    obs = Observable(scenario.matrix("measurement.observable"))
+    try:
+        obs = Observable(scenario.matrix("measurement.observable"))
+    except HermiticityError as exc:
+        raise ScenarioError("measurement.observable", str(exc))
     x0 = scenario.state("initial_state")
     branches, outcomes = _trial_outcomes(x0, obs, seed, args.trials)
     tails = {
@@ -357,10 +361,10 @@ def cmd_pmp(scenario: Scenario, args) -> list:
     x0 = scenario.state("initial_state")
     goal = scenario.state("goal_state")
     domain = scenario.domain()
-    kind = scenario.get("cost", COST_ENERGY)
-    if kind not in (COST_ENERGY, COST_L1):
-        raise ScenarioError("cost", f"must be {COST_ENERGY!r} or {COST_L1!r}, not {kind!r}")
-    cost = CostIntegrand(kind)
+    try:
+        cost = CostIntegrand(scenario.get("cost", COST_ENERGY))
+    except ValueError as exc:
+        raise ScenarioError("cost", str(exc))
     t_final = scenario.number("horizon.t_final", np.pi)
     points = scenario.integer("grid_points", 200)
     if t_final <= 0:

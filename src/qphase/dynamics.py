@@ -24,6 +24,14 @@ def _as_hermitian(m) -> np.ndarray:
     return m.matrix if isinstance(m, Observable) else hermitian(m)
 
 
+def check_grid(grid) -> np.ndarray:
+    """``grid`` as a 1-d float array of >= 2 finite, strictly increasing points."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size < 2 or not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
+        raise ValueError("grid must be a strictly increasing array of >= 2 finite points")
+    return g
+
+
 @dataclass(frozen=True)
 class ClassicalHamiltonian:
     """The classical Hamiltonian induced by a Hermitian matrix (hbar = 1)."""
@@ -51,36 +59,20 @@ class ControlSchedule:
 
     grid: np.ndarray
     values: np.ndarray
-    max_magnitude: np.ndarray | None = None
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
+        g = check_grid(self.grid)
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if g.ndim != 1 or g.size < 2 or not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be finite and strictly increasing with >= 2 points")
         if v.shape[0] != g.size - 1:
             raise ValueError("values must have one row per grid interval")
         if not np.all(np.isfinite(v)):
             raise ValueError("control values must be finite")
-        if self.max_magnitude is not None:
-            b = np.asarray(self.max_magnitude, dtype=float)
-            if np.any(np.abs(v) > b[None, :] + 1e-15):
-                raise ValueError("control values exceed the per-channel bound")
-            object.__setattr__(self, "max_magnitude", _readonly(b))
         object.__setattr__(self, "grid", _readonly(g))
         object.__setattr__(self, "values", _readonly(v))
 
     @property
     def n_channels(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def t_start(self) -> float:
-        return float(self.grid[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.grid[-1])
 
     def covers(self, t0: float, t1: float) -> bool:
         eps = 1e-12 * max(1.0, abs(t0), abs(t1))
@@ -104,10 +96,6 @@ class ControlSchedule:
     def constant(cls, u, t0: float, t1: float) -> "ControlSchedule":
         u = np.atleast_1d(np.asarray(u, dtype=float))
         return cls(np.array([t0, t1]), u[None, :])
-
-    @classmethod
-    def zero(cls, n_channels: int, t0: float, t1: float) -> "ControlSchedule":
-        return cls.constant(np.zeros(n_channels), t0, t1)
 
 
 @dataclass(frozen=True)

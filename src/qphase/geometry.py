@@ -244,12 +244,6 @@ class Observable:
         """Orthonormal column basis of the eigenspace of ``a``."""
         return self._branch_vectors(self.branch_index(a))
 
-    def expectation(self, psi: StateVector) -> float:
-        if psi.dim != self.dim:
-            raise DimensionMismatchError(f"dims {psi.dim} != {self.dim}")
-        a = psi.amplitudes
-        return float(np.real(np.vdot(a, self.matrix @ a)))
-
 
 _GENERATOR_KINDS = ("qq-rotation", "qp-rotation", "phase-rotation")
 

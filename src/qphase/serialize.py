@@ -16,22 +16,8 @@ def fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
-
-
 def matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
-def vector_to_json(v) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
 
 
 def vector_from_json(items) -> np.ndarray:

@@ -169,9 +169,6 @@ class SteeringObservable:
             m = m + a * np.outer(f.amplitudes, f.amplitudes.conj())
         return Observable(m)
 
-    def relabeled(self, eigenvalues) -> "SteeringObservable":
-        return SteeringObservable(tuple(eigenvalues), self.frame, self.words, self.goal)
-
 
 @dataclass(frozen=True)
 class ProtocolStep:

@@ -368,6 +368,12 @@ class TestStochasticScenarioErrors:
         code = run([command, "--scenario", scen, "--out", str(tmp_path / "o"), "--trials", "20"])
         return code, capsys.readouterr().err
 
+    @pytest.mark.parametrize("observable", [[[0, 1], [0, 0]], [[float("nan"), 0], [0, 1]]])
+    def test_measure_observable(self, tmp_path, capsys, observable):
+        payload = {"measurement": {"observable": cm(observable)}, "initial_state": cv([1.0, 0.0])}
+        code, err = self._code(tmp_path, "measure", payload, capsys)
+        assert code == EXIT_SCHEMA and "scenario error: measurement.observable: " in err
+
     @pytest.mark.parametrize("labels", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0], [1.0, "two", 3.0], 3.0])
     def test_steering_eigenvalues(self, tmp_path, capsys, labels):
         payload = {"goal_state": cv([1j / R2, 0, 1j / R2]), "initial_state": cv([1.0, 0, 0]),
@@ -464,7 +470,7 @@ class TestNumericFieldErrors:
 
     @pytest.mark.parametrize("field, value", [
         ("grid_points", "x"), ("grid_points", 0), ("horizon", {"t_final": "x"}), ("cost", "foo"),
-        ("control_bounds", {"lower": [float("nan")], "upper": [1.0]}),
+        ("control_bounds", {"lower": [float("nan")], "upper": [1.0]}), ("cost", "custom"),
     ])
     def test_pmp_fields(self, tmp_path, capsys, field, value):
         payload = {
@@ -477,6 +483,28 @@ class TestNumericFieldErrors:
         }
         code, err = self._code(tmp_path, "pmp", payload, capsys)
         assert code == EXIT_SCHEMA and field in err
+
+
+class TestPmpEndpoints:
+    """An endpoint the plant cannot take is a domain error, not a crash or NaN."""
+
+    @pytest.mark.parametrize("field, state", [
+        ("initial_state", cv([0.0, 1.0, 0.0])), ("initial_state", cv([0.0, 0.0])),
+        ("goal_state", cv([1.0, 0.0, 0.0])), ("goal_state", cv([0.0, 0.0])),
+    ])
+    def test_bad_endpoint_exits_domain(self, tmp_path, capsys, field, state):
+        payload = {
+            "system": {"drift": cm(np.diag([1.0, -1.0])), "controls": [cm([[0, 1], [1, 0]])]},
+            "initial_state": cv([0.0, 1.0]),
+            "goal_state": cv([1.0, 0.0]),
+            "control_bounds": {"lower": [-1.0], "upper": [1.0]},
+            "grid_points": 8,
+            field: state,
+        }
+        scen = write_scenario(tmp_path / "s.json", payload)
+        assert run(["pmp", "--scenario", scen, "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+        assert "qphase: domain error: " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "pmp.json").exists()
 
 
 class TestPmpCommand:

@@ -78,10 +78,6 @@ class TestControlSchedule:
         with pytest.raises(ValueError):
             ControlSchedule(grid, [[1.0], [1.0]])
 
-    def test_bound_enforced(self):
-        with pytest.raises(ValueError):
-            ControlSchedule([0.0, 1.0], [[2.0]], max_magnitude=[1.0])
-
 
 class TestEvolve:
     def test_harmonic_oscillator(self, rng):

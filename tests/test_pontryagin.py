@@ -20,7 +20,7 @@ from qphase import (
     to_phase,
 )
 from qphase.dynamics import real_block
-from qphase.errors import ControlDomainError
+from qphase.errors import ControlDomainError, DimensionMismatchError, NormalizationError
 from qphase.pontryagin import (
     _flow_generator,
     _maximize,
@@ -232,15 +232,6 @@ class TestArgmax:
             u = argmax_control(s, plant, CostIntegrand(kind), ControlDomain([-1.0], [1.0]))
             assert u[0] == 0.0
 
-    def test_custom_cost_grid_refinement(self):
-        plant = two_level_plant()
-        s = self._state_with_slope(plant, 1.0)
-        s = PmpState(s.x, np.concatenate([[-1.0], s.phi[1:]]))
-        quartic = CostIntegrand("custom", evaluator=lambda x, u, t: float(np.sum(u**4)))
-        u = argmax_control(s, plant, quartic, ControlDomain([-1.0], [1.0]))
-        # stationary point of u - u^4: u = (1/4)^(1/3)
-        assert u[0] == pytest.approx(0.25 ** (1 / 3), abs=1e-5)
-
 
 class TestVectorisedArgmax:
     def test_matches_scalar_closed_form(self, rng):
@@ -260,7 +251,7 @@ class TestVectorisedArgmax:
         for dom in domains:
             for kind in ("control-energy", "control-l1"):
                 for phi0 in (-1.0, -0.3, 0.0, 0.6):
-                    got = _maximize(_slopes(plant, psis, lams), phi0, CostIntegrand(kind), dom, psis)
+                    got = _maximize(_slopes(plant, psis, lams), phi0, CostIntegrand(kind), dom)
                     for k in range(40):
                         for j in range(2):
                             c = float(phis[k] @ (ljs[j] @ zs[k]))
@@ -274,7 +265,7 @@ class TestVectorisedArgmax:
         psis = np.array([[1.0, 0.0], [0.6, 0.8j]])
         slopes = _slopes(plant, psis, np.zeros_like(psis))
         for kind in ("control-energy", "control-l1"):
-            u = _maximize(slopes, 0.0, CostIntegrand(kind), ControlDomain([-1.0, -2.0], [1.0, 0.5]), psis)
+            u = _maximize(slopes, 0.0, CostIntegrand(kind), ControlDomain([-1.0, -2.0], [1.0, 0.5]))
             assert np.array_equal(u, np.zeros((2, 2)))
 
 
@@ -355,7 +346,6 @@ class TestSweep:
         sol = forward_backward_sweep(
             plant, x0, goal, CostIntegrand(), ControlDomain([-0.8], [0.8]),
             grid=np.linspace(0, np.pi, 121), rng=np.random.default_rng(2),
-            max_penalty_rounds=3,
         )
         assert np.max(np.abs(sol.schedule.values)) <= 0.8 + 1e-12
 
@@ -378,6 +368,28 @@ class TestGrid:
     def test_grid_is_required(self, solver):
         with pytest.raises(TypeError):
             solver(*self._args())
+
+
+class TestEndpoints:
+    """Both solvers validate the endpoint states before normalizing them."""
+
+    def _args(self, which, state):
+        ends = {"x_init": to_phase(StateVector([0, 1.0])), "x_goal": to_phase(StateVector([1.0, 0]))}
+        ends[which] = state
+        return (two_level_plant(), ends["x_init"], ends["x_goal"], CostIntegrand(),
+                ControlDomain([-1.0], [1.0]), np.linspace(0, np.pi, 9))
+
+    @pytest.mark.parametrize("solver", [forward_backward_sweep, solve_shooting])
+    @pytest.mark.parametrize("which", ["x_init", "x_goal"])
+    def test_dimension_mismatch(self, solver, which):
+        with pytest.raises(DimensionMismatchError, match=which):
+            solver(*self._args(which, to_phase(StateVector([1.0, 0, 0]))))
+
+    @pytest.mark.parametrize("solver", [forward_backward_sweep, solve_shooting])
+    @pytest.mark.parametrize("which", ["x_init", "x_goal"])
+    def test_zero_state(self, solver, which):
+        with pytest.raises(NormalizationError, match=which):
+            solver(*self._args(which, PhasePoint(np.zeros(2), np.zeros(2))))
 
 
 class TestShooting:
