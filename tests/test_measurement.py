@@ -28,7 +28,7 @@ from qphase.errors import (
     NormalizationError,
     ZeroProbabilityBranchError,
 )
-from qphase.measurement import select_branches
+from qphase.measurement import _step_matrix, select_branches
 from qphase.rng import first_uniforms, stream
 from qphase.steering import ladder_drift
 
@@ -270,7 +270,7 @@ class TestContinuousObservation:
                 assert abs(got - want) / want < 1e-6
 
     @pytest.mark.parametrize("t_final, steps", [
-        (np.nan, 10), (np.inf, 10), (-np.inf, 10), (0.0, 10), (1.0, 2.5), (1.0, 0), (1.0, 10.0),
+        (np.nan, 10), (np.inf, 10), (-np.inf, 10), (0.0, 10), (1.0, 2.5), (1.0, 0), (1.0, 10.0), (1.0, True),
     ])
     def test_rejects_bad_horizon(self, t_final, steps):
         rho0 = DensityMatrix(np.diag([0.2, 0.8]).astype(complex))
@@ -291,6 +291,77 @@ class TestContinuousObservation:
         for rho in rhos[::100]:
             assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
+
+
+
+def rk4_reference(rho0, hm, lam, s, t_final, steps):
+    """Stage-by-stage RK4 with trace renormalization: the loop the step matrix replaced."""
+
+    def rhs(rho):
+        comm = hm @ rho - rho @ hm
+        dbl = lam @ (lam @ rho - rho @ lam) - (lam @ rho - rho @ lam) @ lam
+        return -1j * comm - 0.5 * s * dbl
+
+    dt = t_final / steps
+    rho = np.array(rho0, dtype=complex)
+    rhos = [rho]
+    for _ in range(steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = rho / np.trace(rho).real
+        rhos.append(rho)
+    return np.array(rhos)
+
+
+def rk4_polynomial(z):
+    """RK4's stability polynomial: the factor one step applies to a mode with rate z/dt."""
+    return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+
+STIFF_LAM = np.array([-1.0, 0.5, 2.0])  # the stiff observation case: s = 100, dt = 0.01
+
+
+class TestStepMatrix:
+    def test_matches_the_stage_by_stage_loop(self, rng):
+        for n in range(1, 5):
+            for s in (0.5, 5.0):
+                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                rho0 = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+                h, lam = Observable(random_hermitian(rng, n)), Observable(random_hermitian(rng, n))
+                t_final, steps = float(rng.uniform(0.2, 1.0)), int(rng.integers(50, 401))
+                m = GaussianMeasurement(lam, s, 0.01)
+                times, rhos = continuous_observe(rho0, h, m, t_final, steps)
+                want = rk4_reference(rho0.matrix, h.matrix, lam.matrix, s, t_final, steps)
+                assert rhos.shape == want.shape == (steps + 1, n, n)
+                assert np.max(np.abs(rhos - want)) < 1e-12
+
+    def test_stiff_divergence_is_reproduced(self):
+        rho0 = np.full((3, 3), 1 / 3, dtype=complex)
+        m = GaussianMeasurement(Observable(np.diag(STIFF_LAM)), 100.0, 0.01)
+        _, rhos = continuous_observe(DensityMatrix(rho0), Observable(np.zeros((3, 3))), m, 1.0, 100)
+        want = rk4_reference(rho0, np.zeros((3, 3)), np.diag(STIFF_LAM), 100.0, 1.0, 100)
+        scale = np.max(np.abs(want))
+        assert scale > 1e90
+        assert np.max(np.abs(rhos - want)) / scale < 1e-12
+
+    def test_diagonal_generators_give_the_stability_polynomial(self, rng):
+        for n in range(1, 5):
+            h, lam = rng.uniform(-2, 2, n), rng.uniform(-2, 2, n)
+            s, dt = float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.01, 0.1))
+            step = _step_matrix(np.diag(h).astype(complex), np.diag(lam).astype(complex), s, dt)
+            z = dt * (-1j * (h[:, None] - h[None, :]) - 0.5 * s * (lam[:, None] - lam[None, :]) ** 2)
+            assert np.max(np.abs(step - np.diag(rk4_polynomial(z).ravel()))) < 1e-14
+
+    def test_stiff_growth_factor_is_rk4s(self):
+        step = _step_matrix(np.zeros((3, 3), complex), np.diag(STIFF_LAM).astype(complex), 100.0, 0.01)
+        growth = np.abs(np.diag(step))
+        # the (-1, 2) coherence: dt (s/2) (lambda_k - lambda_k')^2 = 4.5, outside RK4's interval (-2.79, 0)
+        assert abs(rk4_polynomial(-4.5) - 8.5234375) < 1e-14
+        assert abs(growth.max() - rk4_polynomial(-4.5)) < 1e-12
+        assert np.flatnonzero(growth > 1.0).tolist() == [0 * 3 + 2, 2 * 3 + 0]
 
 
 class TestGaussian:
