@@ -293,9 +293,8 @@ class TestContinuousObservation:
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
 
 
-
 def rk4_reference(rho0, hm, lam, s, t_final, steps):
-    """Stage-by-stage RK4 with trace renormalization: the loop the step matrix replaced."""
+    """Stage-by-stage RK4 with trace renormalization, the reference for the step matrix."""
 
     def rhs(rho):
         comm = hm @ rho - rho @ hm
