@@ -33,6 +33,7 @@ from .dynamics import (
     evolve,
 )
 from .errors import (
+    DegenerateBasisError,
     FrameSearchError,
     HermiticityError,
     MaxIterationsError,
@@ -147,8 +148,6 @@ class Scenario:
             return ControlDomain(
                 np.asarray(node["lower"], float), np.asarray(node["upper"], float)
             )
-        except ScenarioError:
-            raise
         except Exception as exc:
             raise ScenarioError("control_bounds", str(exc))
 
@@ -320,13 +319,16 @@ def cmd_stabilize(scenario: Scenario, args, seed: int) -> list:
         raise ScenarioError("n_periods", "must be a non-negative integer")
     results = []
     for trial in range(args.trials):
-        trace = stabilize_middle_level(
-            x0,
-            mu=mu,
-            disturbance=disturbance,
-            n_periods=n_periods,
-            rng=stream(seed, trial),
-        )
+        try:
+            trace = stabilize_middle_level(
+                x0,
+                mu=mu,
+                disturbance=disturbance,
+                n_periods=n_periods,
+                rng=stream(seed, trial),
+            )
+        except DegenerateBasisError as exc:
+            raise ScenarioError("mu", str(exc))
         results.append({
             "trial": trial,
             "iterations": trace.iterations,

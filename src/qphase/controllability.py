@@ -9,14 +9,15 @@ sphere foliated into proper orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize
 
+from .dynamics import ControlledHamiltonian, interval_propagators
 from .errors import DimensionMismatchError
-from .geometry import Observable, PhasePoint, StateVector, from_phase
+from .geometry import Observable, PhasePoint, from_phase
 
 VERDICT_U = "controllable-u(N)"
 VERDICT_SU = "controllable-su(N)"
@@ -41,6 +42,13 @@ class LieClosureReport:
     verdict: str
     target_dims: tuple
     gram: np.ndarray
+
+    @cached_property
+    def _plant(self) -> ControlledHamiltonian:
+        # exp(sum theta_m B_m) = exp(-i sum theta_m (i B_m)): the basis as
+        # the Hermitian controls i B_m of a zero-drift plant
+        n = self.basis[0].shape[0]
+        return ControlledHamiltonian(np.zeros((n, n)), tuple(1j * b for b in self.basis))
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,12 +141,9 @@ class OrbitMembership:
 
 
 def group_element(report: LieClosureReport, params: np.ndarray) -> np.ndarray:
-    """exp(sum_m params_m B_m) over the closure basis."""
-    params = np.asarray(params, dtype=float)
-    gen = np.zeros_like(report.basis[0])
-    for c, b in zip(params, report.basis):
-        gen = gen + c * b
-    return expm(gen)
+    """exp(sum_m params_m B_m) over the closure basis, one coefficient per element."""
+    props, _, _ = interval_propagators(report._plant, np.atleast_1d(params)[None, :], [1.0])
+    return props[0]
 
 
 def orbit_membership(
@@ -155,6 +160,9 @@ def orbit_membership(
     copies may sit on different fibers.  Random-restart local optimization
     over exponential coordinates; the budget counts objective evaluations.
     """
+    n = report._plant.dim
+    if not x.dim == y.dim == n:
+        raise DimensionMismatchError(f"states of dimensions {x.dim}, {y.dim} against a closure on C^{n}")
     rng = np.random.default_rng(0) if rng is None else rng
     psi_x = from_phase(x).normalized().amplitudes
     psi_y = from_phase(y).normalized().amplitudes

@@ -10,13 +10,14 @@ for the middle level of the three-level ladder system.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .controllability import LieClosureReport, VERDICT_NOT, group_element
 from .errors import (
+    DegenerateBasisError,
     DimensionMismatchError,
     FrameSearchError,
     FrameUnnecessaryError,
@@ -156,18 +157,20 @@ class SteeringObservable:
         if not np.max(np.abs(gram - np.eye(len(self.frame)))) <= 1e-10:
             raise FrameSearchError("frame is not orthonormal within 1e-10")
         for f, w in zip(self.frame, self.words):
-            if w is not None and w.apply(f).fidelity(self.goal) < 1.0 - 1e-9:
+            if w.apply(f).fidelity(self.goal) < 1.0 - 1e-9:
                 raise FrameSearchError("steering word does not reach the goal")
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for a, f in zip(self.eigenvalues, self.frame):
+            m = m + a * np.outer(f.amplitudes, f.amplitudes.conj())
+        object.__setattr__(self, "_observable", Observable(m))
 
     @property
     def dim(self) -> int:
         return self.goal.dim
 
     def observable(self) -> Observable:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, f in zip(self.eigenvalues, self.frame):
-            m = m + a * np.outer(f.amplitudes, f.amplitudes.conj())
-        return Observable(m)
+        """sum_k eigenvalues[k] |frame[k]><frame[k]|, built once with the frame."""
+        return self._observable
 
 
 @dataclass(frozen=True)
@@ -229,26 +232,24 @@ def build_frame_general(
     psi_f: StateVector,
     closure: LieClosureReport,
     budget: int = 50000,
-    psi_0: StateVector | None = None,
     rng: np.random.Generator | None = None,
     eigenvalues=None,
 ) -> SteeringObservable:
     """Greedy search of the goal orbit for an orthonormal steering frame.
 
     Repeatedly optimizes exponential coordinates so the candidate orbit
-    point is orthogonal to the frame built so far.  On failure with a
-    supplied initial state, falls back to the single-orbit-vector
-    construction (words exist only for the orbit branch then).
+    point is orthogonal to the frame built so far.
     """
     if closure.verdict != VERDICT_NOT:
         raise FrameUnnecessaryError(
             "system is fully controllable; any basis steers by unitary control alone"
         )
+    n = closure.basis[0].shape[0]
+    if psi_f.dim != n:
+        raise DimensionMismatchError(f"goal of dimension {psi_f.dim} against a closure of dimension {n}")
     rng = np.random.default_rng(0) if rng is None else rng
-    psi_f = psi_f.normalized()
-    n = psi_f.dim
+    goal = psi_f.normalized().amplitudes
     d = closure.dimension
-    goal = psi_f.amplitudes
 
     frame = [goal]
     params = [np.zeros(d)]
@@ -285,45 +286,11 @@ def build_frame_general(
         if not found:
             break
 
-    if len(frame) == n:
-        eigenvalues = tuple(range(1, n + 1)) if eigenvalues is None else tuple(eigenvalues)
-        states = tuple(StateVector(f) for f in frame[::-1])  # goal last
-        words = tuple(
-            SteeringWord.from_closure(closure, -th) if th.size else SteeringWord.identity(n)
-            for th in params[::-1]
-        )
-        return SteeringObservable(eigenvalues, states, words, StateVector(goal))
-
-    if psi_0 is None:
+    if len(frame) < n:
         raise FrameSearchError(f"no orthonormal frame found within budget ({evals} evaluations)")
-
-    # fallback: one orbit vector non-orthogonal to psi_0, the rest spanning
-    # its complement; only the orbit branch carries a steering word
-    psi_0 = psi_0.normalized()
-    if abs(np.vdot(goal, psi_0.amplitudes)) > 1e-8:
-        orbit_vec, orbit_params = goal, np.zeros(d)
-    else:
-        orbit_vec = None
-        while evals < budget:
-            theta = rng.uniform(-np.pi, np.pi, d)
-            cand = group_element(closure, theta) @ goal
-            evals += 1
-            if abs(np.vdot(cand, psi_0.amplitudes)) > 1e-3:
-                orbit_vec, orbit_params = cand, theta
-                break
-        if orbit_vec is None:
-            raise FrameSearchError("no orbit vector non-orthogonal to the initial state found")
-    # orthonormal completion of the orbit vector
-    basis = np.linalg.qr(
-        np.column_stack([orbit_vec, np.eye(n, dtype=complex)])
-    )[0][:, 1:n]
     eigenvalues = tuple(range(1, n + 1)) if eigenvalues is None else tuple(eigenvalues)
-    states = tuple(StateVector(basis[:, k]) for k in range(n - 1)) + (StateVector(orbit_vec),)
-    words = (None,) * (n - 1) + (
-        SteeringWord.from_closure(closure, -orbit_params)
-        if np.any(orbit_params)
-        else SteeringWord.identity(n),
-    )
+    states = tuple(StateVector(f) for f in frame[::-1])  # goal last
+    words = tuple(SteeringWord.from_closure(closure, -th) for th in params[::-1])
     return SteeringObservable(eigenvalues, states, words, StateVector(goal))
 
 
@@ -341,8 +308,6 @@ def steer_outcome(m: SteeringObservable, outcome: MeasurementOutcome) -> Protoco
     """Run the steering word of a measured outcome of ``m.observable()``."""
     idx = int(np.argmin(np.abs(np.asarray(m.eigenvalues) - outcome.value)))
     word = m.words[idx]
-    if word is None:
-        raise FrameSearchError(f"no steering word for outcome branch {idx}")
     post = word.apply(from_phase(outcome.post_state))
     fidelity = post.normalized().fidelity(m.goal)
     steps = (
@@ -369,6 +334,8 @@ def stabilize_middle_level(
     """
     rng = np.random.default_rng(0) if rng is None else rng
     obs = Observable(ladder_drift(mu))
+    if not obs.is_nondegenerate():
+        raise DegenerateBasisError(f"mu = {mu!r} merges the three ladder levels into one measurement branch")
     kick = SteeringWord.from_h_steps((("h2", np.pi / 2),))
     steps = []
     psi = x0.amplitudes

@@ -99,15 +99,6 @@ class TorusState:
     def eigenstate(cls, k, radius: int = DEFAULT_RADIUS) -> "TorusState":
         return cls(((tuple(k), 1.0 + 0.0j),), radius)
 
-    def amplitudes(self) -> dict:
-        return dict(self.support)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "support": {f"{k[0]},{k[1]}": [a.real, a.imag] for k, a in self.support},
-        }
-
 
 def apply_floquet_component(
     s: TorusState,
@@ -154,24 +145,21 @@ def measure_momentum(
 
 @dataclass(frozen=True)
 class KickPlan:
-    """Run-length encoded move sequence with integer-exact replay."""
+    """Move sequence with integer-exact replay."""
 
-    steps: tuple  # (move, count) pairs
+    steps: tuple  # moves, in the order they are applied
     k_start: tuple
     k_target: tuple
 
     def moves(self) -> list:
-        out = []
-        for move, count in self.steps:
-            out.extend([move] * count)
-        return out
+        return list(self.steps)
 
     def __len__(self) -> int:
-        return sum(c for _, c in self.steps)
+        return len(self.steps)
 
     def replay_labels(self, cat: CatMap) -> tuple:
         k = self.k_start
-        for move in self.moves():
+        for move in self.steps:
             k = move_step(move, k, cat)
         return k
 
@@ -182,16 +170,6 @@ class KickPlan:
             "moves": self.moves(),
             "length": len(self),
         }
-
-
-def _run_length(moves) -> tuple:
-    steps = []
-    for move in moves:
-        if steps and steps[-1][0] == move:
-            steps[-1] = (move, steps[-1][1] + 1)
-        else:
-            steps.append((move, 1))
-    return tuple(steps)
 
 
 def _translation_moves(k_start, k_target) -> list:
@@ -278,7 +256,7 @@ def plan_kicks(k_start, k_target, cat: CatMap | None = None, allow_cat_moves: bo
             raise TruncationOverflowError(f"plan from {k_start} leaves |k_i| <= {radius} at {k}")
     if k != k_target:
         raise QPhaseError(f"plan from {k_start} replays to {k}, not to the target {k_target}")
-    return KickPlan(_run_length(moves), k_start, k_target)
+    return KickPlan(tuple(moves), k_start, k_target)
 
 
 def reach_state(
@@ -295,7 +273,7 @@ def reach_state(
     k0, state = measure_momentum(s0, rng)
     plan = plan_kicks(k0, k_target, cat, allow_cat_moves, s0.radius)
     steps = [ProtocolStep("measure", {"k": list(k0)}, PhasePoint([0.0], [0.0]))]
-    for move in plan.moves():
+    for move in plan.steps:
         which = move.split("^")[0]
         sign = -1 if move.endswith("^-1") else 1
         state = apply_floquet_component(state, which, sign=sign, cat=cat)

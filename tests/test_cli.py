@@ -163,6 +163,8 @@ class TestPlantErrors:
         ("schedule", "grid", [0.0, float("nan"), 1.0], "schedule"),
         ("schedule", "values", [[0.1]], "schedule"),
         ("schedule", "values", [[0.1], [float("nan")]], "schedule"),
+        ("system", "controls", "x", "system.controls"),
+        ("system", "dimension", 3, "system.dimension"),
     ])
     def test_bad_field_exits_2(self, tmp_path, capsys, command, section, key, value, field):
         payload = json.loads(json.dumps(self.BASE))
@@ -191,6 +193,21 @@ class TestSchemaDiagnostics:
             },
         )
         assert run(["evolve", "--scenario", scen, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+
+    def test_invalid_json(self, tmp_path, capsys):
+        (tmp_path / "s.json").write_text('{"system": ')
+        assert run(["evolve", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert "scenario error: scenario: invalid JSON" in capsys.readouterr().err
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path / "s.json", [1, 2])
+        assert run(["evolve", "--scenario", scen, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert "scenario error: scenario: top-level value must be an object" in capsys.readouterr().err
+
+    def test_zero_trials(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path / "s.json", {"initial_state": cv([0.0, 1.0, 0.0]), "seed": 1})
+        assert run(["stabilize", "--scenario", scen, "--out", str(tmp_path / "o"), "--trials", "0"]) == EXIT_SCHEMA
+        assert "scenario error: trials: " in capsys.readouterr().err
 
     def test_seed_required_for_stochastic(self, tmp_path):
         scen = write_scenario(
@@ -229,6 +246,16 @@ class TestDeterminism:
         run(["measure", "--scenario", scen, "--out", str(tmp_path / "a"), "--trials", "50"])
         run(["measure", "--scenario", scen, "--out", str(tmp_path / "c"), "--trials", "50", "--seed", "1"])
         assert read(tmp_path / "a" / "measurements.csv") != read(tmp_path / "c" / "measurements.csv")
+
+    def test_q_p_state_form_matches_re_im_form(self, tmp_path):
+        psi = np.array([0.5, 0.5j, -0.5 + 0.5j]) / np.linalg.norm([0.5, 0.5j, -0.5 + 0.5j])
+        observable = {"observable": cm(np.diag([-1.0, 0.0, 1.0]))}
+        forms = {"re_im": cv(psi), "q_p": {"q": psi.real.tolist(), "p": psi.imag.tolist()}}
+        for name, state in forms.items():
+            scen = write_scenario(tmp_path / f"{name}.json",
+                                  {"measurement": observable, "initial_state": state, "seed": 9})
+            assert run(["measure", "--scenario", scen, "--out", str(tmp_path / name), "--trials", "50"]) == EXIT_OK
+        assert read(tmp_path / "re_im" / "measurements.csv") == read(tmp_path / "q_p" / "measurements.csv")
 
     def test_manifest_records_seed_and_trials(self, tmp_path):
         scen = self._measure_scenario(tmp_path)
@@ -387,6 +414,13 @@ class TestStochasticScenarioErrors:
         code, err = self._code(tmp_path, "stabilize", payload, capsys)
         assert code == EXIT_SCHEMA and "disturbance" in err
 
+    @pytest.mark.parametrize("mu", [0, 1e-10])
+    def test_degenerate_mu(self, tmp_path, capsys, mu):
+        payload = {"initial_state": cv([1.0, 0, 0]), "mu": mu, "disturbance": 0.1, "n_periods": 50}
+        code, err = self._code(tmp_path, "stabilize", payload, capsys)
+        assert code == EXIT_SCHEMA and "scenario error: mu: " in err
+        assert not (tmp_path / "o" / "stabilize.json").exists()
+
     @pytest.mark.parametrize("n_periods", [-1, 2.5, "ten"])
     def test_n_periods(self, tmp_path, capsys, n_periods):
         payload = {"initial_state": cv([1.0, 0, 0]), "disturbance": 0.1, "n_periods": n_periods}
@@ -447,14 +481,15 @@ class TestNumericFieldErrors:
         code = run([command, "--scenario", scen, "--out", str(tmp_path / "o")])
         return code, capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", ["abc", 1.9])
+    @pytest.mark.parametrize("seed", ["abc", 1.9, 2**64])
     def test_seed(self, tmp_path, capsys, seed):
         payload = {"measurement": {"observable": cm(np.diag([0.0, 1.0]))}, "initial_state": cv([1.0, 0.0]),
                    "seed": seed}
         code, err = self._code(tmp_path, "measure", payload, capsys)
         assert code == EXIT_SCHEMA and "seed" in err
 
-    @pytest.mark.parametrize("field, value", [("samples", "many"), ("t_final", "x")])
+    @pytest.mark.parametrize("field, value", [("samples", "many"), ("t_final", "x"), ("t_final", 0.0),
+                                              ("t_final", -1.0)])
     def test_evolve_horizon(self, tmp_path, capsys, field, value):
         horizon = dict({"t_final": 1.0, "samples": 4}, **{field: value})
         payload = {"system": {"drift": cm([[1.0]])}, "initial_state": cv([1.0]), "horizon": horizon}
@@ -471,6 +506,7 @@ class TestNumericFieldErrors:
     @pytest.mark.parametrize("field, value", [
         ("grid_points", "x"), ("grid_points", 0), ("horizon", {"t_final": "x"}), ("cost", "foo"),
         ("control_bounds", {"lower": [float("nan")], "upper": [1.0]}), ("cost", "custom"),
+        ("horizon", {"t_final": 0.0}), ("horizon", {"t_final": -1.0}),
     ])
     def test_pmp_fields(self, tmp_path, capsys, field, value):
         payload = {

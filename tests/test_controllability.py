@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+
+import qphase.controllability
 
 from qphase import (
     Observable,
@@ -15,7 +18,7 @@ from qphase.controllability import VERDICT_NOT, VERDICT_SU, VERDICT_U, group_ele
 from qphase.errors import DimensionMismatchError
 from qphase.steering import h1_matrix, ladder_control, ladder_drift
 
-from conftest import random_point, random_state
+from conftest import random_hermitian, random_point, random_state
 
 R2 = np.sqrt(2.0)
 
@@ -124,3 +127,31 @@ class TestOrbitMembership:
     def test_group_element_is_unitary(self, ladder_closure, rng):
         u = group_element(ladder_closure, rng.uniform(-1, 1, ladder_closure.dimension))
         assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-12
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_dimension_mismatch_before_search(self, ladder_closure, rng, monkeypatch, side):
+        monkeypatch.setattr(qphase.controllability, "minimize", lambda *a, **k: pytest.fail("search started"))
+        states = {"x": random_point(rng, 3), "y": random_point(rng, 3), side: random_point(rng, 2)}
+        with pytest.raises(DimensionMismatchError):
+            orbit_membership(ladder_closure, states["x"], states["y"], budget=100)
+
+
+class TestGroupElement:
+    """group_element against scipy's expm of sum theta_m B_m."""
+
+    @pytest.mark.parametrize("n", [0, 2, 3, 4, 5])
+    def test_matches_expm(self, rng, n):
+        if n == 0:  # the ladder closure, dimension 3 inside u(3)
+            report = lie_closure([Observable(ladder_drift(1.0)), Observable(ladder_control(1.0))])
+        else:
+            report = lie_closure([Observable(random_hermitian(rng, n)) for _ in range(2)])
+        for _ in range(20):
+            theta = rng.uniform(-np.pi, np.pi, report.dimension)
+            want = expm(sum(t * b for t, b in zip(theta, report.basis)))
+            assert np.max(np.abs(group_element(report, theta) - want)) < 1e-12
+
+    @pytest.mark.parametrize("length", [2, 4, 5])
+    def test_wrong_coefficient_count(self, length):
+        report = lie_closure([Observable(ladder_drift(1.0)), Observable(ladder_control(1.0))])
+        with pytest.raises(DimensionMismatchError):
+            group_element(report, np.ones(length))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qphase.steering
 from qphase import (
     Observable,
     PhasePoint,
@@ -17,6 +18,8 @@ from qphase import (
     to_phase,
 )
 from qphase.errors import (
+    DegenerateBasisError,
+    DimensionMismatchError,
     FrameSearchError,
     FrameUnnecessaryError,
     MaxIterationsError,
@@ -177,6 +180,10 @@ class TestFrame3Level:
         m = build_frame_3level(PSI_F, eigenvalues=(2.0, 5.0, -1.0))
         assert np.allclose(m.observable().eigenvalues, (-1.0, 2.0, 5.0), atol=1e-12)
 
+    def test_observable_built_once(self):
+        m = build_frame_3level(PSI_F)
+        assert m.observable() is m.observable()
+
     @pytest.mark.parametrize(
         "labels",
         [
@@ -215,6 +222,12 @@ class TestFrameGeneral:
     def test_zero_budget_fails(self, ladder_closure):
         with pytest.raises(FrameSearchError):
             build_frame_general(PSI_F, ladder_closure, budget=0)
+
+    @pytest.mark.parametrize("goal", [StateVector([1.0, 0.0]), StateVector([0.5, 0.5, 0.5, 0.5])])
+    def test_goal_dimension_mismatch_before_search(self, ladder_closure, monkeypatch, goal):
+        monkeypatch.setattr(qphase.steering, "least_squares", lambda *a, **k: pytest.fail("search started"))
+        with pytest.raises(DimensionMismatchError):
+            build_frame_general(goal, ladder_closure)
 
 
 class TestSteer:
@@ -337,6 +350,12 @@ class TestStabilize:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(NormalizationError):
             stabilize_middle_level(PhasePoint([1.0, 1.0, 0.0], [0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-10, -1e-9])
+    def test_degenerate_drift_rejected(self, mu):
+        # every level would read as the middle one: occupancy 1 at fidelity 0
+        with pytest.raises(DegenerateBasisError):
+            stabilize_middle_level(to_phase(StateVector([1.0, 0, 0])), mu=mu, disturbance=0.1, n_periods=50)
 
     def test_iteration_cap(self):
         # an extreme level is never the middle one, and no kick is allowed
