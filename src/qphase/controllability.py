@@ -142,7 +142,13 @@ class OrbitMembership:
 
 def group_element(report: LieClosureReport, params: np.ndarray) -> np.ndarray:
     """exp(sum_m params_m B_m) over the closure basis, one coefficient per element."""
-    props, _, _ = interval_propagators(report._plant, np.atleast_1d(params)[None, :], [1.0])
+    params = np.atleast_1d(params)
+    if params.shape != (report.dimension,):
+        raise DimensionMismatchError(
+            f"{report.dimension} coefficients expected for a closure of dimension {report.dimension}, "
+            f"got {params.size}"
+        )
+    props, _, _ = interval_propagators(report._plant, params[None, :], [1.0])
     return props[0]
 
 

@@ -9,7 +9,9 @@ for the middle level of the three-level ladder system.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,6 +319,33 @@ def steer_outcome(m: SteeringObservable, outcome: MeasurementOutcome) -> Protoco
     return ProtocolTrace(steps=steps, final_fidelity=fidelity, iterations=1)
 
 
+@functools.lru_cache
+def _ladder_stabilizer(mu: float) -> tuple:
+    """The drift observable and the h2(pi/2) kick of the stabilizer, built once per ``mu``."""
+    obs = Observable(ladder_drift(mu))
+    if not obs.is_nondegenerate():
+        raise DegenerateBasisError(f"mu = {mu!r} merges the three ladder levels into one measurement branch")
+    kick = SteeringWord.from_h_steps((("h2", np.pi / 2),))
+    kick.unitary.flags.writeable = False  # shared by every call with this mu
+    return obs, kick
+
+
+def _renormalized(z: complex) -> complex:
+    """The phase of ``collapse(e_b z, obs, b)[b]``, rounded as numpy rounds it.
+
+    numpy divides by the real norm as a product with its reciprocal, so
+    ``z / abs(z)`` would differ from it in the last bit on many phases.
+    """
+    s = 1.0 / math.sqrt(z.real * z.real + z.imag * z.imag)
+    return complex(z.real * s, z.imag * s)
+
+
+def _level_state(level: int, z: complex = 1.0) -> np.ndarray:
+    psi = np.zeros(3, dtype=complex)
+    psi[level] = z
+    return psi
+
+
 def stabilize_middle_level(
     x0: PhasePoint,
     mu: float = 1.0,
@@ -331,15 +360,15 @@ def stabilize_middle_level(
     kick, which leaves Born weight 1/2 on the middle level, and the cycle
     repeats.  With a disturbance rate set, maintenance measurements run for
     ``n_periods`` periods and the occupancy of the middle level is recorded.
+    A maintenance period finds the state on one level, where the outcome is
+    certain: it draws the measurement's uniform and renormalises the phase
+    without a Born measurement.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    obs = Observable(ladder_drift(mu))
-    if not obs.is_nondegenerate():
-        raise DegenerateBasisError(f"mu = {mu!r} merges the three ladder levels into one measurement branch")
-    kick = SteeringWord.from_h_steps((("h2", np.pi / 2),))
+    obs, kick = _ladder_stabilizer(mu)
     steps = []
     psi = x0.amplitudes
-    middle = StateVector(np.array([0, 1, 0], dtype=complex))
+    middle = StateVector(_level_state(1))
 
     def measure(psi):
         branch = draw_branch(born_weights(psi, obs), rng)
@@ -361,19 +390,24 @@ def stabilize_middle_level(
     psi, cycles = acquire(psi, max_iters)
     occupancy = None
     if disturbance is not None and n_periods > 0:
+        # Between disturbances the state is e_level z.  The drift's
+        # eigenvectors are exact unit vectors, so its measurement lands on
+        # ``level`` whatever the uniform and only renormalises z.
+        level, z = 1, complex(psi[1])
         hits = 0
         for _ in range(n_periods):
             if rng.random() < disturbance:
-                level = int(rng.integers(0, 3))
-                psi = np.zeros(3, dtype=complex)
-                psi[level] = 1.0
-                steps.append(ProtocolStep("disturb", {"level": level}, PhasePoint.from_amplitudes(psi)))
-            value, psi = measure(psi)
-            if abs(value) < 1e-12:
+                level, z = int(rng.integers(0, 3)), 1.0 + 0.0j
+                steps.append(ProtocolStep("disturb", {"level": level}, PhasePoint.from_amplitudes(_level_state(level))))
+            rng.random()  # the measurement's uniform
+            z = _renormalized(z)
+            if level == 1:
                 hits += 1
             else:
-                psi, _ = acquire(psi, max_iters)
+                psi, _ = acquire(_level_state(level, z), max_iters)
+                level, z = 1, complex(psi[1])
         occupancy = hits / n_periods
+        psi = _level_state(level, z)
     fidelity = StateVector(psi).fidelity(middle)
     return ProtocolTrace(
         steps=tuple(steps), final_fidelity=fidelity, iterations=cycles, occupancy=occupancy

@@ -155,3 +155,10 @@ class TestGroupElement:
         report = lie_closure([Observable(ladder_drift(1.0)), Observable(ladder_control(1.0))])
         with pytest.raises(DimensionMismatchError):
             group_element(report, np.ones(length))
+
+    @pytest.mark.parametrize("length", [2, 5])
+    def test_wrong_coefficient_count_names_both_counts(self, length):
+        report = lie_closure([Observable(ladder_drift(1.0)), Observable(ladder_control(1.0))])
+        want = f"3 coefficients expected for a closure of dimension 3, got {length}"
+        with pytest.raises(DimensionMismatchError, match=want):
+            group_element(report, np.ones(length))

@@ -10,9 +10,7 @@ from qphase import (
     StateVector,
     build_frame_3level,
     build_frame_general,
-    from_phase,
     lie_closure,
-    measure_selective,
     steer,
     stabilize_middle_level,
     to_phase,
@@ -38,7 +36,7 @@ from qphase.steering import (
 
 from qphase.rng import stream
 
-from conftest import random_point, random_state
+from conftest import random_point, random_state, stabilize_reference
 
 R2 = np.sqrt(2.0)
 PSI_F = StateVector([1j / R2, 0, 1j / R2])
@@ -277,48 +275,6 @@ class TestSteer:
             assert "action" in json.loads(line)
 
 
-def stabilize_reference(x0, mu=1.0, disturbance=None, n_periods=0, max_iters=10_000, rng=None):
-    """Phase-point reference for ``stabilize_middle_level``: one
-    ``measure_selective`` call (``Generator.choice``) per measurement."""
-    obs = Observable(ladder_drift(mu))
-    kick = SteeringWord.from_h_steps((("h2", np.pi / 2),))
-    steps = []
-
-    def acquire(state):
-        cycles = 0
-        while True:
-            out = measure_selective(state, obs, rng)
-            steps.append(("measure", {"value": out.value}, out.post_state))
-            state = out.post_state
-            if abs(out.value) < 1e-12:
-                return state, cycles
-            if cycles >= max_iters:
-                raise MaxIterationsError("cap")
-            state = to_phase(kick.apply(from_phase(state)))
-            steps.append(("evolve", {"word": kick.describe()}, state))
-            cycles += 1
-
-    state, cycles = acquire(x0)
-    occupancy = None
-    if disturbance is not None and n_periods > 0:
-        hits = 0
-        for _ in range(n_periods):
-            if rng.random() < disturbance:
-                level = int(rng.integers(0, 3))
-                amps = np.zeros(3, dtype=complex)
-                amps[level] = 1.0
-                state = PhasePoint(amps.real, amps.imag)
-                steps.append(("disturb", {"level": level}, state))
-            out = measure_selective(state, obs, rng)
-            state = out.post_state
-            if abs(out.value) < 1e-12:
-                hits += 1
-            else:
-                state, _ = acquire(state)
-        occupancy = hits / n_periods
-    return steps, from_phase(state).fidelity(PSI_1), cycles, occupancy
-
-
 class TestStabilize:
     def test_matches_the_phase_point_reference_exactly(self):
         gen = np.random.default_rng(21)
@@ -332,6 +288,49 @@ class TestStabilize:
             for got, (action, detail, state) in zip(tr.steps, steps):
                 assert (got.action, got.detail) == (action, detail)
                 assert got.state.q.tolist() == state.q.tolist() and got.state.p.tolist() == state.p.tolist()
+
+    @pytest.mark.parametrize("start, kwargs", [
+        pytest.param("extreme", dict(mu=-1.3, disturbance=0.1, n_periods=300), id="negative-mu-extreme"),
+        pytest.param("general", dict(mu=-0.7, disturbance=0.2, n_periods=200), id="negative-mu-general"),
+        pytest.param("general", dict(mu=0.8, disturbance=0.0, n_periods=200), id="never-disturbed"),
+        pytest.param("general", dict(mu=1.7, disturbance=1.0, n_periods=200), id="always-disturbed"),
+        pytest.param("middle", dict(mu=1.0, disturbance=0.0, n_periods=2000), id="middle-phase-2000-periods"),
+        pytest.param("middle", dict(mu=1.2, disturbance=0.05, n_periods=300), id="middle-phase"),
+        pytest.param("general", dict(mu=0.6, disturbance=0.02, n_periods=2000), id="general-2000-periods"),
+    ])
+    def test_certain_outcome_loop_matches_the_reference(self, start, kwargs):
+        gen = np.random.default_rng(44)
+        for seed in range(12):
+            x0 = {
+                "extreme": to_phase(StateVector([np.exp(1.1j), 0, 0])),
+                "middle": to_phase(StateVector([0, np.exp(gen.uniform(0.0, 2.0 * np.pi) * 1j), 0])),
+                "general": random_point(gen, 3),
+            }[start]
+            tr = stabilize_middle_level(x0, rng=stream(seed, 7), **kwargs)
+            steps, fidelity, cycles, occupancy = stabilize_reference(x0, rng=stream(seed, 7), **kwargs)
+            assert (tr.final_fidelity, tr.iterations, tr.occupancy) == (fidelity, cycles, occupancy)
+            assert [(st.action, st.detail) for st in tr.steps] == [(a, d) for a, d, _ in steps]
+            for got, (_, _, state) in zip(tr.steps, steps):
+                assert got.state.q.tobytes() == state.q.tobytes() and got.state.p.tobytes() == state.p.tobytes()
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 1.3, 2.0, -1.0, -0.37, 1e-8, 7.7, 3e150])
+    def test_ladder_eigenvectors_are_exact_unit_vectors(self, mu):
+        # the certain-outcome loop relies on this: a level state has Born odds exactly one-hot
+        obs = Observable(ladder_drift(mu))
+        basis = np.hstack([obs.eigenspace_basis(a) for a in obs.eigenvalues])
+        levels = [0, 1, 2] if mu > 0 else [2, 1, 0]
+        assert basis.tobytes() == np.eye(3, dtype=complex)[:, levels].tobytes()
+
+    def test_renormalization_rounds_as_collapse(self):
+        # pins numpy's rounding of complex division by a real norm, which the loop reproduces
+        rng = np.random.default_rng(45)
+        n = 100_000
+        phases = np.exp(rng.uniform(0.0, 2.0 * np.pi, n) * 1j) * (1.0 + rng.uniform(-4e-16, 4e-16, n))
+        obs = Observable(ladder_drift(1.0))
+        for level in range(3):
+            for z in phases.tolist():
+                want = qphase.steering.collapse(qphase.steering._level_state(level, z), obs, level)
+                assert want.tobytes() == qphase.steering._level_state(level, qphase.steering._renormalized(z)).tobytes()
 
     def test_middle_level_terminates_immediately(self):
         tr = stabilize_middle_level(to_phase(PSI_1), rng=np.random.default_rng(1))
