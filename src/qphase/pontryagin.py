@@ -8,8 +8,10 @@ for both the argmax of **H** over a box of controls is closed form.
 The fixed terminal state is enforced by a quadratic penalty on the
 phase-invariant infidelity, escalated geometrically; a forward-backward
 argmax sweep is refined by bounded quasi-Newton steps on exact discrete
-gradients.  Single shooting on the initial adjoint is provided as a
-cross-check.
+gradients.  For the l1 cost those steps run on the split u = u+ - u- with
+u+, u- >= 0, where the running cost sum(u+ + u-) is linear and the
+objective smooth, instead of on the kink of |u_j| at 0.  Single shooting
+on the initial adjoint is provided as a cross-check.
 
 Internally states and adjoints are complex amplitudes psi = q + i p, and
 every pass over the grid propagates with one batched eigendecomposition
@@ -97,10 +99,25 @@ class CostIntegrand:
         u = np.asarray(u, dtype=float)
         return np.sum(u * u if self.kind == COST_ENERGY else np.abs(u), axis=-1)
 
-    def rate_gradient(self, u) -> np.ndarray:
-        """dX0/du of each row of ``u`` (sign(0) = 0 for the l1 kink)."""
-        u = np.asarray(u, dtype=float)
-        return 2.0 * u if self.kind == COST_ENERGY else np.sign(u)
+    def _split(self, lower: np.ndarray, upper: np.ndarray):
+        """Variables x of the quasi-Newton polish: (lift, x lower, x upper), u = x @ lift.
+
+        The energy cost polishes u itself. The l1 cost polishes x = [u+, u-],
+        u = u+ - u- with u+, u- >= 0, on which sum |u_j| becomes the linear
+        sum(u+ + u-); the bounds also hold for boxes on one side of 0.
+        """
+        r = lower.size
+        if self.kind == COST_ENERGY:
+            return np.eye(r), lower, upper
+        lift = np.vstack([np.eye(r), -np.eye(r)])
+        return (lift, np.maximum(np.concatenate([lower, -upper]), 0.0),
+                np.maximum(np.concatenate([upper, -lower]), 0.0))
+
+    def _split_rate(self, x: np.ndarray):
+        """Running cost of each row of polish variables ``x`` and its gradient."""
+        if self.kind == COST_ENERGY:
+            return self.rate(x), 2.0 * x
+        return np.sum(x, axis=-1), np.ones_like(x)
 
     def vertex(self, slopes: np.ndarray, phi0: float) -> np.ndarray | None:
         """Stationary point of slopes . u + phi0 X0(u) where it is strictly concave, else None."""
@@ -263,19 +280,22 @@ def _objective(u_flat, plant, cost, psi0, goal, dts, weight) -> float:
     return run_cost + weight * (1.0 - fid)
 
 
-def _objective_and_gradient(u_flat, plant, cost, psi0, goal, dts, weight):
-    """Penalized objective with its exact discrete gradient.
+def _objective_and_gradient(x_flat, plant, cost, lift, psi0, goal, dts, weight):
+    """Penalized objective of the polish variables x, u = x @ lift, with its exact discrete gradient.
 
-    The derivative of U_k = exp(-i H_k dt_k) along -i H_j dt_k is the
-    Daleckii-Krein form V_k (F_k o (V_k^H (-i H_j dt_k) V_k)) V_k^H, where
-    F_k holds the divided differences of exp over the eigenvalues
-    -i w_k dt_k (exact GRAPE gradients in the eigenbasis).
+    The running cost is ``CostIntegrand._split_rate`` of x, and the penalty
+    gradient in u is chained to x by lift^T.  The derivative of
+    U_k = exp(-i H_k dt_k) along -i H_j dt_k is the Daleckii-Krein form
+    V_k (F_k o (V_k^H (-i H_j dt_k) V_k)) V_k^H, where F_k holds the divided
+    differences of exp over the eigenvalues -i w_k dt_k (exact GRAPE
+    gradients in the eigenbasis).
     """
-    u = u_flat.reshape(dts.size, -1)
-    props, w, v = interval_propagators(plant, u, dts)
+    x = x_flat.reshape(dts.size, -1)
+    props, w, v = interval_propagators(plant, x @ lift, dts)
     psis = _forward(props, psi0)
     overlap = np.vdot(goal, psis[-1])
-    value = float(cost.rate(u) @ dts) + weight * (1.0 - abs(overlap) ** 2)
+    rate, rate_grad = cost._split_rate(x)
+    value = float(rate @ dts) + weight * (1.0 - abs(overlap) ** 2)
     lams = _backward(props, -2.0 * weight * overlap * goal)  # d(penalty)/dpsi_T
     vh = v.conj().transpose(0, 2, 1)
     a = np.einsum("kab,kb->ka", vh, lams[1:])
@@ -288,8 +308,8 @@ def _objective_and_gradient(u_flat, plant, cost, psi0, goal, dts, weight):
     hs = np.asarray(plant.controls, dtype=complex)
     h_eig = np.einsum("kxa,jxy,kyb->kjab", v.conj(), hs, v)
     # Re(a^H (F o (-i dt V^H H_j V)) b) = dt Im(a^H (F o V^H H_j V) b)
-    grad = dts[:, None] * np.einsum("kab,kjab->kj", a.conj()[:, :, None] * f * b[:, None, :], h_eig).imag
-    grad += cost.rate_gradient(u) * dts[:, None]
+    grad = (dts[:, None] * np.einsum("kab,kjab->kj", a.conj()[:, :, None] * f * b[:, None, :], h_eig).imag) @ lift.T
+    grad += rate_grad * dts[:, None]
     return value, grad.ravel()
 
 
@@ -315,10 +335,14 @@ def forward_backward_sweep(
     """Penalized maximum-principle solve on the control grid ``grid``.
 
     Each round runs the damped argmax sweep with monotone acceptance, then
-    polishes the same penalized objective with bounded quasi-Newton steps on
-    exact discrete gradients; the penalty weight escalates geometrically
-    until the terminal fidelity reaches ``FIDELITY_GOAL`` or the round
-    budget runs out.
+    polishes the same penalized objective with L-BFGS-B on exact discrete
+    gradients; the penalty weight escalates geometrically until the
+    terminal fidelity reaches ``FIDELITY_GOAL`` or the round budget runs out.
+    The polish works on the variables of ``CostIntegrand._split``: u itself
+    for the energy cost, the split [u+, u-] for the l1 cost, whose running
+    cost sum(u+ + u-) is linear and has no kink; the polished schedule is
+    u+ - u- clipped to the domain, and the reported cost is always
+    sum X0(u) dt of that schedule.
     """
     grid = check_grid(grid)
     psi0, goal = _unit_amplitudes(plant, x_init, "x_init"), _unit_amplitudes(plant, x_goal, "x_goal")
@@ -329,6 +353,8 @@ def forward_backward_sweep(
     m = grid.size - 1
     dts = np.diff(grid)
     singleton = np.allclose(domain.lower, domain.upper)
+    lift, x_lower, x_upper = cost._split(domain.lower, domain.upper)
+    x_bounds = list(zip(np.tile(x_lower, m), np.tile(x_upper, m)))
 
     u = np.tile(domain.clip(np.zeros(r)), (m, 1))
     best_fid, best_cost = _evaluate(plant, cost, u, psi0, goal, dts)
@@ -370,15 +396,15 @@ def forward_backward_sweep(
 
         res = minimize(
             _objective_and_gradient,
-            u.ravel(),
-            args=(plant, cost, psi0, goal, dts, weight),
+            np.clip(u @ lift.T, x_lower, x_upper).ravel(),  # for l1, [u, -u] clipped is [u+, u-]
+            args=(plant, cost, lift, psi0, goal, dts, weight),
             method="L-BFGS-B",
             jac=True,
-            bounds=[(lo, hi) for lo, hi in zip(np.tile(domain.lower, m), np.tile(domain.upper, m))],
+            bounds=x_bounds,
             options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-12},
         )
         iterations += int(res.nit)
-        u = np.clip(res.x.reshape(m, r), domain.lower, domain.upper)
+        u = np.clip(res.x.reshape(m, -1) @ lift, domain.lower, domain.upper)
 
         fid, run_cost = _evaluate(plant, cost, u, psi0, goal, dts)
         if fid >= best_fid - 1e-12:

@@ -81,7 +81,11 @@ def bang_bang_oracle(plant, z0, zg, t_final=np.pi, n_grid=100):
 
 def reference_objective_and_gradient(u_flat, plant, cost, z0, z_goal, grid, weight):
     """Per-interval real-block reference: one expm per interval, one
-    expm_frechet per interval and channel, in flat (q, p) coordinates."""
+    expm_frechet per interval and channel, in flat (q, p) coordinates.
+
+    The gradient is taken in the polish variables: u for the energy cost,
+    [u+, u-] for the l1 cost, whose running cost sum(u+ + u-) has slope dt.
+    """
     m, r = grid.size - 1, len(plant.controls)
     n = z0.size // 2
     u = u_flat.reshape(m, r)
@@ -103,9 +107,17 @@ def reference_objective_and_gradient(u_flat, plant, cost, z0, z_goal, grid, weig
         for j in range(r):
             _, de = expm_frechet(gen * dts[k], ljs[j] * dts[k])
             grad[k, j] = lam @ (de @ zs[k])
-        grad[k] += 2.0 * u[k] * dts[k] if cost.kind == "control-energy" else np.sign(u[k]) * dts[k]
         lam = e.T @ lam
-    return value, grad.ravel()
+    if cost.kind == "control-energy":
+        return value, (grad + 2.0 * u * dts[:, None]).ravel()
+    return value, np.hstack([grad + dts[:, None], dts[:, None] - grad]).ravel()
+
+
+def split_variables(cost, u):
+    """Polish variables of a schedule, written out by hand: u, or [u+, u-] for l1."""
+    if cost.kind == "control-energy":
+        return u
+    return np.hstack([np.maximum(u, 0.0), np.maximum(-u, 0.0)])
 
 
 def reference_argmax(c, phi0, kind, lo, hi):
@@ -127,10 +139,13 @@ class TestSpectralObjective:
     def _check(self, plant, u, grid, z0, zg, weight=3.0):
         dts = np.diff(grid)
         psi0, goal = PhasePoint.from_flat(z0).amplitudes, PhasePoint.from_flat(zg).amplitudes
+        wide = np.full(u.shape[1], 2.0)
         for kind in ("control-energy", "control-l1"):
             cost = CostIntegrand(kind)
+            lift, _, _ = cost._split(-wide, wide)
+            x = split_variables(cost, u)
             want_v, want_g = reference_objective_and_gradient(u.ravel(), plant, cost, z0, zg, grid, weight)
-            got_v, got_g = _objective_and_gradient(u.ravel(), plant, cost, psi0, goal, dts, weight)
+            got_v, got_g = _objective_and_gradient(x.ravel(), plant, cost, lift, psi0, goal, dts, weight)
             assert abs(got_v - want_v) < 1e-12
             assert np.max(np.abs(got_g - want_g)) < 1e-12
             assert abs(_objective(u.ravel(), plant, cost, psi0, goal, dts, weight) - want_v) < 1e-12
@@ -150,6 +165,88 @@ class TestSpectralObjective:
         plant = ControlledHamiltonian(drift.astype(complex), (random_hermitian(rng, 3),))
         grid = np.array([0.0, 0.3, 1.0, 1.2])
         self._check(plant, np.zeros((3, 1)), grid, unit_flat(rng, 3), unit_flat(rng, 3))
+
+
+def l1_inversion(phi=0.0, alpha=0.0, beta=0.0, channels=1, lower=-1.0, upper=1.0, intervals=8):
+    """The benchmark's l1 problem |1> -> |0> under diag(1, -1) + u (cos phi X + sin phi Y), in a frame
+    rotated about z by phi and with endpoint phases alpha and beta; a second channel is the
+    orthogonal axis in the xy-plane."""
+    sy = np.array([[0, -1j], [1j, 0]])
+    axes = (np.cos(phi) * H1 + np.sin(phi) * sy, -np.sin(phi) * H1 + np.cos(phi) * sy)
+    plant = ControlledHamiltonian(H0, axes[:channels])
+    x0 = PhasePoint.from_amplitudes(np.exp(1j * alpha) * np.array([0.0, 1.0]))
+    goal = PhasePoint.from_amplitudes(np.exp(1j * beta) * np.array([1.0, 0.0]))
+    dom = ControlDomain([lower] * channels, [upper] * channels)
+    grid = np.linspace(0.0, np.pi, intervals + 1)
+    return forward_backward_sweep(plant, x0, goal, CostIntegrand("control-l1"), dom, grid), dom
+
+
+class TestSplitPolish:
+    """The l1 polish runs on x = [u+, u-], u = u+ - u-, where the running cost is linear."""
+
+    @pytest.mark.parametrize(
+        "lower, upper, x_lower, x_upper",
+        [
+            ([-1.0, -0.5], [1.0, 2.0], [0, 0, 0, 0], [1.0, 2.0, 1.0, 0.5]),
+            ([0.2], [0.8], [0.2, 0], [0.8, 0]),
+            ([-2.0], [-0.3], [0, 0.3], [0, 2.0]),
+        ],
+    )
+    def test_bounds(self, lower, upper, x_lower, x_upper):
+        lift, lo, hi = CostIntegrand("control-l1")._split(np.array(lower), np.array(upper))
+        assert np.array_equal(lo, x_lower) and np.array_equal(hi, x_upper)
+        r = len(lower)
+        assert np.array_equal(lift, np.vstack([np.eye(r), -np.eye(r)]))
+        # u+ - u- over the split box spans exactly the control box
+        assert np.allclose(np.array(lower), lo[:r] - hi[r:]) and np.allclose(np.array(upper), hi[:r] - lo[r:])
+
+    def test_split_objective_oracle(self, rng):
+        plant = ControlledHamiltonian(random_hermitian(rng, 3), (random_hermitian(rng, 3), random_hermitian(rng, 3)))
+        grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, 6))])
+        dts = np.diff(grid)
+        psi0, goal = (PhasePoint.from_flat(unit_flat(rng, 3)).amplitudes for _ in range(2))
+        cost = CostIntegrand("control-l1")
+        lift, _, _ = cost._split(np.full(2, -1.5), np.full(2, 1.5))
+        for _ in range(5):
+            u = rng.uniform(-1.5, 1.5, size=(6, 2))
+            u[rng.random(size=u.shape) < 0.3] = 0.0  # some controls at the kink
+            x = split_variables(cost, u).ravel()
+            value, grad = _objective_and_gradient(x, plant, cost, lift, psi0, goal, dts, 3.0)
+            assert abs(value - _objective(u.ravel(), plant, cost, psi0, goal, dts, 3.0)) < 1e-14
+            eps = 1e-6
+            fd = np.empty_like(x)
+            for i in range(x.size):
+                xp, xm = np.array(x), np.array(x)
+                xp[i] += eps
+                xm[i] -= eps
+                fd[i] = (
+                    _objective_and_gradient(xp, plant, cost, lift, psi0, goal, dts, 3.0)[0]
+                    - _objective_and_gradient(xm, plant, cost, lift, psi0, goal, dts, 3.0)[0]
+                ) / (2 * eps)
+            assert np.max(np.abs(grad - fd)) < 1e-7
+
+    def test_benchmark_scenario(self):
+        sol, _ = l1_inversion()
+        assert sol.converged and sol.fidelity >= 0.999
+        assert abs(sol.cost - 1.913203) < 1e-5
+
+    def test_rotated_frames_take_the_same_work(self):
+        # the same problem in six frames rotated about z, with random endpoint phases
+        sols = [l1_inversion(*np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 3))[0] for seed in range(100, 106)]
+        iterations = [sol.iterations for sol in sols]
+        assert max(iterations) <= 1.25 * min(iterations)
+        costs = [sol.cost for sol in sols]
+        assert max(costs) - min(costs) < 1e-6
+        assert all(sol.converged for sol in sols)
+
+    @pytest.mark.parametrize(
+        "lower, upper, channels", [(0.2, 0.8, 1), (-2.0, -0.3, 1), (-1.0, 1.0, 2)]
+    )
+    def test_controls_stay_in_the_box(self, lower, upper, channels):
+        sol, dom = l1_inversion(channels=channels, lower=lower, upper=upper)
+        u = sol.schedule.values
+        assert all(dom.contains(row, tol=0.0) for row in u)
+        assert sol.cost == CostIntegrand("control-l1").rate(u) @ np.diff(sol.schedule.grid)
 
 
 class TestControlDomain:
