@@ -181,11 +181,15 @@ def _integer_pair(field: str, value) -> tuple:
 
 
 def load_scenario(path: str) -> Scenario:
-    if not os.path.exists(path):
-        raise ScenarioError("scenario", f"file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+    except FileNotFoundError:
+        raise ScenarioError("scenario", f"file not found: {path}")
+    except OSError as exc:  # a directory, or a file we may not read
+        raise ScenarioError("scenario", f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError:
+        raise ScenarioError("scenario", f"not UTF-8 text: {path}")
     except json.JSONDecodeError as exc:
         raise ScenarioError("scenario", f"invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):
@@ -407,7 +411,10 @@ def run(argv=None) -> int:
         if args.trials < 1:
             raise ScenarioError("trials", "must be >= 1")
         scenario = load_scenario(args.scenario)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # a file already holds the name, or a parent is one
+            raise ScenarioError("out", f"cannot create directory {args.out}: {exc.strerror or exc}")
         seed = None
         if args.command in STOCHASTIC_COMMANDS:
             seed = scenario.seed(args.seed)

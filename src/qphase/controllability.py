@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._solvers import minimize
 from .dynamics import ControlledHamiltonian, interval_propagators
 from .errors import DimensionMismatchError
 from .geometry import Observable, PhasePoint, from_phase

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# expm is unused here but stays importable: the benchmark's tracer
-# (perfbench/tracing.py) looks it up by name and raises if it is missing
-from scipy.linalg import expm  # noqa: F401
 
+from ._solvers import linalg_names
 from .errors import DimensionMismatchError, ScheduleCoverageError
 from .geometry import Observable, PhasePoint, _readonly, hermitian, real_block
+
+# unused, but the benchmark's tracer looks ``expm`` up here by name
+__getattr__ = linalg_names(__name__, ("expm",))
 
 
 def _as_hermitian(m) -> np.ndarray:

@@ -25,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# expm and expm_frechet are unused here but stay importable: the benchmark's
-# tracer (perfbench/tracing.py) looks them up by name and raises if missing
-from scipy.linalg import expm, expm_frechet  # noqa: F401
-from scipy.optimize import least_squares, minimize
 
+from ._solvers import least_squares, linalg_names, minimize
 from .dynamics import ControlSchedule, ControlledHamiltonian, check_grid, interval_propagators
 from .errors import ControlDomainError, DimensionMismatchError, NormalizationError
 from .geometry import PhasePoint, _readonly, real_block
+
+# unused, but the benchmark's tracer looks these up here by name
+__getattr__ = linalg_names(__name__, ("expm", "expm_frechet"))
 
 COST_ENERGY = "control-energy"
 COST_L1 = "control-l1"

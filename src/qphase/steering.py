@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._solvers import least_squares
 from .controllability import LieClosureReport, VERDICT_NOT, group_element
 from .errors import (
     DegenerateBasisError,

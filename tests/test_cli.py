@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +179,35 @@ class TestPlantErrors:
 class TestSchemaDiagnostics:
     def test_missing_file(self, tmp_path):
         assert run(["evolve", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_SCHEMA
+
+    def test_scenario_is_a_directory(self, tmp_path, capsys):
+        assert run(["evolve", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert f"scenario error: scenario: cannot read {tmp_path}: " in capsys.readouterr().err
+
+    def test_scenario_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "s.json").write_bytes(b'{"system": "\xff"}')
+        assert run(["evolve", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert f"scenario error: scenario: not UTF-8 text: {tmp_path / 's.json'}" in capsys.readouterr().err
+
+    def test_scenario_unreadable(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "s.json")
+        write_scenario(path, {})
+
+        # permission bits do not stop a superuser, so the refusal is simulated
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", file)
+
+        monkeypatch.setattr("qphase.cli.open", refuse, raising=False)
+        assert run(["evolve", "--scenario", path, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        assert f"scenario error: scenario: cannot read {path}: Permission denied" in capsys.readouterr().err
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path / "s.json", {"torus_start": [1, 1], "torus_target": [0, 1]})
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["torus-plan", "--scenario", scen, "--out", str(out)]) == EXIT_SCHEMA
+        assert f"scenario error: out: cannot create directory {out}: " in capsys.readouterr().err
+        assert out.read_text() == ""
 
     def test_missing_field_named(self, tmp_path, capsys):
         scen = write_scenario(tmp_path / "s.json", {"initial_state": cv([1.0])})
@@ -584,3 +615,50 @@ class TestPmpCommand:
             },
         )
         assert run(["pmp", "--scenario", scen, "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+
+
+COLD_START = """
+import json, sys
+import scipy
+before = set(sys.modules)
+import qphase, qphase.cli
+runs = json.loads(sys.argv[1])
+for argv in runs[:-1]:
+    assert qphase.cli.run(argv) == qphase.cli.EXIT_OK, argv
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.") and m not in before)
+assert qphase.cli.run(runs[-1]) == qphase.cli.EXIT_OK, runs[-1]
+print(json.dumps({"loaded": loaded, "optimize_after_pmp": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_pmp(tmp_path):
+    """In a fresh interpreter, only ``pmp`` loads a SciPy submodule."""
+    system = {"drift": LADDER_DRIFT, "controls": [LADDER_CONTROL]}
+    scenarios = {
+        "measure": {"measurement": {"observable": cm(np.diag([-1.0, 0.0, 1.0]))},
+                    "initial_state": cv([0.5, 1 / R2, 0.5]), "seed": 3},
+        "steer": {"goal_state": cv([1j / R2, 0, 1j / R2]), "initial_state": cv(np.full(3, 1 / np.sqrt(3))), "seed": 3},
+        "stabilize": {"initial_state": cv([1.0, 0, 0]), "disturbance": 0.2, "n_periods": 10, "seed": 3},
+        "evolve": {"system": system, "schedule": {"grid": [0.0, 1.0], "values": [[0.5]]},
+                   "initial_state": cv([1.0, 0, 0]), "horizon": {"t_final": 1.0, "samples": 4}},
+        "closure": {"system": system},
+        "torus-plan": {"torus_start": [-7, 12], "torus_target": [4, -9]},
+        "pmp": {"system": {"drift": cm(np.diag([1.0, -1.0])), "controls": [cm([[0, 1], [1, 0]])]},
+                "initial_state": cv([0, 1.0]), "goal_state": cv([1.0, 0]),
+                "control_bounds": {"lower": [-1.0], "upper": [1.0]},
+                "horizon": {"t_final": float(np.pi)}, "grid_points": 8},
+    }
+    runs = [
+        [command, "--scenario", write_scenario(tmp_path / f"{command}.json", payload),
+         "--out", str(tmp_path / command), "--trials", "5"]
+        for command, payload in scenarios.items()
+    ]
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["loaded"] == []
+    assert result["optimize_after_pmp"]
