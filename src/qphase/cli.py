@@ -51,6 +51,7 @@ from .serialize import (
     vector_from_json,
     write_csv,
     write_json,
+    write_trials_json,
 )
 from .steering import build_frame_3level, stabilize_middle_level, steer_outcome
 from .torus import DEFAULT_CAT, CatMap, plan_kicks
@@ -271,7 +272,7 @@ def cmd_measure(scenario: Scenario, args, seed: int) -> list:
         b: ",".join(map(fmt, [b, out.value, out.probability, *out.post_state.q, *out.post_state.p]))
         for b, out in outcomes.items()
     }
-    rows = [[trial, tails[b]] for trial, b in enumerate(branches)]
+    rows = ([trial, tails[b]] for trial, b in enumerate(branches))
     header = (
         ["trial", "branch", "value", "probability"]
         + [f"q{k+1}" for k in range(x0.dim)]
@@ -307,8 +308,7 @@ def cmd_steer(scenario: Scenario, args, seed: int) -> list:
             "final_fidelity": trace.final_fidelity,
             "steps": [{"action": st.action, "detail": st.detail} for st in trace.steps],
         }
-    results = [{"trial": trial, **traces[b]} for trial, b in enumerate(branches)]
-    write_json(os.path.join(args.out, "steer.json"), {"trials": results})
+    write_trials_json(os.path.join(args.out, "steer.json"), branches, traces)
     return ["steer.json"]
 
 

@@ -7,6 +7,12 @@ that ``Philox(key=seed).jumped(k)`` reaches, since one jump advances the
 counter by 2**128, but it is built without the jump arithmetic.  Trial k
 therefore draws the same numbers no matter how many trials run or in what
 order.
+
+Because Philox is counter-based, trial k's first uniform is a pure function
+of ``(seed, k)``: ``first_uniforms_at`` computes it for an array of trial
+indices with the Philox4x64-10 rounds written as unsigned 64-bit array
+arithmetic (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy
+as 1, 2, 3", SC'11), with no generator built per trial.
 """
 
 from __future__ import annotations
@@ -17,16 +23,28 @@ BIT_GENERATOR = "Philox"
 
 _WORD = 2**64 - 1
 
+# Philox4x64 round multipliers and Weyl key increments (Random123)
+_MULTIPLIERS = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
 
 def stream(seed: int, trial: int = 0) -> np.random.Generator:
     """Generator for one trial of a seeded run."""
-    seed = int(seed)
+    seed = _seed(seed)
     trial = int(trial)
-    if seed < 0 or seed > _WORD:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
     if trial < 0:
         raise ValueError("trial index must be non-negative")
     return np.random.Generator(np.random.Philox(key=seed, counter=_counter(trial)))
+
+
+def _seed(seed) -> int:
+    seed = int(seed)
+    if seed < 0 or seed > _WORD:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
 
 
 def _counter(trial: int) -> np.ndarray:
@@ -34,16 +52,44 @@ def _counter(trial: int) -> np.ndarray:
 
 
 def first_uniforms(seed: int, trials: int) -> np.ndarray:
-    """``stream(seed, k).random()`` for k = 0 .. trials - 1.
+    """``stream(seed, k).random()`` for k = 0 .. trials - 1."""
+    trials = int(trials)
+    if trials < 0:
+        raise ValueError("number of trials must be non-negative")
+    return first_uniforms_at(seed, np.arange(trials, dtype=np.uint64))
 
-    One bit generator is reset to each trial's starting state in turn, which
-    takes about a fifth of the time of building a generator per trial.
+
+def first_uniforms_at(seed: int, indices) -> np.ndarray:
+    """``stream(seed, k).random()`` for each trial index k of a uint64 array.
+
+    The first draw of a fresh generator increments word 0 of the counter,
+    so it is the first output word of Philox4x64-10 on the counter
+    ``[1, 0, k, 0]`` under the key ``[seed, 0]``, and ``random()`` keeps
+    its top 53 bits.
     """
-    gen = stream(seed)
-    state = gen.bit_generator.state
-    out = np.empty(trials)
-    for k in range(trials):
-        state["state"]["counter"] = _counter(k)
-        gen.bit_generator.state = state
-        out[k] = gen.random()
-    return out
+    seed = _seed(seed)
+    c2 = np.asarray(indices, dtype=np.uint64)
+    c0, c1, c3 = np.ones_like(c2), np.zeros_like(c2), np.zeros_like(c2)
+    for r in range(_ROUNDS):
+        # round r runs under the key bumped r times by the Weyl increments
+        key0 = np.uint64((seed + r * _WEYL[0]) & _WORD)
+        key1 = np.uint64((r * _WEYL[1]) & _WORD)
+        hi0, lo0 = _mulhilo(_MULTIPLIERS[0], c0)
+        hi1, lo1 = _mulhilo(_MULTIPLIERS[1], c2)
+        hi1 ^= c1
+        hi1 ^= key0
+        hi0 ^= c3
+        hi0 ^= key1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    return (c0 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray):
+    """High and low words of the 128-bit products ``a * b``, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    ll = a_lo * b_lo
+    t = a_hi * b_lo + (ll >> _SHIFT32)
+    w = (t & _LOW32) + a_lo * b_hi
+    hi = a_hi * b_hi + (t >> _SHIFT32) + (w >> _SHIFT32)
+    return hi, a * b

@@ -30,9 +30,33 @@ def write_json(path, payload: dict):
         fh.write("\n")
 
 
+def write_trials_json(path, labels, records: dict):
+    """``write_json(path, {"trials": [{**records[b], "trial": k} for k, b in enumerate(labels)]})``.
+
+    Many trials share one of a few records, so each record is encoded once,
+    indented as ``write_json`` nests it, and cut where its trial number goes;
+    the file is then streamed from those pieces.  A record's own keys sit
+    six spaces deep, one level shallower than anything nested in it, and an
+    encoded string holds no raw newline, so the cut is unambiguous.
+    """
+    cut = '\n      "trial": '
+    pieces = {}
+    for label, record in records.items():
+        text = json.dumps({**record, "trial": 0}, indent=2, sort_keys=True).replace("\n", "\n    ")
+        head, _, tail = text.partition(cut + "0")
+        pieces[label] = (head + cut, tail)
+    seps = ("\n    ", ",\n    ")
+    with open(path, "w", newline="\n") as fh:
+        fh.write('{\n  "trials": [')
+        fh.writelines(seps[k > 0] + pieces[b][0] + str(k) + pieces[b][1] for k, b in enumerate(labels))
+        fh.write("\n  ]\n}\n" if len(labels) else "]\n}\n")
+
+
 def write_csv(path, header, rows):
-    """Write rows of floats (or pre-formatted strings) under a header line."""
+    """Write rows of floats (or pre-formatted strings) under a header line.
+
+    ``rows`` may be any iterable, a generator included; it is streamed.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else fmt(c) for c in row) + "\n")
+        fh.writelines(",".join([c if isinstance(c, str) else fmt(c) for c in row]) + "\n" for row in rows)

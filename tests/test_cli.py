@@ -404,6 +404,24 @@ class TestTrialOracles:
         assert got == read(tmp_path / "oracle.json")
         assert len({t["steps"][0]["detail"]["branch"] for t in trials}) == 3
 
+    @pytest.mark.parametrize("trials, on_frame_vector", [(1, False), (200, True)])
+    def test_steer_edge_cases(self, tmp_path, trials, on_frame_vector):
+        """One trial, and a start on a frame vector so every trial takes one branch."""
+        goal = np.array([1.0, 0, 1.0]) / R2
+        labels = [1.0, 2.0, 3.0]
+        frame = build_frame_3level(StateVector(goal).normalized(), tuple(labels))
+        psi = frame.frame[1].amplitudes if on_frame_vector else np.array([0.6, 0.0, 0.8j])
+        payload = {"goal_state": cv(goal), "initial_state": cv(psi), "steering_eigenvalues": labels, "seed": 2**64 - 1}
+        got = self._run(tmp_path, "steer", payload, trials, "steer.json")
+        results = []
+        for k in range(trials):
+            tr = steer(to_phase(StateVector(psi)), frame, rng=stream(2**64 - 1, k))
+            steps = [{"action": s.action, "detail": s.detail} for s in tr.steps]
+            results.append({"trial": k, "final_fidelity": tr.final_fidelity, "steps": steps})
+        write_json(tmp_path / "oracle.json", {"trials": results})
+        assert got == read(tmp_path / "oracle.json")
+        assert len({t["steps"][0]["detail"]["branch"] for t in results}) == 1
+
     def test_stabilize(self, tmp_path):
         x0 = np.array([0.0, 0.0, np.exp(0.4j)])
         payload = {"initial_state": cv(x0), "mu": 1.3, "disturbance": 0.1, "n_periods": 60, "seed": 5}

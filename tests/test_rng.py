@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qphase.rng import first_uniforms, stream
+from qphase.rng import first_uniforms, first_uniforms_at, stream
 
 
 def jumped_stream(seed, trial):
@@ -45,3 +45,27 @@ def test_first_uniforms_are_each_trials_first_draw():
         want = [stream(seed, k).random() for k in range(3000)]
         assert first_uniforms(seed, 3000).tolist() == want
     assert first_uniforms(5, 0).shape == (0,)
+
+
+# word boundaries of the trial index: 32-bit halves of the multiply, the
+# 53 bits a double holds, the sign bit and the top of the counter word
+EDGE_TRIALS = [0, 1, 2**32 - 1, 2**32, 2**53 + 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_counter_arithmetic_matches_the_bit_generator(seed):
+    got = first_uniforms_at(seed, np.array(EDGE_TRIALS, dtype=np.uint64))
+    assert got.tolist() == [stream(seed, k).random() for k in EDGE_TRIALS]
+    for start in (0, 2**32 - 1500, 2**64 - 3000):
+        ks = np.arange(3000, dtype=np.uint64) + np.uint64(start)
+        assert first_uniforms_at(seed, ks).tolist() == [stream(seed, int(k)).random() for k in ks]
+
+
+def test_first_uniforms_rejects_out_of_range():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            first_uniforms(seed, 3)
+        with pytest.raises(ValueError):
+            first_uniforms_at(seed, np.arange(3, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        first_uniforms(1, -1)

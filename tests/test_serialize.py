@@ -1,0 +1,83 @@
+"""Artifact writers against literal expected bytes.
+
+The trial oracles of ``test_cli`` build their expected files with these same
+writers, so they cannot see a change in the writers themselves; these tests
+pin the bytes.
+"""
+
+import numpy as np
+import pytest
+
+from qphase.serialize import write_csv, write_json, write_trials_json
+
+HEADER = ["trial", "value", "tail"]
+
+
+def csv_text(tmp_path, header, rows):
+    write_csv(tmp_path / "out.csv", header, rows)
+    return (tmp_path / "out.csv").read_bytes()
+
+
+def test_csv_formats_ints_floats_and_strings(tmp_path):
+    rows = [
+        [0, 0.1, "x,y"],
+        [7, 1 / 3, "pre-formatted"],
+        [12345678901234567, 2 / 3, ""],
+        [np.int64(3), np.float64(-2.5), "-0"],
+        [-0.0, 5e-324, "inf"],
+        [float("inf"), 9007199254740993, "1e-300"],
+    ]
+    assert csv_text(tmp_path, HEADER, rows) == (
+        b"trial,value,tail\n"
+        b"0,0.10000000000000001,x,y\n"
+        b"7,0.33333333333333331,pre-formatted\n"
+        b"12345678901234568,0.66666666666666663,\n"
+        b"3,-2.5,-0\n"
+        b"-0,4.9406564584124654e-324,inf\n"
+        b"inf,9007199254740992,1e-300\n"
+    )
+
+
+def test_csv_with_no_rows_is_the_header_line(tmp_path):
+    assert csv_text(tmp_path, HEADER, []) == b"trial,value,tail\n"
+    assert csv_text(tmp_path, HEADER, iter(())) == b"trial,value,tail\n"
+
+
+def test_csv_streams_a_generator_of_rows(tmp_path):
+    tails = {0: "a,0.5", 1: "b,0.25"}
+    rows = ([k, tails[k % 2]] for k in range(4))
+    assert csv_text(tmp_path, ["k", "label", "p"], rows) == b"k,label,p\n0,a,0.5\n1,b,0.25\n2,a,0.5\n3,b,0.25\n"
+
+
+def test_json_is_sorted_two_space_indented_with_a_final_newline(tmp_path):
+    write_json(tmp_path / "out.json", {"b": [1, 0.1], "a": {"y": None, "x": "s"}})
+    assert (tmp_path / "out.json").read_bytes() == (
+        b'{\n  "a": {\n    "x": "s",\n    "y": null\n  },\n  "b": [\n    1,\n    0.1\n  ]\n}\n'
+    )
+
+
+def test_trials_json_literal(tmp_path):
+    records = {5: {"final_fidelity": 0.5, "steps": []}, 2: {"final_fidelity": 1.0, "steps": [{"a": 1}]}}
+    write_trials_json(tmp_path / "out.json", [2, 5], records)
+    assert (tmp_path / "out.json").read_bytes() == (
+        b'{\n  "trials": [\n'
+        b'    {\n      "final_fidelity": 1.0,\n      "steps": [\n        {\n          "a": 1\n        }\n      ],\n'
+        b'      "trial": 0\n    },\n'
+        b'    {\n      "final_fidelity": 0.5,\n      "steps": [],\n      "trial": 1\n    }\n'
+        b"  ]\n}\n"
+    )
+
+
+RECORDS = {
+    # keys on both sides of "trial", and "trial" nested inside a record
+    "a": {"zeta": [1, 2], "alpha": {"trial": 0, "text": "line\n  \"trial\": 0"}, "steps": []},
+    "b": {"final_fidelity": 0.99999999999999989, "steps": [{"action": "x", "detail": {"trial": 9}}]},
+    "c": {},
+}
+
+
+@pytest.mark.parametrize("labels", [[], ["c"], ["a"] * 3, ["b", "a", "c", "a", "b", "b"]])
+def test_trials_json_equals_write_json_of_the_whole_list(tmp_path, labels):
+    write_trials_json(tmp_path / "fragments.json", labels, RECORDS)
+    write_json(tmp_path / "whole.json", {"trials": [{**RECORDS[b], "trial": k} for k, b in enumerate(labels)]})
+    assert (tmp_path / "fragments.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
