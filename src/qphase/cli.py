@@ -272,7 +272,7 @@ def cmd_measure(scenario: Scenario, args, seed: int) -> list:
         b: ",".join(map(fmt, [b, out.value, out.probability, *out.post_state.q, *out.post_state.p]))
         for b, out in outcomes.items()
     }
-    rows = ([trial, tails[b]] for trial, b in enumerate(branches))
+    rows = ([str(trial), tails[b]] for trial, b in enumerate(branches))  # str(k) == fmt(k) below 10**17
     header = (
         ["trial", "branch", "value", "probability"]
         + [f"q{k+1}" for k in range(x0.dim)]

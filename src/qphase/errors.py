@@ -59,3 +59,7 @@ class ScenarioError(QPhaseError, ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+class ProtocolParameterError(QPhaseError, ValueError):
+    """A protocol parameter lies outside its admissible range or has the wrong kind."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
     FrameUnnecessaryError,
     MaxIterationsError,
     NormalizationError,
+    ProtocolParameterError,
     SteeringLabelError,
 )
 from .geometry import (
@@ -37,11 +39,12 @@ from .geometry import (
     to_phase,
 )
 from .measurement import (
+    _STATE_TOL,
     MeasurementOutcome,
     born_weights,
     collapse,
-    draw_branch,
     measure_selective,
+    select_branches,
 )
 
 
@@ -321,13 +324,23 @@ def steer_outcome(m: SteeringObservable, outcome: MeasurementOutcome) -> Protoco
 
 @functools.lru_cache
 def _ladder_stabilizer(mu: float) -> tuple:
-    """The drift observable and the h2(pi/2) kick of the stabilizer, built once per ``mu``."""
+    """The stabilizer's constants, built once per ``mu``.
+
+    Returns the drift observable, the h2(pi/2) kick, the level each drift
+    branch measures onto and the kick's columns as Python complex numbers.
+    The drift's eigenvectors are exact unit vectors (a permutation of the
+    levels, reversed for negative ``mu``), so the state ``e_l z`` has
+    Born weight ``|z|^2`` on level l alone, and the kick takes it to
+    ``K[:, l] z``.
+    """
     obs = Observable(ladder_drift(mu))
     if not obs.is_nondegenerate():
         raise DegenerateBasisError(f"mu = {mu!r} merges the three ladder levels into one measurement branch")
     kick = SteeringWord.from_h_steps((("h2", np.pi / 2),))
     kick.unitary.flags.writeable = False  # shared by every call with this mu
-    return obs, kick
+    levels = tuple(int(np.argmax(np.abs(obs.eigenspace_basis(a)))) for a in obs.eigenvalues)
+    columns = tuple(tuple(kick.unitary[:, level].tolist()) for level in range(3))
+    return obs, kick, levels, columns
 
 
 def _renormalized(z: complex) -> complex:
@@ -340,10 +353,150 @@ def _renormalized(z: complex) -> complex:
     return complex(z.real * s, z.imag * s)
 
 
+def _renormalized_after(z: complex, count: int) -> complex:
+    """``_renormalized`` applied ``count`` times.
+
+    The roundings settle within a few steps on a fixed point or on a
+    2-cycle; from there the parity of the steps left decides the result.
+    """
+    before = None
+    while count:
+        after = _renormalized(z)
+        count -= 1
+        if after == z:
+            return z
+        if after == before:  # z and after alternate from here on
+            return z if count % 2 else after
+        before, z = z, after
+    return z
+
+
 def _level_state(level: int, z: complex = 1.0) -> np.ndarray:
     psi = np.zeros(3, dtype=complex)
     psi[level] = z
     return psi
+
+
+def _kicked(column, z: complex) -> list:
+    """``kick.unitary @ e_l z`` from the kick's column l, rounded as numpy rounds it.
+
+    The kick is real, so each entry is one complex product; adding it to
+    0j signs a zero part as the sum inside the matrix product does.
+    """
+    return [0j + k * z for k in column]
+
+
+def _drift_cdf(amps, levels) -> tuple:
+    """The first two entries of the drift's cdf, as ``select_branches(born_weights(psi, obs), u)`` forms it.
+
+    The last entry is 1, so the branch is the count of the two ``<= u``.
+    ``amps`` lists the amplitudes by level as Python complex numbers, and
+    ``levels`` the level of each branch.  The weights come from ``np.abs``
+    on an array, as in ``Observable.weights``: numpy's complex modulus is
+    its own, not ``math.hypot``, and differs from Python's ``abs`` in the
+    last bit on many states.  The rest follows numpy's roundings: a
+    left-to-right sum, a division by it, a running sum and a division by
+    the running sum's last entry.
+    """
+    w0, w1, w2 = (np.abs(np.array([amps[level] for level in levels])) ** 2).tolist()
+    total = w0 + w1 + w2
+    p0, p1, p2 = w0 / total, w1 / total, w2 / total
+    c1 = p0 + p1
+    c2 = c1 + p2
+    return p0 / c2, c1 / c2
+
+
+# bit generators whose ``random()`` keeps the top 53 bits of one raw 64-bit
+# word and whose 32-bit draws are the halves of one word, low half first;
+# named, since looking them up imports numpy.random
+_WORD_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
+_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+_LOW32 = 0xFFFFFFFF
+_MAX_BLOCK = 1 << 16
+
+
+class _RawDraws:
+    """``rng.random()`` and ``rng.integers(0, 3)`` read from blocks of ``rng``'s raw words.
+
+    ``random()`` is ``(w >> 11) * 2**-53`` of the next word w.
+    ``integers(0, 3)`` is NumPy's 32-bit Lemire draw (Lemire, ACM TOMACS 29,
+    3 (2019)): it takes the half the generator holds, if any, or else the
+    low half x of the next word and holds its high half; it returns
+    ``(3 x) >> 32`` and redraws only when x = 0, its threshold
+    ``(2**32 - 3) mod 3`` being 1.  ``close`` puts the generator where those
+    scalar calls would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        bg = getattr(rng, "bit_generator", None)
+        if not isinstance(bg, tuple(getattr(np.random, name) for name in _WORD_GENERATORS)):
+            raise ProtocolParameterError(
+                f"rng must be a numpy Generator on {', '.join(_WORD_GENERATORS)}, "
+                f"got {type(bg if bg is not None else rng).__name__}"
+            )
+        self._bg = bg
+        self._start = bg.state
+        self._has_half, self._half = self._start["has_uint32"], self._start["uinteger"]
+        self._size = min(size, _MAX_BLOCK)
+        self._spent = 0  # words before the block
+        self._block = bg.random_raw(self._size)
+        self._words = self._block.tolist()
+        self._pos = 0
+
+    def _refill(self):
+        self._spent += self._pos
+        self._block = np.concatenate([self._block[self._pos:], self._bg.random_raw(self._size)])
+        self._words = self._block.tolist()
+        self._pos = 0
+
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            self._refill()
+        self._pos += 1
+        return self._words[self._pos - 1]
+
+    def uniform(self) -> float:
+        return (self._word() >> 11) * _UNIT
+
+    def level(self) -> int:
+        while True:
+            if self._has_half:
+                x, self._has_half = self._half, 0
+            else:
+                w = self._word()
+                x, self._half, self._has_half = w & _LOW32, w >> 32, 1
+            if x:
+                return (3 * x) >> 32
+
+    def quiet_periods(self, periods: int, threshold: float) -> int:
+        """Periods before the first of ``periods`` whose first uniform is below ``threshold``.
+
+        Each period draws two uniforms.  The quiet periods' words are
+        consumed, and so is the first uniform of the period that breaks
+        the run, if one does.
+        """
+        quiet = 0
+        while quiet < periods:
+            span = min(periods - quiet, (len(self._words) - self._pos) // 2)
+            if not span:
+                self._refill()
+                continue
+            below = (self._block[self._pos : self._pos + 2 * span : 2] >> 11) * _UNIT < threshold
+            first = int(below.argmax())
+            if below[first]:
+                self._pos += 2 * first + 1
+                return quiet + first
+            self._pos += 2 * span
+            quiet += span
+        return quiet
+
+    def close(self):
+        bg = self._bg
+        bg.state = self._start
+        bg.random_raw(self._spent + self._pos, output=False)
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        bg.state = state
 
 
 def stabilize_middle_level(
@@ -353,62 +506,103 @@ def stabilize_middle_level(
     n_periods: int = 0,
     max_iters: int = 10_000,
     rng: np.random.Generator | None = None,
+    record_steps: bool = False,
 ) -> ProtocolTrace:
     """Measure-and-kick stabilizer for the middle ladder level.
 
     Measures the drift energy; an extreme outcome triggers the h2(pi/2)
     kick, which leaves Born weight 1/2 on the middle level, and the cycle
-    repeats.  With a disturbance rate set, maintenance measurements run for
-    ``n_periods`` periods and the occupancy of the middle level is recorded.
-    A maintenance period finds the state on one level, where the outcome is
-    certain: it draws the measurement's uniform and renormalises the phase
-    without a Born measurement.
+    repeats, at most ``max_iters`` kicks per acquisition.  With a
+    disturbance probability set, ``n_periods`` maintenance periods follow:
+    each draws a uniform, below ``disturbance`` moves the state to the
+    level ``rng.integers(0, 3)``, then measures, and a period that ends on
+    an extreme level acquires the middle one again.  The occupancy is the
+    share of periods measured on the middle level.
+
+    The draws are those of the scalar ``rng.random()`` and
+    ``rng.integers(0, 3)`` calls, one uniform per measurement, and ``rng``
+    ends where they leave it, also when ``MaxIterationsError`` is raised.
+    After the first measurement the state is one level times a phase, so
+    the run is an event loop on (level, phase): the Born odds are computed
+    in scalars with numpy's roundings, and a run of undisturbed periods,
+    whose measurements are certain, is found in one scan of the uniforms.
+    ``rng`` must be a Generator on PCG64, PCG64DXSM, Philox or SFC64, whose
+    draws are read from its raw 64-bit words.
+
+    With ``record_steps`` the trace holds every measurement, kick and
+    disturbance as a ``ProtocolStep``; by default ``steps`` is empty.
+    Invalid arguments raise ``ProtocolParameterError``.
     """
+    if disturbance is not None and not (isinstance(disturbance, numbers.Real) and 0.0 <= disturbance <= 1.0):
+        raise ProtocolParameterError(f"disturbance must be a probability in [0, 1], got {disturbance!r}")
+    for name, value in (("n_periods", n_periods), ("max_iters", max_iters)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ProtocolParameterError(f"{name} must be a non-negative integer, got {value!r}")
+    obs, kick, levels, columns = _ladder_stabilizer(mu)
     rng = np.random.default_rng(0) if rng is None else rng
-    obs, kick = _ladder_stabilizer(mu)
-    steps = []
-    psi = x0.amplitudes
-    middle = StateVector(_level_state(1))
+    maintained = disturbance is not None and n_periods > 0
+    draws = _RawDraws(rng, 2 * n_periods + 32 if maintained else 32)
+    steps = [] if record_steps else None
 
-    def measure(psi):
-        branch = draw_branch(born_weights(psi, obs), rng)
-        return obs.eigenvalues[branch], collapse(psi, obs, branch)
+    def measure(amps):
+        """Measure amplitudes listed by level: the level it lands on and the phase there."""
+        norm_sq = sum(a.real * a.real + a.imag * a.imag for a in amps)
+        if not abs(norm_sq - 1.0) <= _STATE_TOL:
+            raise NormalizationError(f"state has squared norm {norm_sq!r}, expected 1")
+        d0, d1 = _drift_cdf(amps, levels)
+        u = draws.uniform()
+        branch = (d0 <= u) + (d1 <= u)
+        level = levels[branch]
+        z = _renormalized(amps[level])
+        if steps is not None:
+            state = PhasePoint.from_amplitudes(_level_state(level, z))
+            steps.append(ProtocolStep("measure", {"value": obs.eigenvalues[branch]}, state))
+        return level, z
 
-    def acquire(psi, iter_budget):
+    def acquire(level, z):
+        """Kick and measure the measured state e_level z until it is on the middle level."""
         cycles = 0
-        while True:
-            value, psi = measure(psi)
-            steps.append(ProtocolStep("measure", {"value": value}, PhasePoint.from_amplitudes(psi)))
-            if abs(value) < 1e-12:
-                return psi, cycles
-            if cycles >= iter_budget:
-                raise MaxIterationsError(f"no middle-level projection in {iter_budget} cycles")
-            psi = kick.unitary @ psi
-            steps.append(ProtocolStep("evolve", {"word": kick.describe()}, PhasePoint.from_amplitudes(psi)))
+        while level != 1:
+            if cycles >= max_iters:
+                raise MaxIterationsError(f"no middle-level projection in {max_iters} cycles")
+            amps = _kicked(columns[level], z)
+            if steps is not None:
+                steps.append(ProtocolStep("evolve", {"word": kick.describe()}, PhasePoint.from_amplitudes(amps)))
+            level, z = measure(amps)
             cycles += 1
+        return z, cycles
 
-    psi, cycles = acquire(psi, max_iters)
-    occupancy = None
-    if disturbance is not None and n_periods > 0:
-        # Between disturbances the state is e_level z.  The drift's
-        # eigenvectors are exact unit vectors, so its measurement lands on
-        # ``level`` whatever the uniform and only renormalises z.
-        level, z = 1, complex(psi[1])
-        hits = 0
-        for _ in range(n_periods):
-            if rng.random() < disturbance:
-                level, z = int(rng.integers(0, 3)), 1.0 + 0.0j
-                steps.append(ProtocolStep("disturb", {"level": level}, PhasePoint.from_amplitudes(_level_state(level))))
-            rng.random()  # the measurement's uniform
-            z = _renormalized(z)
-            if level == 1:
-                hits += 1
-            else:
-                psi, _ = acquire(_level_state(level, z), max_iters)
-                level, z = 1, complex(psi[1])
-        occupancy = hits / n_periods
-        psi = _level_state(level, z)
-    fidelity = StateVector(psi).fidelity(middle)
+    try:
+        psi = x0.amplitudes
+        probs = born_weights(psi, obs)
+        branch = int(select_branches(probs, draws.uniform()))
+        post = collapse(psi, obs, branch)
+        if steps is not None:
+            steps.append(ProtocolStep("measure", {"value": obs.eigenvalues[branch]}, PhasePoint.from_amplitudes(post)))
+        z, cycles = acquire(levels[branch], complex(post[levels[branch]]))
+        occupancy = None
+        if maintained:
+            hits = done = 0
+            while True:
+                quiet = draws.quiet_periods(n_periods - done, disturbance)
+                z = _renormalized_after(z, quiet)
+                hits, done = hits + quiet, done + quiet
+                if done == n_periods:
+                    break
+                level = draws.level()
+                if steps is not None:
+                    steps.append(ProtocolStep("disturb", {"level": level}, PhasePoint.from_amplitudes(_level_state(level))))
+                draws.uniform()  # the period's measurement, certain on a level state
+                done += 1
+                z = 1.0 + 0.0j
+                if level == 1:
+                    hits += 1
+                else:
+                    z, _ = acquire(*measure([z if k == level else 0j for k in range(3)]))
+            occupancy = hits / n_periods
+    finally:
+        draws.close()
+    fidelity = StateVector(_level_state(1, z)).fidelity(StateVector(_level_state(1)))
     return ProtocolTrace(
-        steps=tuple(steps), final_fidelity=fidelity, iterations=cycles, occupancy=occupancy
+        steps=tuple(steps or ()), final_fidelity=fidelity, iterations=cycles, occupancy=occupancy
     )

@@ -640,17 +640,19 @@ import json, sys
 import scipy
 before = set(sys.modules)
 import qphase, qphase.cli
+random_at_import = "numpy.random" in sys.modules
 runs = json.loads(sys.argv[1])
 for argv in runs[:-1]:
     assert qphase.cli.run(argv) == qphase.cli.EXIT_OK, argv
 loaded = sorted(m for m in sys.modules if m.startswith("scipy.") and m not in before)
 assert qphase.cli.run(runs[-1]) == qphase.cli.EXIT_OK, runs[-1]
-print(json.dumps({"loaded": loaded, "optimize_after_pmp": "scipy.optimize" in sys.modules}))
+print(json.dumps({"loaded": loaded, "optimize_after_pmp": "scipy.optimize" in sys.modules,
+                  "random_at_import": random_at_import}))
 """
 
 
 def test_cold_start_loads_scipy_only_for_pmp(tmp_path):
-    """In a fresh interpreter, only ``pmp`` loads a SciPy submodule."""
+    """In a fresh interpreter, only ``pmp`` loads a SciPy submodule, and the import loads no numpy.random."""
     system = {"drift": LADDER_DRIFT, "controls": [LADDER_CONTROL]}
     scenarios = {
         "measure": {"measurement": {"observable": cm(np.diag([-1.0, 0.0, 1.0]))},
@@ -680,3 +682,4 @@ def test_cold_start_loads_scipy_only_for_pmp(tmp_path):
     result = json.loads(done.stdout)
     assert result["loaded"] == []
     assert result["optimize_after_pmp"]
+    assert not result["random_at_import"]

@@ -22,6 +22,7 @@ from qphase.errors import (
     FrameUnnecessaryError,
     MaxIterationsError,
     NormalizationError,
+    ProtocolParameterError,
     QPhaseError,
     SteeringLabelError,
 )
@@ -34,6 +35,7 @@ from qphase.steering import (
     ladder_drift,
 )
 
+from qphase.measurement import born_weights, select_branches
 from qphase.rng import stream
 
 from conftest import random_point, random_state, stabilize_reference
@@ -281,7 +283,7 @@ class TestStabilize:
         for seed in range(12):
             x0 = random_point(gen, 3) if seed % 3 else to_phase(StateVector([0, 0, np.exp(0.3j)]))
             kwargs = dict(mu=float(gen.uniform(0.5, 2.0)), disturbance=0.1, n_periods=80)
-            tr = stabilize_middle_level(x0, rng=stream(seed, 3), **kwargs)
+            tr = stabilize_middle_level(x0, rng=stream(seed, 3), record_steps=True, **kwargs)
             steps, fidelity, cycles, occupancy = stabilize_reference(x0, rng=stream(seed, 3), **kwargs)
             assert (tr.final_fidelity, tr.iterations, tr.occupancy) == (fidelity, cycles, occupancy)
             assert len(tr.steps) == len(steps)
@@ -306,7 +308,7 @@ class TestStabilize:
                 "middle": to_phase(StateVector([0, np.exp(gen.uniform(0.0, 2.0 * np.pi) * 1j), 0])),
                 "general": random_point(gen, 3),
             }[start]
-            tr = stabilize_middle_level(x0, rng=stream(seed, 7), **kwargs)
+            tr = stabilize_middle_level(x0, rng=stream(seed, 7), record_steps=True, **kwargs)
             steps, fidelity, cycles, occupancy = stabilize_reference(x0, rng=stream(seed, 7), **kwargs)
             assert (tr.final_fidelity, tr.iterations, tr.occupancy) == (fidelity, cycles, occupancy)
             assert [(st.action, st.detail) for st in tr.steps] == [(a, d) for a, d, _ in steps]
@@ -369,3 +371,166 @@ class TestStabilize:
             rng=np.random.default_rng(13),
         )
         assert tr.occupancy is not None and tr.occupancy >= 0.95
+
+    def test_steps_are_opt_in(self):
+        gen = np.random.default_rng(48)
+        for seed in range(6):
+            x0 = random_point(gen, 3)
+            kwargs = dict(mu=float(gen.uniform(0.5, 2.0)), disturbance=0.2, n_periods=100)
+            quiet = stabilize_middle_level(x0, rng=stream(seed, 2), **kwargs)
+            full = stabilize_middle_level(x0, rng=stream(seed, 2), record_steps=True, **kwargs)
+            assert quiet.steps == () and len(full.steps) > 0
+            assert (quiet.final_fidelity, quiet.iterations, quiet.occupancy) == (
+                full.final_fidelity, full.iterations, full.occupancy)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(disturbance=float("nan"), n_periods=10),
+        dict(disturbance=1.7, n_periods=10),
+        dict(disturbance=-0.3, n_periods=10),
+        dict(disturbance="often", n_periods=10),
+        dict(disturbance=0.1, n_periods=-5),
+        dict(disturbance=0.1, n_periods=2.5),
+        dict(disturbance=0.1, n_periods=True),
+        dict(max_iters=-1),
+        dict(max_iters=3.0),
+    ])
+    def test_invalid_arguments_rejected(self, kwargs):
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ProtocolParameterError):
+            stabilize_middle_level(to_phase(PSI_1), rng=rng, **kwargs)
+        assert rng.bit_generator.state == before
+        assert issubclass(ProtocolParameterError, QPhaseError)
+
+    def test_generator_without_64_bit_words_rejected(self):
+        # MT19937 builds random() from two 32-bit outputs, which the block reads do not follow
+        with pytest.raises(ProtocolParameterError, match="MT19937"):
+            stabilize_middle_level(to_phase(PSI_1), rng=np.random.Generator(np.random.MT19937(1)))
+
+    @pytest.mark.parametrize("make", [lambda k: stream(2**64 - 1, k), np.random.default_rng], ids=["philox", "pcg64"])
+    def test_generator_ends_where_the_reference_leaves_it(self, make):
+        gen = np.random.default_rng(49)
+        raised = 0
+        for case in range(16):
+            x0 = random_point(gen, 3) if case % 4 else to_phase(StateVector([0, 0, np.exp(2.0j)]))
+            kwargs = dict(mu=float(gen.uniform(-2.0, 2.0)), disturbance=float(gen.uniform(0.0, 0.6)),
+                          n_periods=int(gen.integers(0, 300)),
+                          max_iters=int(gen.integers(0, 3)) if case % 3 == 0 else 10_000)
+            rng, ref = make(case), make(case)
+            if case % 2:  # start with a half of a word held by an earlier integers() call
+                rng.integers(0, 3), ref.integers(0, 3)
+            try:
+                got = stabilize_middle_level(x0, rng=rng, **kwargs)
+            except MaxIterationsError:
+                got = None
+            try:
+                _, fidelity, cycles, occupancy = stabilize_reference(x0, rng=ref, **kwargs)
+                want = (fidelity, cycles, occupancy)
+            except MaxIterationsError:
+                want = None
+            assert (got and (got.final_fidelity, got.iterations, got.occupancy)) == want
+            raised += want is None
+            assert _state(rng) == _state(ref)
+            assert (rng.integers(0, 3), rng.random()) == (ref.integers(0, 3), ref.random())
+        assert 0 < raised < 16
+
+    def test_scalar_kick_and_odds_match_numpy(self):
+        gen = np.random.default_rng(50)
+        n = 100_000
+        special = [1.0, -1.0, 1j, -1j, complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, -0.0), complex(-0.0, -1.0)]
+        phases = special + (np.exp(gen.uniform(0.0, 2.0 * np.pi, n - len(special)) * 1j)).tolist()
+        ladders = [qphase.steering._ladder_stabilizer(mu) for mu in (1.3, -0.8)]
+        for k, z in enumerate(phases):
+            obs, kick, levels, columns = ladders[k % 2]
+            level = k % 3
+            psi = kick.unitary @ qphase.steering._level_state(level, z)
+            amps = qphase.steering._kicked(columns[level], z)
+            assert np.array(amps).tobytes() == psi.tobytes()
+            edges = qphase.steering._drift_cdf(amps, levels)
+            uniforms = [0.0, gen.random(), *np.nextafter(edges, 0.0).tolist(), *edges, *np.nextafter(edges, 1.0).tolist()]
+            want = select_branches(born_weights(psi, obs), uniforms).tolist()
+            assert [(edges[0] <= u) + (edges[1] <= u) for u in uniforms] == want
+
+    def test_scalar_odds_of_a_level_state_are_certain(self):
+        for mu in (1.3, -0.8):
+            obs, _, levels, _ = qphase.steering._ladder_stabilizer(mu)
+            for level in range(3):
+                psi = qphase.steering._level_state(level, np.exp(0.4j))
+                amps = psi.tolist()
+                d0, d1 = qphase.steering._drift_cdf(amps, levels)
+                for u in (0.0, 0.5, float(np.nextafter(1.0, 0.0))):
+                    branch = (d0 <= u) + (d1 <= u)
+                    assert levels[branch] == level == levels[int(select_branches(born_weights(psi, obs), u))]
+
+    def test_repeated_renormalization_matches_the_loop(self):
+        gen = np.random.default_rng(51)
+        n = 4000
+        phases = np.exp(gen.uniform(0.0, 2.0 * np.pi, n) * 1j) * (1.0 + gen.uniform(-4e-16, 4e-16, n))
+        cycling = 0
+        for z in phases.tolist():
+            once = qphase.steering._renormalized(z)
+            twice = qphase.steering._renormalized(once)
+            cycling += twice != once and qphase.steering._renormalized(twice) == once
+            loop = z
+            for count in range(66):
+                got = qphase.steering._renormalized_after(z, count)
+                assert np.array([got]).tobytes() == np.array([loop]).tobytes()
+                loop = qphase.steering._renormalized(loop)
+        assert cycling > 0  # the parity branch is exercised
+
+
+def _state(rng) -> dict:
+    """A bit generator's state with its arrays as lists, comparable with ``==``."""
+    def plain(node):
+        if isinstance(node, dict):
+            return {key: plain(value) for key, value in node.items()}
+        return node.tolist() if isinstance(node, np.ndarray) else node
+    return plain(rng.bit_generator.state)
+
+
+class TestRawDraws:
+    """Block reads of raw words against the scalar ``random()`` and ``integers(0, 3)`` calls."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: stream(2**63 + 5, 9),
+        lambda: stream(3, 0),
+        lambda: np.random.default_rng(31),
+        lambda: np.random.Generator(np.random.PCG64DXSM(32)),
+        lambda: np.random.Generator(np.random.SFC64(33)),
+    ], ids=["philox-high-seed", "philox", "pcg64", "pcg64dxsm", "sfc64"])
+    @pytest.mark.parametrize("held", [False, True], ids=["no-half-held", "half-held"])
+    @pytest.mark.parametrize("size", [3, 64, 5000])
+    def test_mixed_draws_match_the_generator(self, make, held, size):
+        plan = np.random.default_rng(size + 2 * held)
+        rng, ref = make(), make()
+        if held:
+            rng.integers(0, 3), ref.integers(0, 3)
+        draws = qphase.steering._RawDraws(rng, size)
+        for op in plan.integers(0, 3, 600).tolist():
+            if op == 0:
+                assert draws.uniform() == ref.random()
+            elif op == 1:
+                assert draws.level() == ref.integers(0, 3)
+            else:
+                periods, threshold = int(plan.integers(0, 40)), float(plan.choice([0.0, 0.05, 0.5, 1.0]))
+                quiet = 0
+                while quiet < periods and not ref.random() < threshold:
+                    ref.random()
+                    quiet += 1
+                assert draws.quiet_periods(periods, threshold) == quiet
+        draws.close()
+        assert _state(rng) == _state(ref)
+        assert (rng.integers(0, 3), rng.random()) == (ref.integers(0, 3), ref.random())
+
+    @pytest.mark.parametrize("make", [lambda: stream(11, 4), lambda: np.random.default_rng(12)], ids=["philox", "pcg64"])
+    def test_a_zero_half_is_drawn_again(self, make):
+        # the one rejected 32-bit value of the integers(0, 3) draw
+        rng, ref = make(), make()
+        for g in (rng, ref):
+            state = g.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            g.bit_generator.state = state
+        draws = qphase.steering._RawDraws(rng, 4)
+        assert [draws.level() for _ in range(5)] == [int(ref.integers(0, 3)) for _ in range(5)]
+        draws.close()
+        assert _state(rng) == _state(ref)
