@@ -353,24 +353,6 @@ def _renormalized(z: complex) -> complex:
     return complex(z.real * s, z.imag * s)
 
 
-def _renormalized_after(z: complex, count: int) -> complex:
-    """``_renormalized`` applied ``count`` times.
-
-    The roundings settle within a few steps on a fixed point or on a
-    2-cycle; from there the parity of the steps left decides the result.
-    """
-    before = None
-    while count:
-        after = _renormalized(z)
-        count -= 1
-        if after == z:
-            return z
-        if after == before:  # z and after alternate from here on
-            return z if count % 2 else after
-        before, z = z, after
-    return z
-
-
 def _level_state(level: int, z: complex = 1.0) -> np.ndarray:
     psi = np.zeros(3, dtype=complex)
     psi[level] = z
@@ -439,19 +421,14 @@ class _RawDraws:
         self._has_half, self._half = self._start["has_uint32"], self._start["uinteger"]
         self._size = min(size, _MAX_BLOCK)
         self._spent = 0  # words before the block
-        self._block = bg.random_raw(self._size)
-        self._words = self._block.tolist()
-        self._pos = 0
-
-    def _refill(self):
-        self._spent += self._pos
-        self._block = np.concatenate([self._block[self._pos:], self._bg.random_raw(self._size)])
-        self._words = self._block.tolist()
+        self._words = bg.random_raw(self._size).tolist()
         self._pos = 0
 
     def _word(self) -> int:
         if self._pos == len(self._words):
-            self._refill()
+            self._spent += self._pos
+            self._words = self._bg.random_raw(self._size).tolist()
+            self._pos = 0
         self._pos += 1
         return self._words[self._pos - 1]
 
@@ -467,28 +444,6 @@ class _RawDraws:
                 x, self._half, self._has_half = w & _LOW32, w >> 32, 1
             if x:
                 return (3 * x) >> 32
-
-    def quiet_periods(self, periods: int, threshold: float) -> int:
-        """Periods before the first of ``periods`` whose first uniform is below ``threshold``.
-
-        Each period draws two uniforms.  The quiet periods' words are
-        consumed, and so is the first uniform of the period that breaks
-        the run, if one does.
-        """
-        quiet = 0
-        while quiet < periods:
-            span = min(periods - quiet, (len(self._words) - self._pos) // 2)
-            if not span:
-                self._refill()
-                continue
-            below = (self._block[self._pos : self._pos + 2 * span : 2] >> 11) * _UNIT < threshold
-            first = int(below.argmax())
-            if below[first]:
-                self._pos += 2 * first + 1
-                return quiet + first
-            self._pos += 2 * span
-            quiet += span
-        return quiet
 
     def close(self):
         bg = self._bg
@@ -523,9 +478,10 @@ def stabilize_middle_level(
     ``rng.integers(0, 3)`` calls, one uniform per measurement, and ``rng``
     ends where they leave it, also when ``MaxIterationsError`` is raised.
     After the first measurement the state is one level times a phase, so
-    the run is an event loop on (level, phase): the Born odds are computed
-    in scalars with numpy's roundings, and a run of undisturbed periods,
-    whose measurements are certain, is found in one scan of the uniforms.
+    the run is an event loop on (level, phase): the Born odds of a kicked
+    state are computed in scalars with numpy's roundings, and an
+    undisturbed period, whose measurement is certain, only draws its two
+    uniforms and renormalises the phase.
     ``rng`` must be a Generator on PCG64, PCG64DXSM, Philox or SFC64, whose
     draws are read from its raw 64-bit words.
 
@@ -582,19 +538,14 @@ def stabilize_middle_level(
         z, cycles = acquire(levels[branch], complex(post[levels[branch]]))
         occupancy = None
         if maintained:
-            hits = done = 0
-            while True:
-                quiet = draws.quiet_periods(n_periods - done, disturbance)
-                z = _renormalized_after(z, quiet)
-                hits, done = hits + quiet, done + quiet
-                if done == n_periods:
-                    break
-                level = draws.level()
-                if steps is not None:
+            hits = 0
+            for _ in range(n_periods):
+                disturbed = draws.uniform() < disturbance
+                level = draws.level() if disturbed else 1
+                if disturbed and steps is not None:
                     steps.append(ProtocolStep("disturb", {"level": level}, PhasePoint.from_amplitudes(_level_state(level))))
                 draws.uniform()  # the period's measurement, certain on a level state
-                done += 1
-                z = 1.0 + 0.0j
+                z = 1.0 + 0.0j if disturbed else _renormalized(z)
                 if level == 1:
                     hits += 1
                 else:

@@ -462,22 +462,6 @@ class TestStabilize:
                     branch = (d0 <= u) + (d1 <= u)
                     assert levels[branch] == level == levels[int(select_branches(born_weights(psi, obs), u))]
 
-    def test_repeated_renormalization_matches_the_loop(self):
-        gen = np.random.default_rng(51)
-        n = 4000
-        phases = np.exp(gen.uniform(0.0, 2.0 * np.pi, n) * 1j) * (1.0 + gen.uniform(-4e-16, 4e-16, n))
-        cycling = 0
-        for z in phases.tolist():
-            once = qphase.steering._renormalized(z)
-            twice = qphase.steering._renormalized(once)
-            cycling += twice != once and qphase.steering._renormalized(twice) == once
-            loop = z
-            for count in range(66):
-                got = qphase.steering._renormalized_after(z, count)
-                assert np.array([got]).tobytes() == np.array([loop]).tobytes()
-                loop = qphase.steering._renormalized(loop)
-        assert cycling > 0  # the parity branch is exercised
-
 
 def _state(rng) -> dict:
     """A bit generator's state with its arrays as lists, comparable with ``==``."""
@@ -506,18 +490,11 @@ class TestRawDraws:
         if held:
             rng.integers(0, 3), ref.integers(0, 3)
         draws = qphase.steering._RawDraws(rng, size)
-        for op in plan.integers(0, 3, 600).tolist():
-            if op == 0:
-                assert draws.uniform() == ref.random()
-            elif op == 1:
+        for op in plan.integers(0, 2, 8000).tolist():
+            if op:
                 assert draws.level() == ref.integers(0, 3)
             else:
-                periods, threshold = int(plan.integers(0, 40)), float(plan.choice([0.0, 0.05, 0.5, 1.0]))
-                quiet = 0
-                while quiet < periods and not ref.random() < threshold:
-                    ref.random()
-                    quiet += 1
-                assert draws.quiet_periods(periods, threshold) == quiet
+                assert draws.uniform() == ref.random()
         draws.close()
         assert _state(rng) == _state(ref)
         assert (rng.integers(0, 3), rng.random()) == (ref.integers(0, 3), ref.random())
