@@ -16,8 +16,11 @@ on the initial adjoint is provided as a cross-check.
 Internally states and adjoints are complex amplitudes psi = q + i p, and
 every pass over the grid propagates with one batched eigendecomposition
 (``dynamics.interval_propagators``); exact gradients come from
-Daleckii-Krein divided differences in the same eigenbasis.  Flat (q, p)
-coordinates appear only at the public boundary.
+Daleckii-Krein divided differences in the same eigenbasis.  Each schedule
+is propagated once: the sweep keeps the pass of the schedule it holds, an
+accepted candidate's pass becomes the current one, and the adjoint runs
+back over the same propagators.  Flat (q, p) coordinates appear only at
+the public boundary.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from ._solvers import least_squares, linalg_names, minimize
 from .dynamics import ControlSchedule, ControlledHamiltonian, check_grid, interval_propagators
 from .errors import ControlDomainError, DimensionMismatchError, NormalizationError
-from .geometry import PhasePoint, _readonly, real_block
+from .geometry import PhasePoint, _readonly
 
 # unused, but the benchmark's tracer looks these up here by name
 __getattr__ = linalg_names(__name__, ("expm", "expm_frechet"))
@@ -174,11 +177,6 @@ class PmpSolution:
         }
 
 
-def _flow_generator(plant: ControlledHamiltonian, u) -> np.ndarray:
-    """Real 2N x 2N generator of Hamilton's equations at control u."""
-    return real_block(-1j * plant.matrix_for(np.atleast_1d(u)))
-
-
 def control_hamiltonian(
     s: PmpState,
     u,
@@ -186,14 +184,14 @@ def control_hamiltonian(
     cost: CostIntegrand,
     domain: ControlDomain | None = None,
 ) -> float:
-    """**H**(x, phi, u) = phi0 X0(x, u) + phi_z . L(u) z."""
+    """**H**(x, phi, u) = phi0 X0(x, u) + phi_z . L(u) z, the coupling being Im(phi^H H(u) psi)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if domain is not None and not domain.contains(u):
         raise ControlDomainError(f"control {u} outside the domain")
     if s.dim != plant.dim:
         raise DimensionMismatchError("state and plant dimensions differ")
-    z = s.x[1:]
-    return float(s.phi[0] * cost.evaluate(s.point, u) + s.phi[1:] @ (_flow_generator(plant, u) @ z))
+    psi, phi = s.point.amplitudes, PhasePoint.from_flat(s.phi[1:]).amplitudes
+    return float(s.phi[0] * cost.evaluate(s.point, u) + np.vdot(phi, plant.matrix_for(u) @ psi).imag)
 
 
 def _slopes(plant: ControlledHamiltonian, psis: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -242,13 +240,6 @@ def argmax_control(
     return _maximize(_slopes(plant, psi, phi), float(s.phi[0]), cost, domain)[0]
 
 
-def _penalty_terms(z_final: np.ndarray, z_goal: np.ndarray):
-    """Overlap components (a, b) = (Re, Im) of <goal|psi(T)> in flat coordinates."""
-    n = z_goal.size // 2
-    jz_goal = np.concatenate([-z_goal[n:], z_goal[:n]])
-    return float(z_goal @ z_final), float(jz_goal @ z_final), jz_goal
-
-
 def _forward(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """States psi_0 .. psi_m at the grid points, psi_{k+1} = U_k psi_k."""
     psis = np.empty((len(props) + 1, psi0.size), dtype=complex)
@@ -260,24 +251,14 @@ def _forward(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
 
 def _backward(props: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Adjoints lam_0 .. lam_m from lam_m = lam, lam_k = U_k^H lam_{k+1}."""
-    adjoints = props.conj().transpose(0, 2, 1)
-    lams = np.empty((len(props) + 1, lam.size), dtype=complex)
-    lams[-1] = lam
-    for k in range(len(props) - 1, -1, -1):
-        lams[k] = adjoints[k] @ lams[k + 1]
-    return lams
+    return _forward(props.conj().transpose(0, 2, 1)[::-1], lam)[::-1]
 
 
-def _evaluate(plant, cost: CostIntegrand, u: np.ndarray, psi0: np.ndarray, goal: np.ndarray, dts: np.ndarray):
-    """(terminal fidelity, running cost) of a schedule."""
-    psis = _forward(interval_propagators(plant, u, dts)[0], psi0)
-    return float(abs(np.vdot(goal, psis[-1])) ** 2), float(cost.rate(u) @ dts)
-
-
-def _objective(u_flat, plant, cost, psi0, goal, dts, weight) -> float:
-    """Penalized objective sum X0 dt + w(1-|<goal|psi(T)>|^2)."""
-    fid, run_cost = _evaluate(plant, cost, u_flat.reshape(dts.size, -1), psi0, goal, dts)
-    return run_cost + weight * (1.0 - fid)
+def _propagate(plant, u: np.ndarray, psi0: np.ndarray, goal: np.ndarray, dts: np.ndarray):
+    """One pass of the schedule u: (props, w, v) of ``interval_propagators``, the states and <goal|psi(T)>."""
+    props, w, v = interval_propagators(plant, u, dts)
+    psis = _forward(props, psi0)
+    return props, w, v, psis, np.vdot(goal, psis[-1])
 
 
 def _objective_and_gradient(x_flat, plant, cost, lift, psi0, goal, dts, weight):
@@ -291,9 +272,7 @@ def _objective_and_gradient(x_flat, plant, cost, lift, psi0, goal, dts, weight):
     gradients in the eigenbasis).
     """
     x = x_flat.reshape(dts.size, -1)
-    props, w, v = interval_propagators(plant, x @ lift, dts)
-    psis = _forward(props, psi0)
-    overlap = np.vdot(goal, psis[-1])
+    props, w, v, psis, overlap = _propagate(plant, x @ lift, psi0, goal, dts)
     rate, rate_grad = cost._split_rate(x)
     value = float(rate @ dts) + weight * (1.0 - abs(overlap) ** 2)
     lams = _backward(props, -2.0 * weight * overlap * goal)  # d(penalty)/dpsi_T
@@ -356,8 +335,13 @@ def forward_backward_sweep(
     lift, x_lower, x_upper = cost._split(domain.lower, domain.upper)
     x_bounds = list(zip(np.tile(x_lower, m), np.tile(x_upper, m)))
 
+    def score(u):
+        """The pass of the schedule u, its terminal fidelity and its running cost."""
+        propagated = _propagate(plant, u, psi0, goal, dts)
+        return propagated, float(abs(propagated[4]) ** 2), float(cost.rate(u) @ dts)
+
     u = np.tile(domain.clip(np.zeros(r)), (m, 1))
-    best_fid, best_cost = _evaluate(plant, cost, u, psi0, goal, dts)
+    _, best_fid, best_cost = score(u)
     best_u = np.array(u)
     iterations = 0
     weight = _PENALTY_WEIGHT
@@ -370,22 +354,23 @@ def forward_backward_sweep(
     # the drift image of the start is orthogonal to the goal
     u = rng.uniform(-0.5, 0.5, size=(m, r)) * (domain.upper - domain.lower) / 2.0
     u = np.clip(u, domain.lower, domain.upper)
+    current, fid, run_cost = score(u)
 
     for _round in range(_PENALTY_ROUNDS):
-        value = _objective(u.ravel(), plant, cost, psi0, goal, dts, weight)
+        value = run_cost + weight * (1.0 - fid)
         beta = _DAMPING
         for _ in range(_MAX_SWEEPS):
             iterations += 1
-            props, _, _ = interval_propagators(plant, u, dts)
-            psis = _forward(props, psi0)
+            props, _, _, psis, overlap = current
             # the adjoint starts at the gradient of -w(1 - |<goal|psi(T)>|^2)
-            phis = _backward(props, 2.0 * weight * np.vdot(goal, psis[-1]) * goal)
+            phis = _backward(props, 2.0 * weight * overlap * goal)
             u_star = _maximize(_slopes(plant, psis[:-1], phis[:-1]), -1.0, cost, domain)
             u_new = np.clip((1.0 - beta) * u + beta * u_star, domain.lower, domain.upper)
             step = float(np.max(np.abs(u_new - u))) if u_new.size else 0.0
-            new_value = _objective(u_new.ravel(), plant, cost, psi0, goal, dts, weight)
+            candidate, new_fid, new_cost = score(u_new)
+            new_value = new_cost + weight * (1.0 - new_fid)
             if new_value <= value + 1e-12:
-                u, value = u_new, new_value
+                u, value, current = u_new, new_value, candidate
                 beta = _DAMPING
             else:
                 beta *= 0.5  # monotone acceptance: shrink toward the old schedule
@@ -406,7 +391,8 @@ def forward_backward_sweep(
         iterations += int(res.nit)
         u = np.clip(res.x.reshape(m, -1) @ lift, domain.lower, domain.upper)
 
-        fid, run_cost = _evaluate(plant, cost, u, psi0, goal, dts)
+        # the next round starts from this pass
+        current, fid, run_cost = score(u)
         if fid >= best_fid - 1e-12:
             best_fid, best_cost, best_u = fid, run_cost, np.array(u)
         if best_fid >= FIDELITY_GOAL:
@@ -455,6 +441,7 @@ def solve_shooting(
     guess = PhasePoint.from_amplitudes(goal - psi0).flat()
     res = least_squares(residual, guess, xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
     _, u = rollout(res.x)
-    fid, run_cost = _evaluate(plant, cost, u, psi0, goal, dts)
+    fid = float(abs(_propagate(plant, u, psi0, goal, dts)[4]) ** 2)
+    run_cost = float(cost.rate(u) @ dts)
     schedule = ControlSchedule(grid, u)
     return PmpSolution(schedule, run_cost, fid, int(res.nfev), fid >= FIDELITY_GOAL)

@@ -38,14 +38,7 @@ from .geometry import (
     real_block,
     to_phase,
 )
-from .measurement import (
-    _STATE_TOL,
-    MeasurementOutcome,
-    born_weights,
-    collapse,
-    measure_selective,
-    select_branches,
-)
+from .measurement import _STATE_TOL, MeasurementOutcome, measure_selective
 
 
 def ladder_drift(mu: float = 1.0) -> np.ndarray:
@@ -477,9 +470,9 @@ def stabilize_middle_level(
     The draws are those of the scalar ``rng.random()`` and
     ``rng.integers(0, 3)`` calls, one uniform per measurement, and ``rng``
     ends where they leave it, also when ``MaxIterationsError`` is raised.
-    After the first measurement the state is one level times a phase, so
-    the run is an event loop on (level, phase): the Born odds of a kicked
-    state are computed in scalars with numpy's roundings, and an
+    Every measurement, the first of ``x0`` included, computes its Born odds
+    in scalars with numpy's roundings.  After it the state is one level
+    times a phase, so the run is an event loop on (level, phase), and an
     undisturbed period, whose measurement is certain, only draws its two
     uniforms and renormalises the phase.
     ``rng`` must be a Generator on PCG64, PCG64DXSM, Philox or SFC64, whose
@@ -487,13 +480,16 @@ def stabilize_middle_level(
 
     With ``record_steps`` the trace holds every measurement, kick and
     disturbance as a ``ProtocolStep``; by default ``steps`` is empty.
-    Invalid arguments raise ``ProtocolParameterError``.
+    Invalid arguments raise ``ProtocolParameterError``, and an ``x0`` that
+    is not three-level raises ``DimensionMismatchError``.
     """
     if disturbance is not None and not (isinstance(disturbance, numbers.Real) and 0.0 <= disturbance <= 1.0):
         raise ProtocolParameterError(f"disturbance must be a probability in [0, 1], got {disturbance!r}")
     for name, value in (("n_periods", n_periods), ("max_iters", max_iters)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
             raise ProtocolParameterError(f"{name} must be a non-negative integer, got {value!r}")
+    if x0.dim != 3:
+        raise DimensionMismatchError(f"the ladder stabilizer needs a three-level state, got dimension {x0.dim}")
     obs, kick, levels, columns = _ladder_stabilizer(mu)
     rng = np.random.default_rng(0) if rng is None else rng
     maintained = disturbance is not None and n_periods > 0
@@ -529,13 +525,7 @@ def stabilize_middle_level(
         return z, cycles
 
     try:
-        psi = x0.amplitudes
-        probs = born_weights(psi, obs)
-        branch = int(select_branches(probs, draws.uniform()))
-        post = collapse(psi, obs, branch)
-        if steps is not None:
-            steps.append(ProtocolStep("measure", {"value": obs.eigenvalues[branch]}, PhasePoint.from_amplitudes(post)))
-        z, cycles = acquire(levels[branch], complex(post[levels[branch]]))
+        z, cycles = acquire(*measure(x0.amplitudes.tolist()))
         occupancy = None
         if maintained:
             hits = 0

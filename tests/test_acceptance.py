@@ -45,7 +45,6 @@ from qphase import (
     to_phase,
 )
 from qphase.cli import EXIT_OK, run
-from qphase.pontryagin import _flow_generator, _penalty_terms
 from qphase.steering import (
     h1_matrix,
     h2_matrix,
@@ -269,7 +268,7 @@ def test_criterion_11_pontryagin_two_level(capsys):
         )
         assert sol.converged and sol.fidelity >= 0.999
 
-        from test_pontryagin import bang_bang_oracle
+        from test_pontryagin import _flow_generator, _penalty_terms, bang_bang_oracle
 
         oracle_fid, oracle_cost = bang_bang_oracle(plant, x0.flat(), goal.flat())
         assert oracle_fid >= 0.999

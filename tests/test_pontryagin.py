@@ -21,14 +21,8 @@ from qphase import (
 )
 from qphase.dynamics import real_block
 from qphase.errors import ControlDomainError, DimensionMismatchError, NormalizationError
-from qphase.pontryagin import (
-    _flow_generator,
-    _maximize,
-    _objective,
-    _objective_and_gradient,
-    _penalty_terms,
-    _slopes,
-)
+import qphase.pontryagin
+from qphase.pontryagin import _maximize, _objective_and_gradient, _propagate, _slopes
 
 from conftest import random_hermitian, random_point
 
@@ -38,6 +32,24 @@ H1 = np.array([[0, 1], [1, 0]], complex)
 
 def two_level_plant():
     return ControlledHamiltonian(H0, (H1,))
+
+
+def _flow_generator(plant, u) -> np.ndarray:
+    """Real 2N x 2N generator of Hamilton's equations at control u."""
+    return real_block(-1j * plant.matrix_for(np.atleast_1d(u)))
+
+
+def _penalty_terms(z_final: np.ndarray, z_goal: np.ndarray):
+    """Overlap components (a, b) = (Re, Im) of <goal|psi(T)> in flat coordinates."""
+    n = z_goal.size // 2
+    jz_goal = np.concatenate([-z_goal[n:], z_goal[:n]])
+    return float(z_goal @ z_final), float(jz_goal @ z_final), jz_goal
+
+
+def penalized_objective(plant, cost, u, psi0, goal, dts, weight) -> float:
+    """sum X0 dt + w(1 - |<goal|psi(T)>|^2) of the schedule u, from one pass of ``_propagate``."""
+    overlap = _propagate(plant, u, psi0, goal, dts)[4]
+    return float(cost.rate(u) @ dts) + weight * (1.0 - float(abs(overlap) ** 2))
 
 
 def bang_bang_oracle(plant, z0, zg, t_final=np.pi, n_grid=100):
@@ -148,7 +160,7 @@ class TestSpectralObjective:
             got_v, got_g = _objective_and_gradient(x.ravel(), plant, cost, lift, psi0, goal, dts, weight)
             assert abs(got_v - want_v) < 1e-12
             assert np.max(np.abs(got_g - want_g)) < 1e-12
-            assert abs(_objective(u.ravel(), plant, cost, psi0, goal, dts, weight) - want_v) < 1e-12
+            assert abs(penalized_objective(plant, cost, u, psi0, goal, dts, weight) - want_v) < 1e-12
 
     def test_three_level_two_channels(self, rng):
         plant = ControlledHamiltonian(
@@ -212,7 +224,7 @@ class TestSplitPolish:
             u[rng.random(size=u.shape) < 0.3] = 0.0  # some controls at the kink
             x = split_variables(cost, u).ravel()
             value, grad = _objective_and_gradient(x, plant, cost, lift, psi0, goal, dts, 3.0)
-            assert abs(value - _objective(u.ravel(), plant, cost, psi0, goal, dts, 3.0)) < 1e-14
+            assert abs(value - penalized_objective(plant, cost, u, psi0, goal, dts, 3.0)) < 1e-14
             eps = 1e-6
             fd = np.empty_like(x)
             for i in range(x.size):
@@ -445,6 +457,59 @@ class TestSweep:
             grid=np.linspace(0, np.pi, 121), rng=np.random.default_rng(2),
         )
         assert np.max(np.abs(sol.schedule.values)) <= 0.8 + 1e-12
+
+
+class TestPropagationCount:
+    """The sweep propagates each schedule once: u = 0, the random start, every
+    candidate, every polish evaluation and every polished schedule."""
+
+    def _counted(self, monkeypatch):
+        calls, rounds = [0], []
+        propagators, minimize = qphase.pontryagin.interval_propagators, qphase.pontryagin.minimize
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return propagators(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            rounds.append((int(res.nfev), int(res.nit)))
+            return res
+
+        monkeypatch.setattr(qphase.pontryagin, "interval_propagators", counted)
+        monkeypatch.setattr(qphase.pontryagin, "minimize", recorded)
+        return calls, rounds
+
+    @pytest.mark.parametrize("kind, channels, intervals, bound, seed", [
+        ("control-energy", 1, 8, 1.0, 1),
+        ("control-energy", 1, 16, 1.0, 2),
+        ("control-energy", 2, 8, 1.0, 3),
+        ("control-l1", 1, 8, 1.0, 4),
+        ("control-l1", 2, 12, 1.0, 5),
+        ("control-energy", 1, 4, 0.05, 6),  # out of reach: every penalty round runs
+    ])
+    def test_each_schedule_propagated_once(self, monkeypatch, kind, channels, intervals, bound, seed):
+        sy = np.array([[0, -1j], [1j, 0]])
+        plant = ControlledHamiltonian(H0, (H1, sy)[:channels])
+        x0, goal = to_phase(StateVector([0, 1.0])), to_phase(StateVector([1.0, 0]))
+        dom = ControlDomain([-bound] * channels, [bound] * channels)
+        calls, rounds = self._counted(monkeypatch)
+        sol = forward_backward_sweep(plant, x0, goal, CostIntegrand(kind), dom,
+                                     grid=np.linspace(0.0, np.pi, intervals + 1), rng=np.random.default_rng(seed))
+        sweeps = sol.iterations - sum(nit for _, nit in rounds)
+        assert len(rounds) > 1 and sweeps > 0
+        assert calls[0] == 2 + sweeps + sum(nfev for nfev, _ in rounds) + len(rounds)
+
+    @pytest.mark.parametrize("case", ["goal-met", "singleton"])
+    def test_early_return_propagates_once(self, monkeypatch, case):
+        plant = two_level_plant()
+        x0 = to_phase(StateVector([0, 1.0]))
+        goal = x0 if case == "goal-met" else to_phase(StateVector([1.0, 0]))
+        dom = ControlDomain([-1.0], [1.0]) if case == "goal-met" else ControlDomain([0.3], [0.3])
+        calls, rounds = self._counted(monkeypatch)
+        sol = forward_backward_sweep(plant, x0, goal, CostIntegrand(), dom, grid=np.linspace(0, 1.0, 9))
+        assert sol.iterations == 0 and sol.converged == (case == "goal-met")
+        assert calls[0] == 1 and rounds == []
 
 
 class TestGrid:

@@ -1,5 +1,6 @@
-"""Source scan of ``src/qphase``: no unused module-level import, no ``expm``
-call, and no SciPy submodule loaded at import.
+"""Source scan of ``src/qphase``: no unused module-level import, no private
+module-level name that no code in the package uses, no ``expm`` call, and no
+SciPy submodule loaded at import.
 
 Every propagator goes through ``dynamics.interval_propagators``.  SciPy's
 optimisers are imported on first call (``qphase._solvers``), so importing
@@ -40,6 +41,36 @@ def test_no_unused_module_level_import(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported_names(tree) if name not in used]
     assert not unused, f"{module}.py imports {unused} without using them"
+
+
+def private_definitions(tree: ast.Module) -> list:
+    """Private (single-underscore) names a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def used_names() -> set:
+    """Every name that code in the package reads, bare or as an attribute."""
+    used = set()
+    for module in FILES:
+        for node in ast.walk(parse(module)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("module", FILES)
+def test_no_unused_private_name(module):
+    unused = sorted(set(private_definitions(parse(module))) - used_names())
+    assert not unused, f"{module}.py defines {unused}, which no code in src/qphase uses"
 
 
 @pytest.mark.parametrize("module", MODULES)

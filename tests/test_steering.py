@@ -35,7 +35,7 @@ from qphase.steering import (
     ladder_drift,
 )
 
-from qphase.measurement import born_weights, select_branches
+from qphase.measurement import born_weights, collapse, select_branches
 from qphase.rng import stream
 
 from conftest import random_point, random_state, stabilize_reference
@@ -331,7 +331,7 @@ class TestStabilize:
         obs = Observable(ladder_drift(1.0))
         for level in range(3):
             for z in phases.tolist():
-                want = qphase.steering.collapse(qphase.steering._level_state(level, z), obs, level)
+                want = collapse(qphase.steering._level_state(level, z), obs, level)
                 assert want.tobytes() == qphase.steering._level_state(level, qphase.steering._renormalized(z)).tobytes()
 
     def test_middle_level_terminates_immediately(self):
@@ -351,6 +351,37 @@ class TestStabilize:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(NormalizationError):
             stabilize_middle_level(PhasePoint([1.0, 1.0, 0.0], [0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_non_three_level_state_rejected(self, n):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(DimensionMismatchError):
+            stabilize_middle_level(to_phase(StateVector(np.eye(n)[0])), rng=rng, disturbance=0.1, n_periods=5)
+        assert rng.bit_generator.state == before
+
+    def test_first_measurement_matches_numpy(self):
+        # a general x0 is measured by the same scalar odds and renormalisation as a kicked state
+        gen = np.random.default_rng(51)
+        n = 20_000
+        psis = gen.normal(size=(n, 3)) + 1j * gen.normal(size=(n, 3))
+        psis[1::3] = psis[1::3].real  # real states
+        psis[2::3][gen.random(size=(len(psis[2::3]), 3)) < 0.4] = 0.0  # sparse states
+        psis[np.all(psis == 0.0, axis=1), 1] = 1.0
+        psis /= np.linalg.norm(psis, axis=1)[:, None]
+        ladders = [qphase.steering._ladder_stabilizer(mu) for mu in (1.3, -0.8)]
+        for k, psi in enumerate(psis):
+            obs, _, levels, _ = ladders[k % 2]
+            amps = psi.tolist()
+            edges = qphase.steering._drift_cdf(amps, levels)
+            uniforms = [0.0, gen.random(), *np.nextafter(edges, 0.0).tolist(), *edges, *np.nextafter(edges, 1.0).tolist()]
+            uniforms = [u for u in uniforms if 0.0 <= u < 1.0]
+            branches = [(edges[0] <= u) + (edges[1] <= u) for u in uniforms]
+            assert branches == select_branches(born_weights(psi, obs), uniforms).tolist()
+            for branch in set(branches):
+                level = levels[branch]
+                got = qphase.steering._level_state(level, qphase.steering._renormalized(amps[level]))
+                assert got.tobytes() == collapse(psi, obs, branch).tobytes()
 
     @pytest.mark.parametrize("mu", [0.0, 1e-10, -1e-9])
     def test_degenerate_drift_rejected(self, mu):
