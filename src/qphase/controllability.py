@@ -4,11 +4,14 @@ Unitary controllability of H(t) = H0 + sum u_j H_j is decided by the
 dimension of the Lie algebra generated by {i H0, i H1, ...} inside u(N):
 dimension N^2 means full u(N) control, N^2 - 1 with traceless generators
 means su(N) (phases not controllable), anything smaller leaves the complex
-sphere foliated into proper orbits.
+sphere foliated into proper orbits.  The closure basis is one stacked
+array, orthonormalised by classical Gram-Schmidt with re-orthogonalisation
+under a finite positive tolerance; a closure of dimension 0 still knows N.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,28 +29,29 @@ VERDICT_NOT = "not-controllable"
 _FIDELITY_TOL = 1e-6  # orbit membership is accepted at fidelity >= 1 - this
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    half = n * n
-    return v[:half].reshape(n, n) + 1j * v[half:].reshape(n, n)
-
-
 @dataclass(frozen=True)
 class LieClosureReport:
-    dimension: int
-    basis: tuple
+    """Read-only ``(d, N, N)`` stack of skew-Hermitian B_m, orthonormal in
+    Re tr(A^H B) (``gram``); every size is read from its shape, also at d = 0."""
+
+    basis: np.ndarray
     verdict: str
-    target_dims: tuple
     gram: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def target_dims(self) -> tuple:
+        n = self.basis.shape[1]
+        return (n * n, n * n - 1)
 
     @cached_property
     def _plant(self) -> ControlledHamiltonian:
         # exp(sum theta_m B_m) = exp(-i sum theta_m (i B_m)): the basis as
         # the Hermitian controls i B_m of a zero-drift plant
-        n = self.basis[0].shape[0]
+        n = self.basis.shape[1]
         return ControlledHamiltonian(np.zeros((n, n)), tuple(1j * b for b in self.basis))
 
     def to_json_dict(self) -> dict:
@@ -55,14 +59,22 @@ class LieClosureReport:
             "dimension": self.dimension,
             "verdict": self.verdict,
             "target_dims": list(self.target_dims),
-            "gram": [[float(x) for x in row] for row in self.gram],
+            "gram": self.gram.tolist(),
         }
 
 
 def lie_closure(generators, tol: float = 1e-10) -> LieClosureReport:
-    """Closure of {i H_k} under commutators, orthonormalized in HS norm."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Closure of {i H_k} under commutators, orthonormalized in HS norm.
+
+    Row k of one ``(N^2, N^2)`` array is basis element k, flattened.  Each
+    candidate (the generators, then [B_a, B_b] for b among the last round's
+    additions and a before them) is scaled to unit norm and projected off
+    the rows twice (classical Gram-Schmidt with re-orthogonalisation in
+    Re(a^H b)); it is kept unless either norm is at most ``tol``, which must
+    be finite and positive.  Rounds stop at N^2 or when one adds nothing.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     gens = [g if isinstance(g, Observable) else Observable(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator required")
@@ -70,61 +82,43 @@ def lie_closure(generators, tol: float = 1e-10) -> LieClosureReport:
     if any(g.dim != n for g in gens):
         raise DimensionMismatchError("generators must share one dimension")
 
-    basis_vecs: list[np.ndarray] = []
-    basis_mats: list[np.ndarray] = []
+    max_dim = n * n
+    q = np.zeros((max_dim, max_dim), dtype=complex)
+    d = 0
 
-    def try_add(m: np.ndarray) -> bool:
+    def try_add(m: np.ndarray) -> None:
+        nonlocal d
         scale = np.linalg.norm(m)
         if scale <= tol:
-            return False
-        v = _vec(m / scale)
+            return
+        v = m.ravel() / scale
         for _ in range(2):  # re-orthogonalize for stability
-            for b in basis_vecs:
-                v = v - np.dot(v, b) * b
+            v -= np.real(q[:d].conj() @ v) @ q[:d]
         nv = np.linalg.norm(v)
-        if nv <= tol:
-            return False
-        v = v / nv
-        basis_vecs.append(v)
-        basis_mats.append(_unvec(v, n))
-        return True
+        if nv > tol:
+            q[d] = v / nv
+            d += 1
 
     for g in gens:
         try_add(1j * g.matrix)
-    frontier = list(basis_mats)
-    max_dim = n * n
-    for _ in range(max_dim):
-        if len(basis_mats) >= max_dim or not frontier:
-            break
-        new = []
-        snapshot = list(basis_mats)
-        for a in snapshot:
-            for b in frontier:
-                c = a @ b - b @ a
-                if try_add(c):
-                    new.append(basis_mats[-1])
-                    if len(basis_mats) >= max_dim:
-                        break
-            if len(basis_mats) >= max_dim:
+    basis = q.reshape(max_dim, n, n)
+    lo, hi = 0, d
+    while lo < hi and d < max_dim:
+        for a, b in itertools.product(range(hi), range(lo, hi)):
+            try_add(basis[a] @ basis[b] - basis[b] @ basis[a])
+            if d == max_dim:
                 break
-        frontier = new
+        lo, hi = hi, d
 
-    dim = len(basis_mats)
     traceless = all(g.is_traceless() for g in gens)
-    if dim == max_dim:
+    if d == max_dim:
         verdict = VERDICT_U
-    elif traceless and dim == max_dim - 1:
+    elif traceless and d == max_dim - 1:
         verdict = VERDICT_SU
     else:
         verdict = VERDICT_NOT
-    gram = np.array([[np.dot(u, v) for v in basis_vecs] for u in basis_vecs])
-    return LieClosureReport(
-        dimension=dim,
-        basis=tuple(basis_mats),
-        verdict=verdict,
-        target_dims=(max_dim, max_dim - 1),
-        gram=gram,
-    )
+    q.flags.writeable = False
+    return LieClosureReport(q[:d].reshape(d, n, n), verdict, np.real(q[:d].conj() @ q[:d].T))
 
 
 @dataclass(frozen=True)
@@ -179,8 +173,11 @@ def orbit_membership(
         u = group_element(report, theta)
         return float(np.real(np.vdot(psi_y, u @ psi_x)))
 
-    if np.real(np.vdot(psi_y, psi_x)) >= threshold:
-        return OrbitMembership(True, np.zeros(0), abs(np.vdot(psi_y, psi_x)) ** 2, 0)
+    overlap = np.vdot(psi_y, psi_x)
+    if np.real(overlap) >= threshold:
+        return OrbitMembership(True, np.zeros(d), abs(overlap) ** 2, 0)
+    if d == 0:  # the group is {1}; minimize on no coordinates spends no evaluations
+        return OrbitMembership(False, None, max(np.real(overlap), 0.0) ** 2, 0)
 
     evals = 0
     best_ov, best_theta = -2.0, None

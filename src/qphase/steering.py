@@ -242,9 +242,11 @@ def build_frame_general(
         raise FrameUnnecessaryError(
             "system is fully controllable; any basis steers by unitary control alone"
         )
-    n = closure.basis[0].shape[0]
+    n = closure.basis.shape[1]
     if psi_f.dim != n:
         raise DimensionMismatchError(f"goal of dimension {psi_f.dim} against a closure of dimension {n}")
+    if closure.dimension == 0:
+        raise FrameSearchError("a closure of dimension 0 moves no state, so the goal orbit holds no frame")
     rng = np.random.default_rng(0) if rng is None else rng
     goal = psi_f.normalized().amplitudes
     d = closure.dimension

@@ -1,8 +1,10 @@
 """Lie closure dimension counting and orbit-membership search."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 import qphase.controllability
 
@@ -42,6 +44,103 @@ def brute_force_dimension(mats, rounds=8, tol=1e-10):
         basis = [k[: n * n].reshape(n, n) + 1j * k[n * n :].reshape(n, n) for k in keep]
     stack = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in basis])
     return int(np.linalg.matrix_rank(stack, tol=tol))
+
+
+def _vec(m: np.ndarray) -> np.ndarray:
+    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+
+def _unvec(v: np.ndarray, n: int) -> np.ndarray:
+    half = n * n
+    return v[:half].reshape(n, n) + 1j * v[half:].reshape(n, n)
+
+
+def reference_closure(generators, tol: float = 1e-10) -> SimpleNamespace:
+    """The closure as two parallel lists (real 2N^2 vectors and complex
+    matrices), projected one basis vector at a time: the reference that
+    ``lie_closure``'s stacked array is checked against."""
+    gens = [g if isinstance(g, Observable) else Observable(g) for g in generators]
+    n = gens[0].dim
+
+    basis_vecs: list[np.ndarray] = []
+    basis_mats: list[np.ndarray] = []
+    norms: list[float] = []  # projected norm of each accepted candidate
+
+    def try_add(m: np.ndarray) -> bool:
+        scale = np.linalg.norm(m)
+        if scale <= tol:
+            return False
+        v = _vec(m / scale)
+        for _ in range(2):  # re-orthogonalize for stability
+            for b in basis_vecs:
+                v = v - np.dot(v, b) * b
+        nv = np.linalg.norm(v)
+        if nv <= tol:
+            return False
+        v = v / nv
+        norms.append(nv)
+        basis_vecs.append(v)
+        basis_mats.append(_unvec(v, n))
+        return True
+
+    for g in gens:
+        try_add(1j * g.matrix)
+    frontier = list(basis_mats)
+    max_dim = n * n
+    for _ in range(max_dim):
+        if len(basis_mats) >= max_dim or not frontier:
+            break
+        new = []
+        snapshot = list(basis_mats)
+        for a in snapshot:
+            for b in frontier:
+                c = a @ b - b @ a
+                if try_add(c):
+                    new.append(basis_mats[-1])
+                    if len(basis_mats) >= max_dim:
+                        break
+            if len(basis_mats) >= max_dim:
+                break
+        frontier = new
+
+    dim = len(basis_mats)
+    traceless = all(g.is_traceless() for g in gens)
+    if dim == max_dim:
+        verdict = VERDICT_U
+    elif traceless and dim == max_dim - 1:
+        verdict = VERDICT_SU
+    else:
+        verdict = VERDICT_NOT
+    gram = np.array([[np.dot(u, v) for v in basis_vecs] for u in basis_vecs])
+    return SimpleNamespace(
+        dimension=dim, basis=tuple(basis_mats), verdict=verdict, gram=gram, norms=np.array(norms)
+    )
+
+
+def oracle_cases() -> dict:
+    """The suite's closures, then random, traceless and block-diagonal pairs for N = 2-10."""
+    sx = np.array([[0, 1], [1, 0]], complex)
+    sz = np.diag([1.0, -1.0])
+    cases = {
+        "ladder": [ladder_drift(1.0), ladder_control(1.0)],
+        "su2": [sz, sx],
+        "u2": [np.eye(2), sz, sx],
+        "single": [np.diag([1.0, 2.0])],
+        "zero": [np.zeros((2, 2))],
+    }
+    rng = np.random.default_rng(20)
+    for n in range(2, 11):
+        cases[f"random-{n}"] = [random_hermitian(rng, n) for _ in range(2)]
+        pair = [random_hermitian(rng, n) for _ in range(2)]
+        cases[f"traceless-{n}"] = [h - np.trace(h) / n * np.eye(n) for h in pair]
+        k = n // 2
+        cases[f"block-{n}"] = [
+            block_diag(random_hermitian(rng, k), random_hermitian(rng, n - k)) for _ in range(2)
+        ]
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
 
 
 class TestLieClosure:
@@ -90,9 +189,30 @@ class TestLieClosure:
         with pytest.raises(DimensionMismatchError):
             lie_closure([Observable(np.eye(2)), Observable(np.eye(3))])
 
-    def test_tol_validation(self):
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_validation(self, tol):
         with pytest.raises(ValueError):
-            lie_closure([Observable(np.eye(2))], tol=0.0)
+            lie_closure([Observable(np.diag([1.0, 2.0]))], tol=tol)
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_reference_closure(self, case):
+        report = lie_closure([Observable(h) for h in ORACLE_CASES[case]])
+        ref = reference_closure(ORACLE_CASES[case])
+        assert (report.dimension, report.verdict) == (ref.dimension, ref.verdict)
+        n = report.basis.shape[1]
+        assert np.all(np.abs(report.gram - ref.gram.reshape(report.gram.shape)) <= 1e-14)
+        # Both orders round each projection at eps over N^2 terms, and row k is
+        # that residue scaled by 1 / (its candidate's projected norm); the
+        # last row of a full u(10) closure keeps only 5e-3 of its candidate.
+        bound = np.maximum(1e-12, np.finfo(float).eps * n * n / ref.norms)
+        diff = np.abs(report.basis - np.reshape(ref.basis, (-1, n, n)))
+        assert np.all(diff <= bound[:, None, None])
+
+    def test_basis_is_a_read_only_stack(self):
+        report = lie_closure([Observable(ladder_drift(1.0)), Observable(ladder_control(1.0))])
+        assert report.basis.shape == (3, 3, 3) and report.target_dims == (9, 8)
+        with pytest.raises(ValueError):
+            report.basis[0, 0, 0] = 1.0
 
 
 class TestOrbitMembership:
@@ -103,7 +223,20 @@ class TestOrbitMembership:
     def test_identity_membership(self, ladder_closure, rng):
         x = random_point(rng, 3)
         res = orbit_membership(ladder_closure, x, x, budget=10)
-        assert res and res.evaluations == 0 and res.certificate.size == 0
+        assert res and res.evaluations == 0 and res.certificate.shape == (ladder_closure.dimension,)
+        moved = group_element(ladder_closure, res.certificate) @ x.amplitudes
+        assert np.max(np.abs(moved - x.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_dimension_zero_closure_answers_from_the_overlap(self, rng, monkeypatch, same):
+        monkeypatch.setattr(qphase.controllability, "minimize", lambda *a, **k: pytest.fail("search started"))
+        report = lie_closure([Observable(np.zeros((2, 2)))])
+        x = random_point(rng, 2)
+        a, b = x.amplitudes
+        y = x if same else to_phase(StateVector([-np.conj(b), np.conj(a)]))  # orthogonal to x
+        res = orbit_membership(report, x, y, budget=100)
+        assert res.found is same and res.evaluations == 0
+        assert res.fidelity == pytest.approx(1.0 if same else 0.0, abs=1e-12)
 
     def test_goal_to_first_frame_state(self, ladder_closure):
         psi_f = PhasePoint([0, 0, 0], [1 / R2, 0, 1 / R2])
@@ -149,6 +282,11 @@ class TestGroupElement:
             theta = rng.uniform(-np.pi, np.pi, report.dimension)
             want = expm(sum(t * b for t, b in zip(theta, report.basis)))
             assert np.max(np.abs(group_element(report, theta) - want)) < 1e-12
+
+    def test_dimension_zero_closure_gives_the_identity(self):
+        report = lie_closure([Observable(np.zeros((3, 3)))])
+        assert report.basis.shape == (0, 3, 3) and report.verdict == VERDICT_NOT
+        assert np.array_equal(group_element(report, np.zeros(0)), np.eye(3))
 
     @pytest.mark.parametrize("length", [2, 4, 5])
     def test_wrong_coefficient_count(self, length):

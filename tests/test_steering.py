@@ -223,6 +223,11 @@ class TestFrameGeneral:
         with pytest.raises(FrameSearchError):
             build_frame_general(PSI_F, ladder_closure, budget=0)
 
+    def test_dimension_zero_closure_fails_without_search(self, monkeypatch):
+        monkeypatch.setattr(qphase.steering, "least_squares", lambda *a, **k: pytest.fail("search started"))
+        with pytest.raises(FrameSearchError):
+            build_frame_general(PSI_F, lie_closure([Observable(np.zeros((3, 3)))]))
+
     @pytest.mark.parametrize("goal", [StateVector([1.0, 0.0]), StateVector([0.5, 0.5, 0.5, 0.5])])
     def test_goal_dimension_mismatch_before_search(self, ladder_closure, monkeypatch, goal):
         monkeypatch.setattr(qphase.steering, "least_squares", lambda *a, **k: pytest.fail("search started"))
