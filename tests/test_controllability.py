@@ -189,8 +189,12 @@ class TestLieClosure:
         with pytest.raises(DimensionMismatchError):
             lie_closure([Observable(np.eye(2)), Observable(np.eye(3))])
 
+    def test_tol_validation(self):
+        with pytest.raises(ValueError):
+            lie_closure([Observable(np.eye(2))], tol=0.0)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-    def test_tol_validation(self, tol):
+    def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError):
             lie_closure([Observable(np.diag([1.0, 2.0]))], tol=tol)
 
