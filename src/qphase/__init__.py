@@ -25,6 +25,7 @@ from .dynamics import (
     evolve_block,
     evolve_unitary,
     interval_propagators,
+    sample_trajectory,
     transport_ensemble,
 )
 from .measurement import (

@@ -26,12 +26,7 @@ import scipy
 
 from . import __version__
 from .controllability import lie_closure
-from .dynamics import (
-    ClassicalHamiltonian,
-    ControlSchedule,
-    ControlledHamiltonian,
-    evolve,
-)
+from .dynamics import ControlSchedule, ControlledHamiltonian, sample_trajectory
 from .errors import (
     DegenerateBasisError,
     FrameSearchError,
@@ -47,6 +42,7 @@ from .pontryagin import COST_ENERGY, ControlDomain, CostIntegrand, forward_backw
 from .rng import BIT_GENERATOR, first_uniforms, stream
 from .serialize import (
     fmt,
+    fmt_lines,
     matrix_from_json,
     vector_from_json,
     write_csv,
@@ -239,17 +235,8 @@ def cmd_evolve(scenario: Scenario, args) -> list:
     if t_final <= 0 or samples < 1:
         raise ScenarioError("horizon", "t_final must be > 0 and samples >= 1")
     times = np.linspace(0.0, t_final, samples + 1)
-    rows = []
+    points, energies = sample_trajectory(plant, x0, times)
     n = x0.dim
-    # one pass: each sample advances the previous one, so every schedule
-    # segment is diagonalised once rather than once per later sample
-    x, t_prev = x0, 0.0
-    for t in times:
-        if t > t_prev:
-            x, t_prev = evolve(plant, x, t_prev, float(t)), float(t)
-        u = plant.schedule.value_at(t) if plant.controls and plant.schedule else np.zeros(0)
-        h_now = ClassicalHamiltonian(plant.matrix_for(u))
-        rows.append([float(t), *x.q, *x.p, h_now.value(x)])
     header = (
         ["t"]
         + [f"q{k+1}" for k in range(n)]
@@ -257,7 +244,7 @@ def cmd_evolve(scenario: Scenario, args) -> list:
         + ["energy"]
     )
     path = os.path.join(args.out, "trajectory.csv")
-    write_csv(path, header, rows)
+    write_csv(path, header, fmt_lines(np.column_stack([times, points, energies])), preformatted=True)
     return ["trajectory.csv"]
 
 
@@ -269,16 +256,16 @@ def cmd_measure(scenario: Scenario, args, seed: int) -> list:
     x0 = scenario.state("initial_state")
     branches, outcomes = _trial_outcomes(x0, obs, seed, args.trials)
     tails = {
-        b: ",".join(map(fmt, [b, out.value, out.probability, *out.post_state.q, *out.post_state.p]))
+        b: ",".join(map(fmt, [b, out.value, out.probability, *out.post_state.q, *out.post_state.p])) + "\n"
         for b, out in outcomes.items()
     }
-    rows = ([str(trial), tails[b]] for trial, b in enumerate(branches))  # str(k) == fmt(k) below 10**17
+    lines = (f"{trial},{tails[b]}" for trial, b in enumerate(branches))  # str(k) == fmt(k) below 10**17
     header = (
         ["trial", "branch", "value", "probability"]
         + [f"q{k+1}" for k in range(x0.dim)]
         + [f"p{k+1}" for k in range(x0.dim)]
     )
-    write_csv(os.path.join(args.out, "measurements.csv"), header, rows)
+    write_csv(os.path.join(args.out, "measurements.csv"), header, lines, preformatted=True)
     return ["measurements.csv"]
 
 
@@ -404,8 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     t0 = time.monotonic()
     try:
         if args.trials < 1:

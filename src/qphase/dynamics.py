@@ -3,8 +3,12 @@
 Per interval of constant control the flow is the exact exponential of the
 linear Hamiltonian field, so norm and energy are conserved to rounding.  All
 intervals are diagonalized in one batched eigendecomposition
-(``interval_propagators``), the only propagator path; states move as complex
+(``interval_propagators``), the only propagator path, and ``forward_states``
+is the one loop that carries a state through them; states move as complex
 amplitudes and ``real_block`` gives the (q, p) matrix at the public edge.
+``sample_trajectory`` samples a whole trajectory in one such pass: one cut of
+the time axis, one batched eigendecomposition, one forward loop and one
+energy contraction.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import linalg_names
-from .errors import DimensionMismatchError, ScheduleCoverageError
+from .errors import DimensionMismatchError, NormalizationError, ScheduleCoverageError
 from .geometry import Observable, PhasePoint, _readonly, hermitian, real_block
 
 # unused, but the benchmark's tracer looks ``expm`` up here by name
@@ -79,8 +83,12 @@ class ControlSchedule:
         eps = 1e-12 * max(1.0, abs(t0), abs(t1))
         return self.grid[0] <= t0 + eps and t1 <= self.grid[-1] + eps
 
-    def value_at(self, t: float) -> np.ndarray:
-        k = int(np.clip(np.searchsorted(self.grid, t, side="right") - 1, 0, len(self.values) - 1))
+    def value_at(self, t) -> np.ndarray:
+        """Control row in force at t: right-continuous, clipped to the grid's ends.
+
+        An array of times gives one row per time.
+        """
+        k = np.clip(np.searchsorted(self.grid, t, side="right") - 1, 0, len(self.values) - 1)
         return self.values[k]
 
     def segments(self, t0: float, t1: float):
@@ -128,17 +136,27 @@ class ControlledHamiltonian:
             h = h + uj * hj
         return h
 
-    def _segments(self, t0: float, t1: float):
-        if t1 < t0:
-            raise ValueError("t1 must be >= t0")
-        if t1 == t0:
-            return
-        if not self.controls or self.schedule is None:
-            if self.controls:
+    def _pieces(self, times: np.ndarray):
+        """Cut [times[0], times[-1]] at the times and at the grid points between them.
+
+        Returns the sorted cut points and, for each piece between two of
+        them, its constant control row and its length.  A drift-only plant is
+        cut at the times alone.
+        """
+        t0, t1 = times[0], times[-1]
+        inside = np.empty(0)
+        if self.controls:
+            if self.schedule is None:
                 raise ScheduleCoverageError("controlled Hamiltonian has no schedule")
-            yield t0, t1, np.zeros(0)
-        else:
-            yield from self.schedule.segments(t0, t1)
+            grid = self.schedule.grid
+            if not self.schedule.covers(t0, t1):
+                raise ScheduleCoverageError(f"schedule [{grid[0]}, {grid[-1]}] does not cover [{t0}, {t1}]")
+            inside = grid[(grid > t0) & (grid < t1)]
+        cuts = np.sort(np.concatenate([times, inside]))
+        cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0]  # distinct; np.unique would load numpy.ma
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        values = self.schedule.value_at(mids) if self.controls else np.zeros((mids.size, 0))
+        return cuts, values, np.diff(cuts)
 
     @classmethod
     def drift_only(cls, h0) -> "ControlledHamiltonian":
@@ -163,23 +181,70 @@ def interval_propagators(plant: ControlledHamiltonian, u, dts):
     return props, w, v
 
 
+def forward_states(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """States psi_0 .. psi_m through the propagators, psi_{k+1} = U_k psi_k."""
+    psis = np.empty((len(props) + 1, psi0.size), dtype=complex)
+    psis[0] = psi0
+    for k, prop in enumerate(props):
+        psis[k + 1] = prop @ psis[k]
+    return psis
+
+
+def _finite_amplitudes(h: ControlledHamiltonian, x0: PhasePoint) -> np.ndarray:
+    if x0.dim != h.dim:
+        raise DimensionMismatchError("phase point and Hamiltonian dimensions differ")
+    psi0 = x0.amplitudes
+    if not np.all(np.isfinite(psi0)):
+        raise NormalizationError("phase point has non-finite amplitudes")
+    return psi0
+
+
 def evolve_unitary(h: ControlledHamiltonian, t0: float, t1: float) -> np.ndarray:
     """Complex N x N propagator of the Schroedinger flow over [t0, t1]."""
-    segments = list(h._segments(t0, t1))
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
     u = np.eye(h.dim, dtype=complex)
-    if segments:
-        values = np.array([uval for _, _, uval in segments])
-        props, _, _ = interval_propagators(h, values, [tb - ta for ta, tb, _ in segments])
-        for prop in props:
+    if t1 > t0:
+        _, values, dts = h._pieces(np.array([t0, t1], dtype=float))
+        for prop in interval_propagators(h, values, dts)[0]:
             u = prop @ u
     return u
 
 
 def evolve(h: ControlledHamiltonian, x0: PhasePoint, t0: float, t1: float) -> PhasePoint:
-    """Advance a phase point along Hamilton's equations from t0 to t1."""
-    if x0.dim != h.dim:
-        raise DimensionMismatchError("phase point and Hamiltonian dimensions differ")
-    return PhasePoint.from_amplitudes(evolve_unitary(h, t0, t1) @ x0.amplitudes)
+    """Advance a phase point along Hamilton's equations from t0 to t1.
+
+    Non-finite amplitudes raise ``NormalizationError``.
+    """
+    psi0 = _finite_amplitudes(h, x0)
+    return PhasePoint.from_amplitudes(evolve_unitary(h, t0, t1) @ psi0)
+
+
+def sample_trajectory(h: ControlledHamiltonian, x0: PhasePoint, times) -> tuple[np.ndarray, np.ndarray]:
+    """Phase points and energies along the flow from x0 at times[0].
+
+    ``times`` is a non-decreasing 1-d array of finite sample times.  The
+    time axis is cut once at the samples and at the grid points between
+    them, every piece is diagonalized in one ``interval_propagators`` call,
+    and one ``forward_states`` pass gives the states.  Returns ``(points,
+    energies)``: row i of ``points`` is the flat (q, p) vector at times[i],
+    and energies[i] is ``ClassicalHamiltonian(H(times[i])).value`` of it,
+    with the control in force at times[i] (``ControlSchedule.value_at``:
+    right-continuous, clipped to the grid's ends).  Non-finite amplitudes
+    raise ``NormalizationError``.
+    """
+    psi0 = _finite_amplitudes(h, x0)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be a non-decreasing 1-d array of finite sample times")
+    cuts, values, dts = h._pieces(times)
+    psis = forward_states(interval_propagators(h, values, dts)[0], psi0)[np.searchsorted(cuts, times)]
+    coeffs = np.ones((times.size, 1 + len(h.controls)))
+    if h.controls:
+        coeffs[:, 1:] = h.schedule.value_at(times)
+    hs = np.array((h.drift,) + h.controls, dtype=complex)
+    energies = 0.5 * np.einsum("ia,ij,ajk,ik->i", coeffs, psis.conj(), hs, psis).real
+    return np.concatenate([psis.real, psis.imag], axis=1), energies
 
 
 def evolve_block(h: ControlledHamiltonian, t0: float, t1: float) -> np.ndarray:

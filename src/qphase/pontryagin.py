@@ -15,7 +15,8 @@ on the initial adjoint is provided as a cross-check.
 
 Internally states and adjoints are complex amplitudes psi = q + i p, and
 every pass over the grid propagates with one batched eigendecomposition
-(``dynamics.interval_propagators``); exact gradients come from
+(``dynamics.interval_propagators``) and the shared forward loop
+(``dynamics.forward_states``); exact gradients come from
 Daleckii-Krein divided differences in the same eigenbasis.  Each schedule
 is propagated once: the sweep keeps the pass of the schedule it holds, an
 accepted candidate's pass becomes the current one, and the adjoint runs
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import least_squares, linalg_names, minimize
-from .dynamics import ControlSchedule, ControlledHamiltonian, check_grid, interval_propagators
+from .dynamics import ControlSchedule, ControlledHamiltonian, check_grid, forward_states, interval_propagators
 from .errors import ControlDomainError, DimensionMismatchError, NormalizationError
 from .geometry import PhasePoint, _readonly
 
@@ -240,24 +241,15 @@ def argmax_control(
     return _maximize(_slopes(plant, psi, phi), float(s.phi[0]), cost, domain)[0]
 
 
-def _forward(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """States psi_0 .. psi_m at the grid points, psi_{k+1} = U_k psi_k."""
-    psis = np.empty((len(props) + 1, psi0.size), dtype=complex)
-    psis[0] = psi0
-    for k, prop in enumerate(props):
-        psis[k + 1] = prop @ psis[k]
-    return psis
-
-
 def _backward(props: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Adjoints lam_0 .. lam_m from lam_m = lam, lam_k = U_k^H lam_{k+1}."""
-    return _forward(props.conj().transpose(0, 2, 1)[::-1], lam)[::-1]
+    return forward_states(props.conj().transpose(0, 2, 1)[::-1], lam)[::-1]
 
 
 def _propagate(plant, u: np.ndarray, psi0: np.ndarray, goal: np.ndarray, dts: np.ndarray):
     """One pass of the schedule u: (props, w, v) of ``interval_propagators``, the states and <goal|psi(T)>."""
     props, w, v = interval_propagators(plant, u, dts)
-    psis = _forward(props, psi0)
+    psis = forward_states(props, psi0)
     return props, w, v, psis, np.vdot(goal, psis[-1])
 
 

@@ -16,6 +16,17 @@ def fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def fmt_lines(rows):
+    """CSV lines of a 2-d array of floats, every cell as ``fmt`` writes it.
+
+    One format operation per row; the lines end in ``"\\n"``, ready for
+    ``write_csv(..., preformatted=True)``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return (line % tuple(row) for row in rows.tolist())
+
+
 def matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
 
@@ -52,11 +63,16 @@ def write_trials_json(path, labels, records: dict):
         fh.write("\n  ]\n}\n" if len(labels) else "]\n}\n")
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, rows, preformatted: bool = False):
     """Write rows of floats (or pre-formatted strings) under a header line.
 
     ``rows`` may be any iterable, a generator included; it is streamed.
+    With ``preformatted`` each row is already the full text of its line,
+    ending in ``"\\n"``, and is written as it is.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join([c if isinstance(c, str) else fmt(c) for c in row]) + "\n" for row in rows)
+        if preformatted:
+            fh.writelines(rows)
+        else:
+            fh.writelines(",".join([c if isinstance(c, str) else fmt(c) for c in row]) + "\n" for row in rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QPhaseError, TruncationOverflowError
+from .errors import ProtocolParameterError, QPhaseError, TruncationOverflowError
 from .geometry import PhasePoint
 from .measurement import draw_branch
 from .steering import ProtocolStep, ProtocolTrace
@@ -53,6 +53,23 @@ class CatMap:
     @classmethod
     def default(cls) -> "CatMap":
         return cls(DEFAULT_CAT)
+
+
+def _label(k) -> tuple:
+    """A momentum label as a tuple of ints; a non-integral entry raises.
+
+    Integral floats and NumPy integers are accepted; ``int()`` alone would
+    truncate 1.5 to 1.
+    """
+    try:
+        items = tuple(k)
+        label = tuple(int(x) for x in items)
+        integral = label == items
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ProtocolParameterError(f"momentum label {k!r} is not a sequence of integers")
+    return label
 
 
 def _outside(k, radius: int) -> bool:
@@ -237,10 +254,10 @@ def plan_kicks(k_start, k_target, cat: CatMap | None = None, allow_cat_moves: bo
     Every label the plan passes through stays in the box.  Without cat moves
     the plan is the translation sequence of Manhattan length; with them it is
     the lexicographically first (in MOVES order) minimal-length sequence, and
-    ties resolve to the translation plan (fewer cat kicks).
+    ties resolve to the translation plan (fewer cat kicks).  A non-integral
+    label entry raises ``ProtocolParameterError``.
     """
-    k_start = tuple(int(x) for x in k_start)
-    k_target = tuple(int(x) for x in k_target)
+    k_start, k_target = _label(k_start), _label(k_target)
     for k in (k_start, k_target):
         if _outside(k, radius):
             raise TruncationOverflowError(f"endpoint {k} outside |k_i| <= {radius}")
@@ -266,10 +283,13 @@ def reach_state(
     rng: np.random.Generator | None = None,
     allow_cat_moves: bool = True,
 ) -> tuple[ProtocolTrace, TorusState]:
-    """Measure momentum, plan from the recorded outcome, replay the plan."""
+    """Measure momentum, plan from the recorded outcome, replay the plan.
+
+    A non-integral entry of ``k_target`` raises ``ProtocolParameterError``.
+    """
     rng = np.random.default_rng(0) if rng is None else rng
     cat = CatMap.default() if cat is None else cat
-    k_target = tuple(int(x) for x in k_target)
+    k_target = _label(k_target)
     k0, state = measure_momentum(s0, rng)
     plan = plan_kicks(k0, k_target, cat, allow_cat_moves, s0.radius)
     steps = [ProtocolStep("measure", {"k": list(k0)}, PhasePoint([0.0], [0.0]))]

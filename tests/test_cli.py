@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import qphase.cli
 import qphase.dynamics
 from qphase import (
     ControlSchedule,
@@ -174,6 +175,30 @@ class TestPlantErrors:
         scen = write_scenario(tmp_path / "s.json", payload)
         assert run([command, "--scenario", scen, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
         assert f"scenario error: {field}: " in capsys.readouterr().err
+
+
+class TestParser:
+    """``run`` parses with one parser built at import, with the options and exit codes of ``build_parser``."""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == qphase.cli.build_parser().format_help()
+
+    @pytest.mark.parametrize("argv", [["bogus", "--scenario", "s.json"], ["evolve"], ["evolve", "--scenario"]])
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "usage: qphase" in capsys.readouterr().err
+
+    def test_run_does_not_rebuild_the_parser(self, tmp_path, monkeypatch):
+        def rebuilt():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(qphase.cli, "build_parser", rebuilt)
+        assert run(["evolve", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_SCHEMA
 
 
 class TestSchemaDiagnostics:

@@ -17,11 +17,12 @@ from qphase import (
     from_phase,
     g_form,
     omega_form,
+    sample_trajectory,
     to_phase,
     transport_ensemble,
 )
 from qphase.dynamics import interval_propagators
-from qphase.errors import HermiticityError, ScheduleCoverageError
+from qphase.errors import HermiticityError, NormalizationError, ScheduleCoverageError
 from qphase.steering import h3_matrix, ladder_drift
 
 from conftest import random_hermitian, random_point
@@ -130,6 +131,66 @@ class TestEvolve:
         )
         with pytest.raises(ScheduleCoverageError):
             evolve(plant, PhasePoint([1, 0], [0, 0]), 0.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_raises(self, bad):
+        plant = ControlledHamiltonian.drift_only(np.diag([1.0, -1.0]))
+        x = PhasePoint([bad, 0.0], [0.0, 1.0])
+        with pytest.raises(NormalizationError):
+            evolve(plant, x, 0.0, 1.0)
+        with pytest.raises(NormalizationError):
+            sample_trajectory(plant, x, [0.0, 1.0])
+
+
+class TestSampleTrajectory:
+    """One pass against per-sample ``evolve`` and ``ClassicalHamiltonian``."""
+
+    def check(self, plant, x0, times):
+        points, energies = sample_trajectory(plant, x0, times)
+        assert points.shape == (len(times), 2 * plant.dim) and energies.shape == (len(times),)
+        for t, point, energy in zip(times, points, energies):
+            want = evolve(plant, x0, times[0], t)
+            assert np.max(np.abs(point - want.flat())) < 1e-12
+            u = plant.schedule.value_at(t) if plant.controls else np.zeros(0)
+            assert abs(energy - ClassicalHamiltonian(plant.matrix_for(u)).value(want)) < 1e-12
+
+    def plant(self, rng, grid, channels=2):
+        return ControlledHamiltonian(
+            random_hermitian(rng, 3),
+            tuple(random_hermitian(rng, 3) for _ in range(channels)),
+            ControlSchedule(grid, rng.uniform(-1, 1, size=(len(grid) - 1, channels))),
+        )
+
+    def test_samples_on_and_between_breakpoints(self, rng):
+        grid = [0.0, 0.4, 0.5, 1.1, 2.0]
+        # 0.4, 1.1 and 2.0 are breakpoints, the grid's end among them; 0.5 is repeated
+        times = [0.0, 0.1, 0.4, 0.5, 0.5, 0.8, 1.1, 1.7, 2.0]
+        self.check(self.plant(rng, grid), random_point(rng, 3), times)
+
+    def test_horizon_short_of_the_grid_end(self, rng):
+        plant = self.plant(rng, np.linspace(0.0, 3.0, 7), channels=1)
+        self.check(plant, random_point(rng, 3), np.linspace(0.25, 1.9, 12))
+
+    def test_drift_only_plant(self, rng):
+        plant = ControlledHamiltonian.drift_only(random_hermitian(rng, 4))
+        self.check(plant, random_point(rng, 4), np.linspace(0.0, 5.0, 41))
+
+    def test_single_sample_is_the_start(self, rng):
+        plant = self.plant(rng, [0.0, 1.0])
+        x0 = random_point(rng, 3)
+        points, _ = sample_trajectory(plant, x0, [0.5])
+        assert np.array_equal(points[0], x0.flat())
+
+    def test_coverage_and_times_are_checked(self, rng):
+        plant = self.plant(rng, [0.0, 1.0])
+        x0 = random_point(rng, 3)
+        with pytest.raises(ScheduleCoverageError):
+            sample_trajectory(plant, x0, [0.0, 1.5])
+        with pytest.raises(ScheduleCoverageError):
+            sample_trajectory(ControlledHamiltonian(plant.drift, plant.controls), x0, [0.0, 0.5])
+        for times in ([0.5, 0.2], [[0.0, 0.5]], [], [0.0, np.nan]):
+            with pytest.raises(ValueError):
+                sample_trajectory(plant, x0, times)
 
 
 class TestIntervalPropagators:

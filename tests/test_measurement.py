@@ -337,6 +337,21 @@ class TestStepMatrix:
                 assert rhos.shape == want.shape == (steps + 1, n, n)
                 assert np.max(np.abs(rhos - want)) < 1e-12
 
+    # continuous_observe's block length: min(steps, 64, max(1, 2**18 // N**4))
+    @pytest.mark.parametrize("n, block", [(1, 64), (2, 64), (3, 64), (4, 64), (5, 64), (10, 26), (23, 1)])
+    def test_blocked_steps_match_the_stage_by_stage_loop(self, rng, n, block):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho0 = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        h, lam = Observable(random_hermitian(rng, n)), Observable(random_hermitian(rng, n) / np.sqrt(n))
+        m = GaussianMeasurement(lam, 2.0, 0.01)
+        counts = (1, 2, 3) if block == 1 else (1, block - 1, block, block + 1, 2 * block + 3)
+        for steps in counts:
+            t_final = 0.01 * steps
+            _, rhos = continuous_observe(rho0, h, m, t_final, steps)
+            want = rk4_reference(rho0.matrix, h.matrix, lam.matrix, 2.0, t_final, steps)
+            assert rhos.shape == want.shape == (steps + 1, n, n)
+            assert np.max(np.abs(rhos - want)) < 1e-12
+
     def test_stiff_divergence_is_reproduced(self):
         rho0 = np.full((3, 3), 1 / 3, dtype=complex)
         m = GaussianMeasurement(Observable(np.diag(STIFF_LAM)), 100.0, 0.01)

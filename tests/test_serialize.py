@@ -8,7 +8,7 @@ pin the bytes.
 import numpy as np
 import pytest
 
-from qphase.serialize import write_csv, write_json, write_trials_json
+from qphase.serialize import fmt_lines, write_csv, write_json, write_trials_json
 
 HEADER = ["trial", "value", "tail"]
 
@@ -36,6 +36,17 @@ def test_csv_formats_ints_floats_and_strings(tmp_path):
         b"-0,4.9406564584124654e-324,inf\n"
         b"inf,9007199254740992,1e-300\n"
     )
+
+
+def test_preformatted_lines_are_written_as_they_are(tmp_path):
+    write_csv(tmp_path / "out.csv", ["a", "b"], (f"{k},x\n" for k in range(3)), preformatted=True)
+    assert (tmp_path / "out.csv").read_bytes() == b"a,b\n0,x\n1,x\n2,x\n"
+
+
+def test_fmt_lines_match_the_cell_by_cell_rows(tmp_path):
+    rows = np.array([[0.1, 1 / 3, -0.0], [5e-324, np.inf, -2.5], [9007199254740993, np.nan, 1e-300]])
+    write_csv(tmp_path / "lines.csv", HEADER, fmt_lines(rows), preformatted=True)
+    assert (tmp_path / "lines.csv").read_bytes() == csv_text(tmp_path, HEADER, rows)
 
 
 def test_csv_with_no_rows_is_the_header_line(tmp_path):

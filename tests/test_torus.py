@@ -16,7 +16,7 @@ from qphase import (
     reach_state,
 )
 from qphase import torus
-from qphase.errors import QPhaseError, TruncationOverflowError
+from qphase.errors import ProtocolParameterError, QPhaseError, TruncationOverflowError
 from qphase.measurement import draw_branch
 
 R2 = np.sqrt(2.0)
@@ -163,6 +163,18 @@ class TestPlanKicks:
             with pytest.raises(TruncationOverflowError):
                 plan_kicks(start, target, allow_cat_moves=allow_cat_moves)
 
+    @pytest.mark.parametrize("start, target", [
+        ((1.5, 0), (3, 0)), ((0, 0), (3, 0.25)), ((np.nan, 0), (0, 0)), ((0, 0), (np.inf, 0)), (("1", 0), (3, 0)),
+    ])
+    def test_non_integral_label_raises(self, start, target):
+        # int() alone would truncate 1.5 to 1 and plan from (1, 0)
+        with pytest.raises(ProtocolParameterError):
+            plan_kicks(start, target)
+
+    def test_integral_floats_and_numpy_integers_are_labels(self):
+        plan = plan_kicks((1.0, np.int64(0)), (np.float64(3.0), 0))
+        assert plan.moves() == plan_kicks((1, 0), (3, 0)).moves()
+
     def test_deterministic(self):
         p1 = plan_kicks((-7, 12), (4, -9))
         p2 = plan_kicks((-7, 12), (4, -9))
@@ -240,6 +252,10 @@ class TestReachState:
         assert trace.final_fidelity == 1.0
         assert final.support[0][0] == (-1, -2) and final.radius == 3
         assert trace.iterations == len(plan_kicks((-3, -3), (-1, -2), radius=3))
+
+    def test_non_integral_target_raises(self, rng):
+        with pytest.raises(ProtocolParameterError):
+            reach_state(TorusState.eigenstate((0, 0)), (1.5, 2), rng=rng)
 
     def test_target_outside_box(self, rng):
         with pytest.raises(TruncationOverflowError):
