@@ -57,6 +57,9 @@ EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 EXIT_DOMAIN = 4
 
+# run() calls cmd_<name>(scenario, args, seed), with "-" in the name as "_";
+# the seed is None for a deterministic command
+COMMANDS = ("evolve", "measure", "closure", "steer", "stabilize", "torus-plan", "pmp")
 STOCHASTIC_COMMANDS = ("measure", "steer", "stabilize")
 
 
@@ -227,7 +230,7 @@ def _trial_outcomes(x0: PhasePoint, obs: Observable, seed: int, trials: int):
     return branches, {b: branch_outcome(psi0, obs, probs, b) for b in sorted(set(branches))}
 
 
-def cmd_evolve(scenario: Scenario, args) -> list:
+def cmd_evolve(scenario: Scenario, args, seed=None) -> list:
     plant = scenario.plant()
     x0 = scenario.state("initial_state")
     t_final = _finite("horizon.t_final", scenario.require("horizon.t_final"))
@@ -269,9 +272,9 @@ def cmd_measure(scenario: Scenario, args, seed: int) -> list:
     return ["measurements.csv"]
 
 
-def cmd_closure(scenario: Scenario, args) -> list:
+def cmd_closure(scenario: Scenario, args, seed=None) -> list:
     plant = scenario.plant()
-    report = lie_closure((Observable(plant.drift),) + tuple(Observable(h) for h in plant.controls))
+    report = lie_closure(tuple(Observable(h) for h in plant.hamiltonians))
     write_json(os.path.join(args.out, "closure.json"), report.to_json_dict())
     return ["closure.json"]
 
@@ -330,7 +333,7 @@ def cmd_stabilize(scenario: Scenario, args, seed: int) -> list:
     return ["stabilize.json"]
 
 
-def cmd_torus_plan(scenario: Scenario, args) -> list:
+def cmd_torus_plan(scenario: Scenario, args, seed=None) -> list:
     rows = scenario.get("system.torus.cat", DEFAULT_CAT)
     if not isinstance(rows, (list, tuple)) or len(rows) != 2:
         raise ScenarioError("system.torus.cat", f"not a 2x2 integer matrix: {rows!r}")
@@ -349,7 +352,7 @@ def cmd_torus_plan(scenario: Scenario, args) -> list:
     return ["plan.json"]
 
 
-def cmd_pmp(scenario: Scenario, args) -> list:
+def cmd_pmp(scenario: Scenario, args, seed=None) -> list:
     plant = scenario.plant()
     x0 = scenario.state("initial_state")
     goal = scenario.state("goal_state")
@@ -381,9 +384,7 @@ def cmd_pmp(scenario: Scenario, args) -> list:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qphase", description=__doc__)
-    parser.add_argument("command", choices=[
-        "evolve", "measure", "closure", "steer", "stabilize", "torus-plan", "pmp",
-    ])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scenario", required=True, help="path to the JSON scenario file")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--out", default=".", help="output directory")
@@ -408,20 +409,8 @@ def run(argv=None) -> int:
         seed = None
         if args.command in STOCHASTIC_COMMANDS:
             seed = scenario.seed(args.seed)
-        if args.command == "evolve":
-            artifacts = cmd_evolve(scenario, args)
-        elif args.command == "measure":
-            artifacts = cmd_measure(scenario, args, seed)
-        elif args.command == "closure":
-            artifacts = cmd_closure(scenario, args)
-        elif args.command == "steer":
-            artifacts = cmd_steer(scenario, args, seed)
-        elif args.command == "stabilize":
-            artifacts = cmd_stabilize(scenario, args, seed)
-        elif args.command == "torus-plan":
-            artifacts = cmd_torus_plan(scenario, args)
-        else:
-            artifacts = cmd_pmp(scenario, args)
+        # looked up at call time, so a wrapper set on the module attribute is called
+        artifacts = globals()["cmd_" + args.command.replace("-", "_")](scenario, args, seed)
         _write_manifest(args.out, args.command, scenario, seed, args.trials, artifacts, t0)
         return EXIT_OK
     except ScenarioError as exc:

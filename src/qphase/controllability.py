@@ -52,7 +52,7 @@ class LieClosureReport:
         # exp(sum theta_m B_m) = exp(-i sum theta_m (i B_m)): the basis as
         # the Hermitian controls i B_m of a zero-drift plant
         n = self.basis.shape[1]
-        return ControlledHamiltonian(np.zeros((n, n)), tuple(1j * b for b in self.basis))
+        return ControlledHamiltonian(np.zeros((n, n)), 1j * self.basis)
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ energy contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,32 +109,39 @@ class ControlSchedule:
 
 @dataclass(frozen=True)
 class ControlledHamiltonian:
-    """Drift plus bilinearly controlled Hamiltonian H(t) = H0 + sum u_j(t) H_j."""
+    """Drift plus bilinearly controlled Hamiltonian H(t) = H0 + sum u_j(t) H_j.
+
+    ``hamiltonians`` is the read-only ``(1 + r, N, N)`` stack [H0; H1; ...; Hr],
+    built once; ``drift`` and the ``controls`` tuple are views of it.
+    """
 
     drift: np.ndarray
     controls: tuple = ()
     schedule: ControlSchedule | None = None
+    hamiltonians: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h0 = _readonly(_as_hermitian(self.drift))
-        hs = tuple(_readonly(_as_hermitian(h)) for h in self.controls)
+        h0 = _as_hermitian(self.drift)
+        hs = [_as_hermitian(h) for h in self.controls]
         for h in hs:
             if h.shape != h0.shape:
                 raise DimensionMismatchError("control matrices must match drift dimension")
         if hs and self.schedule is not None and self.schedule.n_channels != len(hs):
             raise DimensionMismatchError("schedule channel count must match controls")
-        object.__setattr__(self, "drift", h0)
-        object.__setattr__(self, "controls", hs)
+        stack = _readonly(np.stack([h0, *hs]))
+        object.__setattr__(self, "hamiltonians", stack)
+        object.__setattr__(self, "drift", stack[0])
+        object.__setattr__(self, "controls", tuple(stack[1:]))
 
     @property
     def dim(self) -> int:
         return self.drift.shape[0]
 
     def matrix_for(self, u: np.ndarray) -> np.ndarray:
-        h = np.array(self.drift)
-        for uj, hj in zip(np.atleast_1d(u), self.controls):
-            h = h + uj * hj
-        return h
+        u = np.atleast_1d(u)
+        if u.shape != (len(self.controls),):
+            raise DimensionMismatchError("need one control value per channel")
+        return self.drift + np.einsum("j,jab->ab", u, self.hamiltonians[1:])
 
     def _pieces(self, times: np.ndarray):
         """Cut [times[0], times[-1]] at the times and at the grid points between them.
@@ -172,11 +179,9 @@ def interval_propagators(plant: ControlledHamiltonian, u, dts):
     """
     dts = np.asarray(dts, dtype=float)
     u = np.asarray(u, dtype=float)
-    n, r = plant.dim, len(plant.controls)
-    if dts.ndim != 1 or u.shape != (dts.size, r):
+    if dts.ndim != 1 or u.shape != (dts.size, len(plant.controls)):
         raise DimensionMismatchError("need one row of control values per interval")
-    hs = np.asarray(plant.controls, dtype=complex).reshape(r, n, n)
-    w, v = np.linalg.eigh(plant.drift + np.einsum("kj,jab->kab", u, hs))
+    w, v = np.linalg.eigh(plant.drift + np.einsum("kj,jab->kab", u, plant.hamiltonians[1:]))
     props = (v * np.exp(-1j * w * dts[:, None])[:, None, :]) @ v.conj().transpose(0, 2, 1)
     return props, w, v
 
@@ -242,8 +247,7 @@ def sample_trajectory(h: ControlledHamiltonian, x0: PhasePoint, times) -> tuple[
     coeffs = np.ones((times.size, 1 + len(h.controls)))
     if h.controls:
         coeffs[:, 1:] = h.schedule.value_at(times)
-    hs = np.array((h.drift,) + h.controls, dtype=complex)
-    energies = 0.5 * np.einsum("ia,ij,ajk,ik->i", coeffs, psis.conj(), hs, psis).real
+    energies = 0.5 * np.einsum("ia,ij,ajk,ik->i", coeffs, psis.conj(), h.hamiltonians, psis).real
     return np.concatenate([psis.real, psis.imag], axis=1), energies
 
 

@@ -63,9 +63,10 @@ class StateVector:
         return abs(np.sum(np.abs(self.amplitudes) ** 2) - 1.0) <= tol
 
     def normalized(self) -> "StateVector":
+        """The state scaled to unit norm; a zero or non-finite norm raises ``NormalizationError``."""
         n = self.norm()
-        if n == 0.0:
-            raise NormalizationError("cannot normalize the zero vector")
+        if not (np.isfinite(n) and n > 0.0):
+            raise NormalizationError(f"cannot normalize a vector of norm {n!r}")
         return StateVector(self.amplitudes / n)
 
     def overlap(self, other: "StateVector") -> complex:

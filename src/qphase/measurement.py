@@ -5,9 +5,10 @@ point of the eigenspace in the G metric; non-selective measurement in a
 nondegenerate basis produces an atomic phase-space density.  Continuous
 observation integrates the double-commutator damping equation
 ``drho/dt = -i[H, rho] - (s/2)[L, [L, rho]]`` by classical RK4 with trace
-renormalization, with the RK4 step precomputed once per call as one matrix
-S on the row-major ``vec(rho)``; the path advances in blocks of the stacked
-powers of S.  A step outside RK4's stability region still diverges.
+renormalization: the Liouvillian is assembled once per call on the
+row-major ``vec(rho)``, the RK4 step S is its degree-4 polynomial, and the
+path advances in blocks of the stacked powers of S.  A step outside RK4's
+stability region still diverges.
 """
 
 from __future__ import annotations
@@ -251,25 +252,23 @@ def gaussian_apply(
 def _step_matrix(hm: np.ndarray, lam: np.ndarray, s: float, dt: float) -> np.ndarray:
     """One classical RK4 step of the master equation as an ``N^2 x N^2`` matrix.
 
-    The equation is linear and time-independent, so the step is the fixed
-    polynomial ``S = I + z + z^2/2 + z^3/6 + z^4/24`` in ``z = dt * F``, where
-    F is the right-hand side as a linear map on the row-major ``vec(rho)``.
-    Column j is the step of the j-th basis matrix; the four stages run on all
-    ``N^2`` of them at once.
+    On the row-major ``vec(rho)``, ``vec(A rho B) = (A kron B^T) vec(rho)``,
+    so the right-hand side is the Liouvillian
+    ``F = -i(H kron I - I kron H^T) - (s/2)(L^2 kron I + I kron (L^2)^T - 2 L kron L^T)``.
+    The equation is linear and time-independent, so the step is RK4's
+    polynomial ``I + z + z^2/2 + z^3/6 + z^4/24`` in ``z = dt F``, evaluated
+    by Horner as ``I + z(I + z/2(I + z/3(I + z/4)))``.
     """
     n = hm.shape[0]
-
-    def rhs(rho):
-        comm = hm @ rho - rho @ hm
-        dbl = lam @ (lam @ rho - rho @ lam) - (lam @ rho - rho @ lam) @ lam
-        return -1j * comm - 0.5 * s * dbl
-
-    basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-    k1 = rhs(basis)
-    k2 = rhs(basis + 0.5 * dt * k1)
-    k3 = rhs(basis + 0.5 * dt * k2)
-    k4 = rhs(basis + dt * k3)
-    return (basis + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(n * n, n * n).T
+    eye, lam2 = np.eye(n), lam @ lam
+    z = (-1j * dt) * (np.kron(hm, eye) - np.kron(eye, hm.T))
+    z -= (0.5 * s * dt) * (np.kron(lam2, eye) + np.kron(eye, lam2.T) - 2.0 * np.kron(lam, lam.T))
+    step = z / 4.0
+    for j in (3.0, 2.0, 1.0):
+        step.flat[:: n * n + 1] += 1.0
+        step = z @ step / j
+    step.flat[:: n * n + 1] += 1.0
+    return step
 
 
 def continuous_observe(

@@ -197,8 +197,7 @@ def control_hamiltonian(
 
 def _slopes(plant: ControlledHamiltonian, psis: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Coupling slopes c[k, j] = phi_k . L_j z_k = Im(phi_k^H H_j psi_k) for every row k."""
-    hs = np.asarray(plant.controls, dtype=complex).reshape(-1, plant.dim, plant.dim)
-    return np.einsum("kx,jxy,ky->kj", phis.conj(), hs, psis).imag
+    return np.einsum("kx,jxy,ky->kj", phis.conj(), plant.hamiltonians[1:], psis).imag
 
 
 def _maximize(slopes: np.ndarray, phi0: float, cost: CostIntegrand, domain: ControlDomain) -> np.ndarray:
@@ -276,8 +275,7 @@ def _objective_and_gradient(x_flat, plant, cost, lift, psi0, goal, dts, weight):
     half = 0.5 * dts[:, None, None]
     wa, wb = w[:, :, None], w[:, None, :]
     f = np.exp(-1j * (wa + wb) * half) * np.sinc((wa - wb) * half / np.pi)
-    hs = np.asarray(plant.controls, dtype=complex)
-    h_eig = np.einsum("kxa,jxy,kyb->kjab", v.conj(), hs, v)
+    h_eig = np.einsum("kxa,jxy,kyb->kjab", v.conj(), plant.hamiltonians[1:], v)
     # Re(a^H (F o (-i dt V^H H_j V)) b) = dt Im(a^H (F o V^H H_j V) b)
     grad = (dts[:, None] * np.einsum("kab,kjab->kj", a.conj()[:, :, None] * f * b[:, None, :], h_eig).imag) @ lift.T
     grad += rate_grad * dts[:, None]

@@ -77,7 +77,7 @@ def _outside(k, radius: int) -> bool:
 
 
 def move_step(move: str, k: tuple, cat: CatMap) -> tuple:
-    """Apply one plan move to a momentum label."""
+    """Apply one plan move to a momentum label, or elementwise to a pair of label arrays."""
     if move == "U1":
         return cat.apply_inverse(k)
     if move == "U1^-1":
@@ -208,14 +208,16 @@ def _index(k, radius: int) -> int:
 @functools.lru_cache(maxsize=8)
 def _neighbours(cat: CatMap, radius: int) -> np.ndarray:
     """Row ``_index(k)``: the box index of k's neighbour under each move in
-    MOVES, or -1 outside the box.  Read-only, as it is shared between calls."""
-    side = range(-radius, radius + 1)
-    table = np.full(((2 * radius + 1) ** 2, len(MOVES)), -1, dtype=np.intp)
-    for k in ((k1, k2) for k1 in side for k2 in side):
-        for j, move in enumerate(MOVES):
-            nxt = move_step(move, k, cat)
-            if not _outside(nxt, radius):
-                table[_index(k, radius), j] = _index(nxt, radius)
+    MOVES, or -1 outside the box.  Each column is one ``move_step`` on the
+    arrays of all labels in index order.  Read-only, as it is shared between
+    calls."""
+    side = np.arange(-radius, radius + 1, dtype=np.intp)
+    k = (np.repeat(side, side.size), np.tile(side, side.size))
+    table = np.full((side.size**2, len(MOVES)), -1, dtype=np.intp)
+    for j, move in enumerate(MOVES):
+        nxt = move_step(move, k, cat)
+        inside = np.maximum(abs(nxt[0]), abs(nxt[1])) <= radius
+        table[inside, j] = _index(nxt, radius)[inside]
     table.flags.writeable = False
     return table
 

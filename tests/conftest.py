@@ -20,6 +20,19 @@ def random_hermitian(rng, n):
     return (m + m.conj().T) / 2
 
 
+def restacked_propagators(plant, u, dts):
+    """``interval_propagators`` with the control tuple re-stacked on every call.
+
+    The reference for reading the plant's ``hamiltonians`` stack in place:
+    the same arithmetic on a fresh copy of the matrices.
+    """
+    n, r = plant.dim, len(plant.controls)
+    hs = np.asarray(plant.controls, dtype=complex).reshape(r, n, n)
+    w, v = np.linalg.eigh(plant.drift + np.einsum("kj,jab->kab", u, hs))
+    props = (v * np.exp(-1j * w * dts[:, None])[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return props, w, v
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

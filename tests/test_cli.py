@@ -200,6 +200,20 @@ class TestParser:
         monkeypatch.setattr(qphase.cli, "build_parser", rebuilt)
         assert run(["evolve", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_SCHEMA
 
+    def test_each_command_is_looked_up_by_name_at_call_time(self, tmp_path, monkeypatch):
+        calls = []
+        for name in qphase.cli.COMMANDS:
+            def wrapped(scenario, args, seed, name=name):
+                calls.append((name, seed))
+                return []
+
+            monkeypatch.setattr(qphase.cli, "cmd_" + name.replace("-", "_"), wrapped)
+        scenario = write_scenario(tmp_path / "s.json", {"seed": 7})
+        for name in qphase.cli.COMMANDS:
+            assert run([name, "--scenario", scenario, "--out", str(tmp_path / name)]) == EXIT_OK
+        stochastic = qphase.cli.STOCHASTIC_COMMANDS
+        assert calls == [(name, 7 if name in stochastic else None) for name in qphase.cli.COMMANDS]
+
 
 class TestSchemaDiagnostics:
     def test_missing_file(self, tmp_path):

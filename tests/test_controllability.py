@@ -17,7 +17,7 @@ from qphase import (
     to_phase,
 )
 from qphase.controllability import VERDICT_NOT, VERDICT_SU, VERDICT_U, group_element
-from qphase.errors import DimensionMismatchError
+from qphase.errors import DimensionMismatchError, NormalizationError
 from qphase.steering import h1_matrix, ladder_control, ladder_drift
 
 from conftest import random_hermitian, random_point, random_state
@@ -271,6 +271,18 @@ class TestOrbitMembership:
         states = {"x": random_point(rng, 3), "y": random_point(rng, 3), side: random_point(rng, 2)}
         with pytest.raises(DimensionMismatchError):
             orbit_membership(ladder_closure, states["x"], states["y"], budget=100)
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_state_raises_before_search(self, ladder_closure, rng, monkeypatch, side):
+        monkeypatch.setattr(qphase.controllability, "minimize", lambda *a, **k: pytest.fail("search started"))
+        states = {"x": random_point(rng, 3), "y": random_point(rng, 3), side: PhasePoint([np.nan, 0, 0], [1, 0, 0])}
+        with pytest.raises(NormalizationError):
+            orbit_membership(ladder_closure, states["x"], states["y"], budget=100)
+
+    def test_plant_reads_the_basis_as_one_stack(self, ladder_closure):
+        hs = ladder_closure._plant.hamiltonians
+        assert hs.shape == (1 + ladder_closure.dimension, 3, 3)
+        assert not hs[0].any() and np.array_equal(hs[1:], 1j * ladder_closure.basis)
 
 
 class TestGroupElement:

@@ -22,10 +22,10 @@ from qphase import (
     transport_ensemble,
 )
 from qphase.dynamics import interval_propagators
-from qphase.errors import HermiticityError, NormalizationError, ScheduleCoverageError
+from qphase.errors import DimensionMismatchError, HermiticityError, NormalizationError, ScheduleCoverageError
 from qphase.steering import h3_matrix, ladder_drift
 
-from conftest import random_hermitian, random_point
+from conftest import random_hermitian, random_point, restacked_propagators
 
 R2 = np.sqrt(2.0)
 
@@ -191,6 +191,44 @@ class TestSampleTrajectory:
         for times in ([0.5, 0.2], [[0.0, 0.5]], [], [0.0, np.nan]):
             with pytest.raises(ValueError):
                 sample_trajectory(plant, x0, times)
+
+
+class TestHamiltonianStack:
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_one_read_only_stack_shared_by_drift_and_controls(self, rng, r):
+        h0, hs = random_hermitian(rng, 4), [random_hermitian(rng, 4) for _ in range(r)]
+        plant = ControlledHamiltonian(h0, tuple(hs))
+        stack = plant.hamiltonians
+        assert stack.shape == (1 + r, 4, 4) and stack.dtype == complex and not stack.flags.writeable
+        assert np.array_equal(stack, np.array([h0, *hs]))
+        assert isinstance(plant.controls, tuple) and len(plant.controls) == r
+        for k, view in enumerate((plant.drift,) + plant.controls):
+            assert np.shares_memory(view, stack) and not view.flags.writeable
+            assert np.array_equal(view, stack[k])
+
+    def test_drift_only(self, rng):
+        plant = ControlledHamiltonian.drift_only(random_hermitian(rng, 3))
+        assert plant.hamiltonians.shape == (1, 3, 3) and plant.controls == ()
+        assert np.shares_memory(plant.drift, plant.hamiltonians)
+
+    def test_mismatched_control_raises(self, rng):
+        with pytest.raises(DimensionMismatchError):
+            ControlledHamiltonian(random_hermitian(rng, 3), (random_hermitian(rng, 3), random_hermitian(rng, 2)))
+
+    def test_matrix_for(self, rng):
+        plant = ControlledHamiltonian(random_hermitian(rng, 3), (random_hermitian(rng, 3), random_hermitian(rng, 3)))
+        u = rng.uniform(-1, 1, 2)
+        want = plant.drift + u[0] * plant.controls[0] + u[1] * plant.controls[1]
+        assert np.max(np.abs(plant.matrix_for(u) - want)) < 1e-14
+        with pytest.raises(DimensionMismatchError):
+            plant.matrix_for(np.ones(3))
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 5])
+    def test_propagators_equal_the_restacked_reference_bit_for_bit(self, rng, r):
+        plant = ControlledHamiltonian(random_hermitian(rng, 4), tuple(random_hermitian(rng, 4) for _ in range(r)))
+        u, dts = rng.uniform(-2, 2, size=(9, r)), rng.uniform(0.01, 1.5, size=9)
+        for got, want in zip(interval_propagators(plant, u, dts), restacked_propagators(plant, u, dts)):
+            assert np.array_equal(got, want)
 
 
 class TestIntervalPropagators:

@@ -20,7 +20,7 @@ from qphase import (
     omega_form,
     to_phase,
 )
-from qphase.errors import DimensionMismatchError, HermiticityError
+from qphase.errors import DimensionMismatchError, HermiticityError, NormalizationError
 
 from conftest import random_hermitian, random_point, random_state
 
@@ -109,6 +109,17 @@ class TestComplexStructure:
             n = int(rng.integers(1, 9))
             x, y = random_point(rng, n), random_point(rng, n)
             assert abs(g_form(x, y) - omega_form(x, complex_structure(y))) < 1e-12
+
+
+class TestNormalized:
+    def test_unit_norm(self, rng):
+        amps = 3.0 * random_state(rng, 4).amplitudes
+        assert StateVector(amps).normalized().is_normalized()
+
+    @pytest.mark.parametrize("amps", [[np.nan, 1.0], [np.inf, 0.0], [0.0, 0.0]])
+    def test_zero_or_non_finite_norm_raises(self, amps):
+        with pytest.raises(NormalizationError):
+            StateVector(amps).normalized()
 
 
 class TestAmplitudeMap:

@@ -1,5 +1,7 @@
 """Projective jumps, metric probabilities, ensembles, Gaussian measurement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -376,6 +378,17 @@ class TestStepMatrix:
         assert abs(rk4_polynomial(-4.5) - 8.5234375) < 1e-14
         assert abs(growth.max() - rk4_polynomial(-4.5)) < 1e-12
         assert np.flatnonzero(growth > 1.0).tolist() == [0 * 3 + 2, 2 * 3 + 0]
+
+    def test_peak_memory_stays_under_five_superoperators(self, rng):
+        n = 16
+        h, lam = random_hermitian(rng, n), random_hermitian(rng, n)
+        tracemalloc.start()
+        try:
+            _step_matrix(h, lam, 2.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n**4 * np.dtype(complex).itemsize
 
 
 class TestGaussian:

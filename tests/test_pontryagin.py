@@ -19,12 +19,12 @@ from qphase import (
     solve_shooting,
     to_phase,
 )
-from qphase.dynamics import real_block
+from qphase.dynamics import forward_states, real_block
 from qphase.errors import ControlDomainError, DimensionMismatchError, NormalizationError
 import qphase.pontryagin
-from qphase.pontryagin import _maximize, _objective_and_gradient, _propagate, _slopes
+from qphase.pontryagin import _backward, _maximize, _objective_and_gradient, _propagate, _slopes
 
-from conftest import random_hermitian, random_point
+from conftest import random_hermitian, random_point, random_state, restacked_propagators
 
 H0 = np.diag([1.0, -1.0]).astype(complex)
 H1 = np.array([[0, 1], [1, 0]], complex)
@@ -145,6 +145,54 @@ def reference_argmax(c, phi0, kind, lo, hi):
 def unit_flat(rng, n):
     z = rng.normal(size=2 * n)
     return z / np.linalg.norm(z)
+
+
+def restacked_objective_and_gradient(x_flat, plant, cost, lift, psi0, goal, dts, weight):
+    """``_objective_and_gradient`` with the control tuple re-stacked on every call."""
+    x = x_flat.reshape(dts.size, -1)
+    props, w, v = restacked_propagators(plant, x @ lift, dts)
+    psis = forward_states(props, psi0)
+    overlap = np.vdot(goal, psis[-1])
+    rate, rate_grad = cost._split_rate(x)
+    value = float(rate @ dts) + weight * (1.0 - abs(overlap) ** 2)
+    lams = _backward(props, -2.0 * weight * overlap * goal)
+    vh = v.conj().transpose(0, 2, 1)
+    a = np.einsum("kab,kb->ka", vh, lams[1:])
+    b = np.einsum("kab,kb->ka", vh, psis[:-1])
+    half = 0.5 * dts[:, None, None]
+    wa, wb = w[:, :, None], w[:, None, :]
+    f = np.exp(-1j * (wa + wb) * half) * np.sinc((wa - wb) * half / np.pi)
+    hs = np.asarray(plant.controls, dtype=complex)
+    h_eig = np.einsum("kxa,jxy,kyb->kjab", v.conj(), hs, v)
+    grad = (dts[:, None] * np.einsum("kab,kjab->kj", a.conj()[:, :, None] * f * b[:, None, :], h_eig).imag) @ lift.T
+    grad += rate_grad * dts[:, None]
+    return value, grad.ravel()
+
+
+class TestStackInPlace:
+    """The sweep's kernels read the plant's stack, with the re-stacked tuple's bits."""
+
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (4, 3)])
+    def test_slopes(self, rng, n, r):
+        plant = ControlledHamiltonian(random_hermitian(rng, n), tuple(random_hermitian(rng, n) for _ in range(r)))
+        psis = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+        phis = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+        hs = np.asarray(plant.controls, dtype=complex).reshape(-1, n, n)
+        want = np.einsum("kx,jxy,ky->kj", phis.conj(), hs, psis).imag
+        assert np.array_equal(_slopes(plant, psis, phis), want)
+
+    @pytest.mark.parametrize("kind", ["control-energy", "control-l1"])
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 2)])
+    def test_objective_and_gradient(self, rng, kind, n, r):
+        plant = ControlledHamiltonian(random_hermitian(rng, n), tuple(random_hermitian(rng, n) for _ in range(r)))
+        cost, dts = CostIntegrand(kind), rng.uniform(0.05, 0.4, 10)
+        lift, _, _ = cost._split(-np.ones(r), np.ones(r))
+        x = split_variables(cost, rng.uniform(-1, 1, size=(10, r))).ravel()
+        psi0, goal = random_state(rng, n).amplitudes, random_state(rng, n).amplitudes
+        args = (plant, cost, lift, psi0, goal, dts, 3.0)
+        got_v, got_g = _objective_and_gradient(x, *args)
+        want_v, want_g = restacked_objective_and_gradient(x, *args)
+        assert got_v == want_v and np.array_equal(got_g, want_g)
 
 
 class TestSpectralObjective:

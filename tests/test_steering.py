@@ -234,6 +234,11 @@ class TestFrameGeneral:
         with pytest.raises(DimensionMismatchError):
             build_frame_general(goal, ladder_closure)
 
+    def test_non_finite_goal_raises_before_search(self, ladder_closure, monkeypatch):
+        monkeypatch.setattr(qphase.steering, "least_squares", lambda *a, **k: pytest.fail("search started"))
+        with pytest.raises(NormalizationError):
+            build_frame_general(StateVector([np.nan, 0.0, 1.0]), ladder_closure)
+
 
 class TestSteer:
     def test_goal_input_stays(self, ladder_closure):

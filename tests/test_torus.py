@@ -115,6 +115,24 @@ class TestMeasureMomentum:
             assert rng.bit_generator.state == ref.bit_generator.state == direct.bit_generator.state
 
 
+class TestNeighbours:
+    """The in-box neighbour table against one scalar ``move_step`` per label and move."""
+
+    @pytest.mark.parametrize("cat", [((2, 1), (1, 1)), ((3, 2), (1, 1)), ((1, 1), (1, 2))])
+    @pytest.mark.parametrize("radius", [1, 2, 5, 32])
+    def test_matches_the_label_loop(self, cat, radius):
+        cat = CatMap(cat)
+        side = range(-radius, radius + 1)
+        want = np.full(((2 * radius + 1) ** 2, len(torus.MOVES)), -1, dtype=np.intp)
+        for k in ((k1, k2) for k1 in side for k2 in side):
+            for j, move in enumerate(torus.MOVES):
+                nxt = torus.move_step(move, k, cat)
+                if max(abs(nxt[0]), abs(nxt[1])) <= radius:
+                    want[torus._index(k, radius), j] = torus._index(nxt, radius)
+        got = torus._neighbours(cat, radius)
+        assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
+
+
 class TestPlanKicks:
     def test_manhattan_translations(self):
         plan = plan_kicks((0, 0), (2, -1), allow_cat_moves=False)
