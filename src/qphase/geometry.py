@@ -63,11 +63,25 @@ class StateVector:
         return abs(np.sum(np.abs(self.amplitudes) ** 2) - 1.0) <= tol
 
     def normalized(self) -> "StateVector":
-        """The state scaled to unit norm; a zero or non-finite norm raises ``NormalizationError``."""
-        n = self.norm()
+        """The state scaled to unit norm; a zero or non-finite state raises ``NormalizationError``.
+
+        The squares of a finite state can overflow to an infinite norm or
+        underflow to a zero one; such a state is first divided by its
+        largest real or imaginary part, which brings its norm into
+        [1, sqrt(2 dim)].  The parts are divided as reals: a largest modulus
+        could overflow too, and a complex division by a subnormal overflows.
+        """
+        amps = self.amplitudes
+        with np.errstate(over="ignore"):
+            n = self.norm()
         if not (np.isfinite(n) and n > 0.0):
-            raise NormalizationError(f"cannot normalize a vector of norm {n!r}")
-        return StateVector(self.amplitudes / n)
+            parts = amps.view(float)  # Re and Im of each amplitude
+            top = float(np.max(np.abs(parts)))
+            if not (np.isfinite(top) and top > 0.0):
+                raise NormalizationError(f"cannot normalize a vector of norm {n!r}")
+            amps = (parts / top).view(complex)
+            n = float(np.linalg.norm(amps))
+        return StateVector(amps / n)
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""

@@ -9,10 +9,12 @@ for the middle level of the three-level ladder system.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,6 +350,25 @@ def _renormalized(z: complex) -> complex:
     return complex(z.real * s, z.imag * s)
 
 
+def _renormalized_times(z: complex, m: int) -> complex:
+    """``_renormalized`` applied ``m`` times, in the steps until its value repeats.
+
+    On a unit phase the map reaches a fixed point or a 2-cycle within a step
+    or two, so the rest of the count only picks a point of the cycle.
+    Values are told apart by their bits, since ``==`` equates -0.0 and 0.0.
+    """
+    orbit, seen = [], {}
+    for k in range(m):
+        bits = struct.pack("<2d", z.real, z.imag)
+        if bits in seen:
+            start = seen[bits]
+            return orbit[start + (m - k) % (k - start)]
+        seen[bits] = k
+        orbit.append(z)
+        z = _renormalized(z)
+    return z
+
+
 def _level_state(level: int, z: complex = 1.0) -> np.ndarray:
     psi = np.zeros(3, dtype=complex)
     psi[level] = z
@@ -400,8 +421,9 @@ class _RawDraws:
     3 (2019)): it takes the half the generator holds, if any, or else the
     low half x of the next word and holds its high half; it returns
     ``(3 x) >> 32`` and redraws only when x = 0, its threshold
-    ``(2**32 - 3) mod 3`` being 1.  ``close`` puts the generator where those
-    scalar calls would have left it.
+    ``(2**32 - 3) mod 3`` being 1.  ``skip_quiet`` draws the uniforms of
+    undisturbed maintenance periods in bulk.  ``close`` puts the generator
+    where those scalar calls would have left it.
     """
 
     def __init__(self, rng: np.random.Generator, size: int):
@@ -416,19 +438,44 @@ class _RawDraws:
         self._has_half, self._half = self._start["has_uint32"], self._start["uinteger"]
         self._size = min(size, _MAX_BLOCK)
         self._spent = 0  # words before the block
-        self._words = bg.random_raw(self._size).tolist()
+        self._read_block()
+
+    def _read_block(self):
+        self._block = self._bg.random_raw(self._size)
+        self._words = self._block.tolist()
         self._pos = 0
+        self._flags = None  # (disturbance, flagged even positions, flagged odd positions)
 
     def _word(self) -> int:
         if self._pos == len(self._words):
             self._spent += self._pos
-            self._words = self._bg.random_raw(self._size).tolist()
-            self._pos = 0
+            self._read_block()
         self._pos += 1
         return self._words[self._pos - 1]
 
     def uniform(self) -> float:
         return (self._word() >> 11) * _UNIT
+
+    def skip_quiet(self, disturbance, limit: int) -> int:
+        """Draw the undisturbed periods ahead in this block, at most ``limit``, and return their count.
+
+        A period is two words, and it is disturbed when ``uniform()`` of its
+        first word is below ``disturbance``.  That test runs once over the
+        whole block, with ``uniform()``'s own arithmetic, and the flagged
+        positions are kept by parity, so each call is one bisection: the
+        periods end at the next flagged word of the parity of the current
+        position, or at the last whole period in the block.
+        """
+        if self._flags is None or self._flags[0] != disturbance:
+            flagged = np.flatnonzero((self._block >> 11) * _UNIT < disturbance)
+            odd = (flagged & 1).astype(bool)
+            self._flags = disturbance, flagged[~odd].tolist(), flagged[odd].tolist()
+        marks = self._flags[1 + (self._pos & 1)]
+        k = bisect.bisect_left(marks, self._pos)
+        end = marks[k] if k < len(marks) else len(self._words)
+        m = min((end - self._pos) // 2, limit)
+        self._pos += 2 * m
+        return m
 
     def level(self) -> int:
         while True:
@@ -474,9 +521,16 @@ def stabilize_middle_level(
     ends where they leave it, also when ``MaxIterationsError`` is raised.
     Every measurement, the first of ``x0`` included, computes its Born odds
     in scalars with numpy's roundings.  After it the state is one level
-    times a phase, so the run is an event loop on (level, phase), and an
-    undisturbed period, whose measurement is certain, only draws its two
-    uniforms and renormalises the phase.
+    times a phase, so the run is an event loop on (level, phase).  An
+    undisturbed period's measurement is certain, so it only draws its two
+    uniforms and renormalises the phase.  The disturbance test runs once
+    per block of raw words, and the undisturbed periods up to the next
+    disturbance or the block's end are skipped in bulk: their hits are
+    counted, and the phase is renormalised that many times in a few steps,
+    since the renormalisation settles on a fixed point or a 2-cycle.  Only
+    a disturbed period, or one that straddles two blocks, runs on its own,
+    so the work grows with the disturbances and the blocks, not the
+    periods.
     ``rng`` must be a Generator on PCG64, PCG64DXSM, Philox or SFC64, whose
     draws are read from its raw 64-bit words.
 
@@ -485,7 +539,9 @@ def stabilize_middle_level(
     Invalid arguments raise ``ProtocolParameterError``, and an ``x0`` that
     is not three-level raises ``DimensionMismatchError``.
     """
-    if disturbance is not None and not (isinstance(disturbance, numbers.Real) and 0.0 <= disturbance <= 1.0):
+    if disturbance is not None and (
+        isinstance(disturbance, bool) or not (isinstance(disturbance, numbers.Real) and 0.0 <= disturbance <= 1.0)
+    ):
         raise ProtocolParameterError(f"disturbance must be a probability in [0, 1], got {disturbance!r}")
     for name, value in (("n_periods", n_periods), ("max_iters", max_iters)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
@@ -530,8 +586,15 @@ def stabilize_middle_level(
         z, cycles = acquire(*measure(x0.amplitudes.tolist()))
         occupancy = None
         if maintained:
-            hits = 0
-            for _ in range(n_periods):
+            hits, left = 0, n_periods
+            while left:
+                quiet = draws.skip_quiet(disturbance, left)
+                hits += quiet
+                z = _renormalized_times(z, quiet)
+                left -= quiet
+                if not left:
+                    break
+                left -= 1
                 disturbed = draws.uniform() < disturbance
                 level = draws.level() if disturbed else 1
                 if disturbed and steps is not None:

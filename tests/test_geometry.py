@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,31 @@ class TestNormalized:
     def test_zero_or_non_finite_norm_raises(self, amps):
         with pytest.raises(NormalizationError):
             StateVector(amps).normalized()
+
+    @pytest.mark.parametrize("amps", [
+        [1e200, 1e200],
+        [1e-200, 1e-200],
+        [1e308 + 1e308j, -1e308j],
+        [5e-324, 0.0],
+        [3e-170j, 0.0, -4e-170],
+    ], ids=["overflow", "underflow", "overflowing-modulus", "subnormal", "mixed"])
+    def test_finite_state_with_overflowing_or_underflowing_squares(self, amps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = StateVector(amps).normalized()
+        assert np.all(np.isfinite(psi.amplitudes)) and psi.is_normalized()
+
+    @pytest.mark.parametrize("amps", [[1e200, np.nan], [1e-200, np.inf], [np.inf, 1e200j], [0.0, -0.0j]])
+    def test_scaling_does_not_rescue_a_zero_or_non_finite_state(self, amps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormalizationError):
+                StateVector(amps).normalized()
+
+    def test_ordinary_states_keep_their_arithmetic(self, rng):
+        for _ in range(200):
+            amps = rng.uniform(0.1, 10.0) * random_state(rng, int(rng.integers(1, 9))).amplitudes
+            assert StateVector(amps).normalized().amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
 
 
 class TestAmplitudeMap:

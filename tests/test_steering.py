@@ -429,6 +429,7 @@ class TestStabilize:
         dict(disturbance=1.7, n_periods=10),
         dict(disturbance=-0.3, n_periods=10),
         dict(disturbance="often", n_periods=10),
+        dict(disturbance=True, n_periods=10),
         dict(disturbance=0.1, n_periods=-5),
         dict(disturbance=0.1, n_periods=2.5),
         dict(disturbance=0.1, n_periods=True),
@@ -475,6 +476,72 @@ class TestStabilize:
             assert (rng.integers(0, 3), rng.random()) == (ref.integers(0, 3), ref.random())
         assert 0 < raised < 16
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("make", [lambda k: stream(7, k), np.random.default_rng], ids=["philox", "pcg64"])
+    def test_bulk_skip_matches_the_reference_across_block_edges(self, monkeypatch, make, block):
+        # small blocks make quiet runs straddle block edges
+        monkeypatch.setattr(qphase.steering, "_MAX_BLOCK", block)
+        gen = np.random.default_rng(53 + block)
+
+        def prepared(case):
+            g = make(case)
+            if case % 2:  # a half of a word held by an earlier integers() call
+                g.integers(0, 3)
+            return g
+
+        for case, disturbance in enumerate([0.0, 1e-4, 0.05, 0.5, 1.0, "edge"]):
+            n_periods = 20_000 if (case, block) == (1, 64) else int(gen.integers(1, 400))
+            x0 = random_point(gen, 3)
+            if disturbance == "edge":
+                # x0 on the middle level spends one word, so period k tests the uniform of word 1 + 2k; the
+                # least of the first 40 is undisturbed at the strict <, and no period before it is disturbed
+                x0 = to_phase(StateVector([0, np.exp(gen.uniform(0.0, 2.0 * np.pi) * 1j), 0]))
+                words = prepared(case).bit_generator.random_raw(80)[1::2]
+                disturbance = float(np.min((words >> 11) * 2.0**-53))
+                n_periods = max(n_periods, 40)
+            rng, ref = prepared(case), prepared(case)
+            got = stabilize_middle_level(x0, disturbance=disturbance, n_periods=n_periods, rng=rng, record_steps=True)
+            steps, fidelity, cycles, occupancy = stabilize_reference(x0, disturbance=disturbance, n_periods=n_periods, rng=ref)
+            assert (got.final_fidelity, got.iterations, got.occupancy) == (fidelity, cycles, occupancy)
+            assert [(st.action, st.detail) for st in got.steps] == [(a, d) for a, d, _ in steps]
+            for st, (_, _, state) in zip(got.steps, steps):
+                assert st.state.q.tobytes() == state.q.tobytes() and st.state.p.tobytes() == state.p.tobytes()
+            assert _state(rng) == _state(ref)
+            assert (rng.integers(0, 3), rng.random()) == (ref.integers(0, 3), ref.random())
+
+    def test_bulk_renormalization_equals_repeated_scalar_steps(self):
+        gen = np.random.default_rng(54)
+        n = 20_000
+        special = [1.0 + 0j, -1.0 + 0j, 1j, -1j, complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, -0.0),
+                   complex(-0.0, -1.0), complex(-1.0, 0.0), complex(0.0, -1.0)]
+        phases = np.exp(gen.uniform(0.0, 2.0 * np.pi, n) * 1j)
+        phases[::2] *= 1.0 + gen.uniform(-4e-16, 4e-16, n // 2)  # off the unit circle by an ulp or two
+        phases = special + phases.tolist()
+        chains = []
+        for z in phases:
+            chain = [z]
+            for _ in range(8):
+                chain.append(qphase.steering._renormalized(chain[-1]))
+            chains.append(chain)
+        for m in range(9):
+            got = [qphase.steering._renormalized_times(z, m) for z in phases]
+            assert np.array(got).tobytes() == np.array([chain[m] for chain in chains]).tobytes()
+        # 501 and 502 steps by the same arithmetic on arrays, checked against the scalar chains first
+        re, im = np.array([z.real for z in phases]), np.array([z.imag for z in phases])
+        for m in range(1, 503):
+            s = 1.0 / np.sqrt(re * re + im * im)
+            re, im = re * s, im * s
+            if m <= 8:
+                assert re.tobytes() == np.array([chain[m].real for chain in chains]).tobytes()
+                assert im.tobytes() == np.array([chain[m].imag for chain in chains]).tobytes()
+            if m in (501, 502):
+                got = np.array([qphase.steering._renormalized_times(z, m) for z in phases])
+                assert got.real.tobytes() == re.tobytes() and got.imag.tobytes() == im.tobytes()
+        # the sample holds phases that end on a fixed point and phases that end in a 2-cycle
+        fixed = sum(_bits(chain[8]) == _bits(chain[7]) for chain in chains)
+        cycles = sum(_bits(chain[8]) == _bits(chain[6]) != _bits(chain[7]) for chain in chains)
+        assert fixed > 0 and cycles > 0 and fixed + cycles == len(chains)
+
     def test_scalar_kick_and_odds_match_numpy(self):
         gen = np.random.default_rng(50)
         n = 100_000
@@ -502,6 +569,11 @@ class TestStabilize:
                 for u in (0.0, 0.5, float(np.nextafter(1.0, 0.0))):
                     branch = (d0 <= u) + (d1 <= u)
                     assert levels[branch] == level == levels[int(select_branches(born_weights(psi, obs), u))]
+
+
+def _bits(z: complex) -> bytes:
+    """``z``'s two doubles as bytes, which tell -0.0 from 0.0."""
+    return np.array([z.real, z.imag]).tobytes()
 
 
 def _state(rng) -> dict:
