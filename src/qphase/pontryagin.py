@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solvers import least_squares, linalg_names, minimize
+from ._solvers import least_squares, linalg_names
+from ._solvers import minimize_box as minimize  # the polish; tests and the benchmark's tracer hook this name
 from .dynamics import ControlSchedule, ControlledHamiltonian, check_grid, forward_states, interval_propagators
 from .errors import ControlDomainError, DimensionMismatchError, NormalizationError
 from .geometry import PhasePoint, _readonly
@@ -304,14 +305,19 @@ def forward_backward_sweep(
     """Penalized maximum-principle solve on the control grid ``grid``.
 
     Each round runs the damped argmax sweep with monotone acceptance, then
-    polishes the same penalized objective with L-BFGS-B on exact discrete
-    gradients; the penalty weight escalates geometrically until the
-    terminal fidelity reaches ``FIDELITY_GOAL`` or the round budget runs out.
+    polishes the same penalized objective on exact discrete gradients with
+    the bound-constrained quasi-Newton solver ``_solvers.minimize_box``; the
+    penalty weight escalates geometrically until the terminal fidelity
+    reaches ``FIDELITY_GOAL`` or the round budget runs out.
     The polish works on the variables of ``CostIntegrand._split``: u itself
     for the energy cost, the split [u+, u-] for the l1 cost, whose running
     cost sum(u+ + u-) is linear and has no kink; the polished schedule is
     u+ - u- clipped to the domain, and the reported cost is always
     sum X0(u) dt of that schedule.
+
+    The solution's ``iterations`` counts the argmax sweeps of every round,
+    accepted or not, plus the accepted quasi-Newton steps of every polish;
+    it does not count objective evaluations or rejected line-search trials.
     """
     grid = check_grid(grid)
     psi0, goal = _unit_amplitudes(plant, x_init, "x_init"), _unit_amplitudes(plant, x_goal, "x_goal")
@@ -323,7 +329,6 @@ def forward_backward_sweep(
     dts = np.diff(grid)
     singleton = np.allclose(domain.lower, domain.upper)
     lift, x_lower, x_upper = cost._split(domain.lower, domain.upper)
-    x_bounds = list(zip(np.tile(x_lower, m), np.tile(x_upper, m)))
 
     def score(u):
         """The pass of the schedule u, its terminal fidelity and its running cost."""
@@ -373,10 +378,8 @@ def forward_backward_sweep(
             _objective_and_gradient,
             np.clip(u @ lift.T, x_lower, x_upper).ravel(),  # for l1, [u, -u] clipped is [u+, u-]
             args=(plant, cost, lift, psi0, goal, dts, weight),
-            method="L-BFGS-B",
-            jac=True,
-            bounds=x_bounds,
-            options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-12},
+            lower=np.tile(x_lower, m),
+            upper=np.tile(x_upper, m),
         )
         iterations += int(res.nit)
         u = np.clip(res.x.reshape(m, -1) @ lift, domain.lower, domain.upper)
