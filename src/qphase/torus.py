@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolParameterError, QPhaseError, TruncationOverflowError
+from .errors import NormalizationError, ProtocolParameterError, QPhaseError, TruncationOverflowError
 from .geometry import PhasePoint
 from .measurement import draw_branch
 from .steering import ProtocolStep, ProtocolTrace
@@ -37,9 +37,9 @@ class CatMap:
         m = tuple(tuple(int(x) for x in row) for row in self.m)
         (a, b), (c, d) = m
         if a * d - b * c != 1:
-            raise ValueError("cat map must have determinant 1")
+            raise ProtocolParameterError("cat map must have determinant 1")
         if abs(a + d) <= 2:
-            raise ValueError("cat map must be hyperbolic (|trace| > 2)")
+            raise ProtocolParameterError("cat map must be hyperbolic (|trace| > 2)")
         object.__setattr__(self, "m", m)
 
     def apply(self, k) -> tuple:
@@ -90,7 +90,7 @@ def move_step(move: str, k: tuple, cat: CatMap) -> tuple:
         return (k[0], k[1] - 1)
     if move == "U3^-1":
         return (k[0], k[1] + 1)
-    raise ValueError(f"unknown move {move!r}")
+    raise ProtocolParameterError(f"unknown move {move!r}")
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,13 @@ class TorusState:
     def __post_init__(self):
         items = tuple(sorted(((tuple(int(x) for x in k), complex(a)) for k, a in self.support)))
         if not items:
-            raise ValueError("state must have non-empty support")
+            raise ProtocolParameterError("state must have non-empty support")
         for k, _ in items:
             if _outside(k, self.radius):
                 raise TruncationOverflowError(f"momentum {k} outside |k_i| <= {self.radius}")
         nrm = np.sqrt(sum(abs(a) ** 2 for _, a in items))
         if not abs(nrm - 1.0) <= 1e-12:
-            raise ValueError("state must be normalized within 1e-12")
+            raise NormalizationError("state must be normalized within 1e-12")
         object.__setattr__(self, "support", items)
 
     @classmethod
@@ -130,7 +130,7 @@ def apply_floquet_component(
     truncation box raise rather than clip.
     """
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise ProtocolParameterError("sign must be +1 or -1")
     if which == "U0":
         items = tuple(
             (k, a * np.exp(-1j * sign * (k[0] ** 2 + k[1] ** 2) * tau / 2))
@@ -147,7 +147,7 @@ def apply_floquet_component(
                 raise TruncationOverflowError(f"{move} sends {k} to {k2}, outside the box")
             relabeled.append((k2, a))
         return TorusState(tuple(relabeled), s.radius)
-    raise ValueError(f"unknown Floquet component {which!r}")
+    raise ProtocolParameterError(f"unknown Floquet component {which!r}")
 
 
 def measure_momentum(
@@ -229,23 +229,32 @@ def _in_box_moves(k_start, k_target, cat: CatMap, radius: int) -> list:
     until the start has one (every move's inverse is a move, so distances
     are symmetric); the walk down from the start takes the first move in
     MOVES order that lowers the distance.
+
+    Levels are ``int32``, -1 while unlabelled: the translations alone join
+    any two labels inside the box, so no in-box distance exceeds the
+    Manhattan bound 4 * radius.  ``dist`` has one trailing slot past the
+    box, preset to the type's maximum, and the table's -1 (a move leaving
+    the box) indexes it: the search reads it as already labelled, and the
+    walk never finds it one below a node's distance.
     """
     table = _neighbours(cat, radius)
     start, target = _index(k_start, radius), _index(k_target, radius)
-    dist = np.full(len(table), -1)
+    dist = np.full(len(table) + 1, -1, dtype=np.int32)
+    dist[-1] = np.iinfo(np.int32).max
     dist[target] = 0
     frontier, level = np.array([target]), 0
     while dist[start] < 0:
         level += 1
-        reached = table[frontier].ravel()
-        reached = reached[reached >= 0]
-        dist[reached[dist[reached] < 0]] = level
-        frontier = np.flatnonzero(dist == level)
+        reached = table.take(frontier, axis=0)
+        dist[reached[dist.take(reached) < 0]] = level
+        frontier = (dist == level).nonzero()[0]
+    dist = dist.tolist()
     moves, node = [], start
     while node != target:
-        j = next(j for j, nxt in enumerate(table[node]) if nxt >= 0 and dist[nxt] == dist[node] - 1)
+        row = table[node].tolist()
+        j = next(j for j, nxt in enumerate(row) if dist[nxt] == dist[node] - 1)
         moves.append(MOVES[j])
-        node = table[node, j]
+        node = row[j]
     return moves
 
 
@@ -294,12 +303,14 @@ def reach_state(
     k_target = _label(k_target)
     k0, state = measure_momentum(s0, rng)
     plan = plan_kicks(k0, k_target, cat, allow_cat_moves, s0.radius)
-    steps = [ProtocolStep("measure", {"k": list(k0)}, PhasePoint([0.0], [0.0]))]
+    # one placeholder point for every step: PhasePoint is frozen and its arrays are read-only
+    point = PhasePoint([0.0], [0.0])
+    steps = [ProtocolStep("measure", {"k": list(k0)}, point)]
     for move in plan.steps:
         which = move.split("^")[0]
         sign = -1 if move.endswith("^-1") else 1
         state = apply_floquet_component(state, which, sign=sign, cat=cat)
-        steps.append(ProtocolStep("evolve", {"move": move}, PhasePoint([0.0], [0.0])))
+        steps.append(ProtocolStep("evolve", {"move": move}, point))
     final_k = state.support[0][0]
     fidelity = 1.0 if final_k == k_target and len(state.support) == 1 else 0.0
     return ProtocolTrace(tuple(steps), final_fidelity=fidelity, iterations=len(plan)), state

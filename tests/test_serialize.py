@@ -5,9 +5,13 @@ writers, so they cannot see a change in the writers themselves; these tests
 pin the bytes.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 
+import qphase.cli
 from qphase.serialize import fmt_lines, write_csv, write_json, write_trials_json
 
 HEADER = ["trial", "value", "tail"]
@@ -92,3 +96,33 @@ def test_trials_json_equals_write_json_of_the_whole_list(tmp_path, labels):
     write_trials_json(tmp_path / "fragments.json", labels, RECORDS)
     write_json(tmp_path / "whole.json", {"trials": [{**RECORDS[b], "trial": k} for k, b in enumerate(labels)]})
     assert (tmp_path / "fragments.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+
+
+def test_json_bytes_equal_json_dump_on_cli_payloads(tmp_path, monkeypatch):
+    """``write_json`` writes ``json.dump``'s indent-2 text plus a newline on
+    real payloads: a u(8) closure, a plan, stabilizer trials and manifests."""
+
+    def cv(v):
+        return [[complex(z).real, complex(z).imag] for z in v]
+
+    rng = np.random.default_rng(8)
+    herm = [(m + m.conj().T) / 2 for m in rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))]
+    scenarios = {
+        "closure": {"system": {"drift": [cv(row) for row in herm[0]], "controls": [[cv(row) for row in herm[1]]]}},
+        "torus-plan": {"torus_start": [-7, 12], "torus_target": [4, -9]},
+        "stabilize": {"initial_state": cv([0.6, 0.0, 0.8]), "disturbance": 0.2, "n_periods": 10, "seed": 3},
+    }
+    payloads = []
+    monkeypatch.setattr(qphase.cli, "write_json", lambda path, payload: payloads.append((os.path.basename(path), payload)))
+    for command, scenario in scenarios.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(scenario))
+        assert qphase.cli.run([command, "--scenario", str(path), "--out", str(tmp_path / command), "--trials", "4"]) == 0
+    assert sorted(name for name, _ in payloads) == [
+        "closure.json", "manifest.json", "manifest.json", "manifest.json", "plan.json", "stabilize.json"]
+    for name, payload in payloads:
+        write_json(tmp_path / "encoded.json", payload)
+        with open(tmp_path / "dumped.json", "w", newline="\n") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert (tmp_path / "encoded.json").read_bytes() == (tmp_path / "dumped.json").read_bytes(), name

@@ -16,7 +16,7 @@ from qphase import (
     reach_state,
 )
 from qphase import torus
-from qphase.errors import ProtocolParameterError, QPhaseError, TruncationOverflowError
+from qphase.errors import NormalizationError, ProtocolParameterError, QPhaseError, TruncationOverflowError
 from qphase.measurement import draw_branch
 
 R2 = np.sqrt(2.0)
@@ -27,6 +27,22 @@ class TestTorusState:
     def test_rejects_nan_amplitude(self):
         with pytest.raises(ValueError):
             TorusState((((0, 0), complex(np.nan, 0.0)),))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: CatMap(((2, 0), (0, 2))), ProtocolParameterError),
+    (lambda: CatMap(((0, -1), (1, 0))), ProtocolParameterError),
+    (lambda: torus.move_step("U4", (0, 0), CatMap.default()), ProtocolParameterError),
+    (lambda: TorusState(()), ProtocolParameterError),
+    (lambda: TorusState((((0, 0), 0.5),)), NormalizationError),
+    (lambda: apply_floquet_component(TorusState.eigenstate((0, 0)), "U1", sign=2), ProtocolParameterError),
+    (lambda: apply_floquet_component(TorusState.eigenstate((0, 0)), "U9"), ProtocolParameterError),
+])
+def test_rejections_are_typed(call, error):
+    # a QPhaseError that is also the ValueError callers caught before
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 class TestCatMap:
@@ -241,6 +257,51 @@ def test_plans_match_in_box_oracle(radius):
                 assert dist[nxt] == dist[k] - 1
                 k = nxt
             assert k == target
+
+
+def fancy_index_moves(k_start, k_target, cat, radius) -> list:
+    """The in-box search with fancy indexing, an int64 level array and a
+    ``>= 0`` filter on the table's out-of-box entries: the reference for the
+    take-gather search with its trailing out-of-box slot."""
+    table = torus._neighbours(cat, radius)
+    start, target = torus._index(k_start, radius), torus._index(k_target, radius)
+    dist = np.full(len(table), -1)
+    dist[target] = 0
+    frontier, level = np.array([target]), 0
+    while dist[start] < 0:
+        level += 1
+        reached = table[frontier].ravel()
+        reached = reached[reached >= 0]
+        dist[reached[dist[reached] < 0]] = level
+        frontier = np.flatnonzero(dist == level)
+    moves, node = [], start
+    while node != target:
+        j = next(j for j, nxt in enumerate(table[node]) if nxt >= 0 and dist[nxt] == dist[node] - 1)
+        moves.append(torus.MOVES[j])
+        node = table[node, j]
+    return moves
+
+
+@pytest.mark.parametrize("cat, radius, n_targets", [(((2, 1), (1, 1)), 32, 20), (((3, 1), (2, 1)), 10, 5)])
+def test_search_matches_reference_at_large_radius(cat, radius, n_targets):
+    """Seeded pairs, ten starts per target, with box corners and edge labels
+    (where several moves leave the box) among both: the same moves as the
+    reference search, and as many as the plain breadth-first distance."""
+    cat, r = CatMap(cat), radius
+    rng = np.random.default_rng(radius)
+    boundary = [(r, r), (-r, -r), (r, -r), (-r, r), (r, 3), (-5, -r), (-r, 7), (2, r)]
+
+    def draw():
+        return tuple(int(v) for v in rng.integers(-r, r + 1, 2))
+
+    targets = boundary[:n_targets] + [draw() for _ in range(n_targets - len(boundary))]
+    for i, target in enumerate(targets):
+        dist = in_box_distances(target, cat, r)
+        starts = [boundary[i % 8], boundary[(i + 3) % 8]] + [draw() for _ in range(8)]
+        for start in starts:
+            moves = torus._in_box_moves(start, target, cat, r)
+            assert moves == fancy_index_moves(start, target, cat, r), (start, target)
+            assert len(moves) == dist[start]
 
 
 class TestReachState:
