@@ -1,13 +1,11 @@
 """Numerical solvers: a NumPy bound-constrained quasi-Newton method, and SciPy's
-optimisers imported where qphase calls them, not when qphase is imported.
+least squares imported on its first call, not when qphase is imported.
 
-``minimize_box`` polishes maximum-principle synthesis (``pontryagin``), so
-no CLI subcommand loads a SciPy submodule.  Only the orbit and frame
-searches (``controllability.orbit_membership``,
-``steering.build_frame_general``) and the shooting cross-check
-(``pontryagin.solve_shooting``) use SciPy's optimisers; loading
+``minimize_box`` polishes maximum-principle synthesis (``pontryagin``) and runs
+the orbit and frame searches (``controllability._orbit_search``).  SciPy serves
+only the shooting cross-check (``pontryagin.solve_shooting``); loading
 ``scipy.optimize`` and ``scipy.linalg`` at import would cost every process
-about half a second, so the wrappers here import on their first call.
+about half a second.
 """
 
 from __future__ import annotations
@@ -136,13 +134,6 @@ def _lbfgs_direction(q: np.ndarray, s: np.ndarray, y: np.ndarray, free: np.ndarr
     inv_m[k:, k:] = -gamma * yy - np.diag(sy.diagonal())
     w = np.concatenate((s, gamma * y))
     return gamma * q + np.linalg.solve(inv_m, w @ q) @ w
-
-
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call."""
-    from scipy.optimize import minimize
-
-    return minimize(*args, **kwargs)
 
 
 def least_squares(*args, **kwargs):

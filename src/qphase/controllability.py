@@ -17,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._solvers import minimize
-from .dynamics import ControlledHamiltonian, interval_propagators
-from .errors import DimensionMismatchError
+from ._solvers import minimize_box
+from .dynamics import ControlledHamiltonian, interval_propagators, overlap_gradient
+from .errors import DimensionMismatchError, ProtocolParameterError
 from .geometry import Observable, PhasePoint, from_phase
 
 VERDICT_U = "controllable-u(N)"
@@ -146,6 +146,38 @@ def group_element(report: LieClosureReport, params: np.ndarray) -> np.ndarray:
     return props[0]
 
 
+def _check_budget(budget) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
+        raise ProtocolParameterError(f"budget must be a non-negative integer, got {budget!r}")
+
+
+def _orbit_search(report: LieClosureReport, psi: np.ndarray, terminal, goal: float, budget: int, rng):
+    """Random restarts of ``minimize_box`` over theta for value(exp(sum theta_m B_m) psi) <= goal.
+
+    ``terminal(phi)`` is ``(value, lam)`` with d value = Re<lam|d phi>, whose
+    exact theta gradient is ``dynamics.overlap_gradient``.  Restarts draw theta
+    from U[-pi, pi]^d while the budget lasts, each objective call charged d + 1
+    evaluations (value and gradient), so the last may overrun it.  Returns
+    ``(theta, value, evaluations)``: the first theta at the goal, or None and the best value.
+    """
+    d, plant, unit = report.dimension, report._plant, np.ones(1)
+    bound = np.full(d, np.inf)
+
+    def objective(theta):
+        props, w, v = interval_propagators(plant, theta[None], unit)
+        value, lam = terminal(props[0] @ psi)
+        return value, overlap_gradient(plant, w, v, unit, psi[None], lam[None])[0]
+
+    evals, best = 0, np.inf
+    while evals < budget:
+        res = minimize_box(objective, rng.uniform(-np.pi, np.pi, d), lower=-bound, upper=bound, ftol=0.0, gtol=1e-13)
+        evals += res.nfev * (d + 1)
+        if res.fun <= goal:
+            return res.x, res.fun, evals
+        best = min(best, res.fun)
+    return None, best, evals
+
+
 def orbit_membership(
     report: LieClosureReport,
     x: PhasePoint,
@@ -157,46 +189,27 @@ def orbit_membership(
 
     Membership is phase-exact: the generated group supplies a global phase
     only when the closure contains one, so a state and its phase-rotated
-    copies may sit on different fibers.  Random-restart local optimization
-    over exponential coordinates; the budget counts objective evaluations.
+    copies may sit on different fibers.  ``_orbit_search`` minimises
+    1 - Re<y|U(theta)x> to fidelity 1 - 1e-6; ``budget``, a non-negative
+    integer, counts d + 1 evaluations per objective call of a closure of
+    dimension d, and the last restart may overrun it.
     """
     n = report._plant.dim
     if not x.dim == y.dim == n:
         raise DimensionMismatchError(f"states of dimensions {x.dim}, {y.dim} against a closure on C^{n}")
+    _check_budget(budget)
     rng = np.random.default_rng(0) if rng is None else rng
     psi_x = from_phase(x).normalized().amplitudes
     psi_y = from_phase(y).normalized().amplitudes
     d = report.dimension
     threshold = np.sqrt(1.0 - _FIDELITY_TOL)
 
-    def aligned_overlap(theta: np.ndarray) -> float:
-        u = group_element(report, theta)
-        return float(np.real(np.vdot(psi_y, u @ psi_x)))
-
     overlap = np.vdot(psi_y, psi_x)
     if np.real(overlap) >= threshold:
         return OrbitMembership(True, np.zeros(d), abs(overlap) ** 2, 0)
-    if d == 0:  # the group is {1}; minimize on no coordinates spends no evaluations
+    if d == 0:  # the group is {1}: nothing to search
         return OrbitMembership(False, None, max(np.real(overlap), 0.0) ** 2, 0)
 
-    evals = 0
-    best_ov, best_theta = -2.0, None
-    while evals < budget:
-        theta0 = rng.uniform(-np.pi, np.pi, d)
-        res = minimize(
-            lambda t: 1.0 - aligned_overlap(t),
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": min(budget - evals, 400 * d),
-                "xatol": 1e-12,
-                "fatol": 1e-14,
-            },
-        )
-        evals += res.nfev
-        ov = 1.0 - res.fun
-        if ov > best_ov:
-            best_ov, best_theta = ov, res.x
-        if best_ov >= threshold:
-            return OrbitMembership(True, best_theta, best_ov**2, evals)
-    return OrbitMembership(False, None, max(best_ov, 0.0) ** 2, evals)
+    theta, value, evals = _orbit_search(report, psi_x, lambda phi: (1.0 - np.vdot(psi_y, phi).real, -psi_y),
+                                        1.0 - threshold, budget, rng)
+    return OrbitMembership(theta is not None, theta, max(1.0 - value, 0.0) ** 2, evals)

@@ -16,12 +16,12 @@ on the initial adjoint is provided as a cross-check.
 Internally states and adjoints are complex amplitudes psi = q + i p, and
 every pass over the grid propagates with one batched eigendecomposition
 (``dynamics.interval_propagators``) and the shared forward loop
-(``dynamics.forward_states``); exact gradients come from
-Daleckii-Krein divided differences in the same eigenbasis.  Each schedule
-is propagated once: the sweep keeps the pass of the schedule it holds, an
-accepted candidate's pass becomes the current one, and the adjoint runs
-back over the same propagators.  Flat (q, p) coordinates appear only at
-the public boundary.
+(``dynamics.forward_states``); exact gradients come from Daleckii-Krein
+divided differences in the same eigenbasis (``dynamics.overlap_gradient``).
+Each schedule is propagated once: the sweep keeps the pass of the schedule
+it holds, an accepted candidate's pass becomes the current one, and the
+adjoint runs back over the same propagators.  Flat (q, p) coordinates
+appear only at the public boundary.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import numpy as np
 
 from ._solvers import least_squares, linalg_names
 from ._solvers import minimize_box as minimize  # the polish; tests and the benchmark's tracer hook this name
-from .dynamics import ControlSchedule, ControlledHamiltonian, check_grid, forward_states, interval_propagators
+from .dynamics import (ControlSchedule, ControlledHamiltonian, check_grid, forward_states, interval_propagators,
+                       overlap_gradient)
 from .errors import ControlDomainError, DimensionMismatchError, NormalizationError
 from .geometry import PhasePoint, _readonly
 
@@ -257,28 +258,14 @@ def _objective_and_gradient(x_flat, plant, cost, lift, psi0, goal, dts, weight):
     """Penalized objective of the polish variables x, u = x @ lift, with its exact discrete gradient.
 
     The running cost is ``CostIntegrand._split_rate`` of x, and the penalty
-    gradient in u is chained to x by lift^T.  The derivative of
-    U_k = exp(-i H_k dt_k) along -i H_j dt_k is the Daleckii-Krein form
-    V_k (F_k o (V_k^H (-i H_j dt_k) V_k)) V_k^H, where F_k holds the divided
-    differences of exp over the eigenvalues -i w_k dt_k (exact GRAPE
-    gradients in the eigenbasis).
+    gradient in u (``dynamics.overlap_gradient``) is chained to x by lift^T.
     """
     x = x_flat.reshape(dts.size, -1)
     props, w, v, psis, overlap = _propagate(plant, x @ lift, psi0, goal, dts)
     rate, rate_grad = cost._split_rate(x)
     value = float(rate @ dts) + weight * (1.0 - abs(overlap) ** 2)
     lams = _backward(props, -2.0 * weight * overlap * goal)  # d(penalty)/dpsi_T
-    vh = v.conj().transpose(0, 2, 1)
-    a = np.einsum("kab,kb->ka", vh, lams[1:])
-    b = np.einsum("kab,kb->ka", vh, psis[:-1])
-    # (e^x - e^y)/(x - y) at x, y = -i w dt: exp of the mean times sinc of the
-    # half difference, which also covers equal eigenvalues (F = e^x there)
-    half = 0.5 * dts[:, None, None]
-    wa, wb = w[:, :, None], w[:, None, :]
-    f = np.exp(-1j * (wa + wb) * half) * np.sinc((wa - wb) * half / np.pi)
-    h_eig = np.einsum("kxa,jxy,kyb->kjab", v.conj(), plant.hamiltonians[1:], v)
-    # Re(a^H (F o (-i dt V^H H_j V)) b) = dt Im(a^H (F o V^H H_j V) b)
-    grad = (dts[:, None] * np.einsum("kab,kjab->kj", a.conj()[:, :, None] * f * b[:, None, :], h_eig).imag) @ lift.T
+    grad = overlap_gradient(plant, w, v, dts, psis[:-1], lams[1:]) @ lift.T
     grad += rate_grad * dts[:, None]
     return value, grad.ravel()
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solvers import least_squares
-from .controllability import LieClosureReport, VERDICT_NOT, group_element
+from .controllability import LieClosureReport, VERDICT_NOT, _check_budget, _orbit_search, group_element
 from .errors import (
     DegenerateBasisError,
     DimensionMismatchError,
@@ -237,8 +236,11 @@ def build_frame_general(
 ) -> SteeringObservable:
     """Greedy search of the goal orbit for an orthonormal steering frame.
 
-    Repeatedly optimizes exponential coordinates so the candidate orbit
-    point is orthogonal to the frame built so far.
+    Each new frame state is an orbit point orthogonal to the frame built so
+    far: ``controllability._orbit_search`` drives the sum of its squared
+    overlaps with the frame to 1e-22.  ``budget``, a non-negative integer,
+    counts d + 1 evaluations per objective call of a closure of dimension d
+    across all frame states, and the last restart may overrun it.
     """
     if closure.verdict != VERDICT_NOT:
         raise FrameUnnecessaryError(
@@ -247,46 +249,28 @@ def build_frame_general(
     n = closure.basis.shape[1]
     if psi_f.dim != n:
         raise DimensionMismatchError(f"goal of dimension {psi_f.dim} against a closure of dimension {n}")
+    _check_budget(budget)
     if closure.dimension == 0:
         raise FrameSearchError("a closure of dimension 0 moves no state, so the goal orbit holds no frame")
     rng = np.random.default_rng(0) if rng is None else rng
     goal = psi_f.normalized().amplitudes
-    d = closure.dimension
 
     frame = [goal]
-    params = [np.zeros(d)]
+    params = [np.zeros(closure.dimension)]
     evals = 0
+    while len(frame) < n:
+        prior = np.array(frame)
 
-    def residuals(theta):
-        u = group_element(closure, theta)
-        phi = u @ goal
-        r = []
-        for f in frame:
-            ov = np.vdot(f, phi)
-            r.extend([ov.real, ov.imag])
-        return np.asarray(r)
+        def overlaps(phi):
+            c = prior.conj() @ phi
+            return float(np.vdot(c, c).real), 2.0 * c @ prior
 
-    while len(frame) < n and evals < budget:
-        found = False
-        while evals < budget:
-            theta0 = rng.uniform(-np.pi, np.pi, d)
-            res = least_squares(
-                residuals,
-                theta0,
-                method="trf",
-                xtol=3e-16,
-                ftol=3e-16,
-                gtol=3e-16,
-                max_nfev=min(budget - evals, 300 * d),
-            )
-            evals += res.nfev * (d + 1)
-            if np.max(np.abs(res.fun)) < 1e-11:
-                frame.append(group_element(closure, res.x) @ goal)
-                params.append(res.x)
-                found = True
-                break
-        if not found:
+        theta, _, spent = _orbit_search(closure, goal, overlaps, 1e-22, budget - evals, rng)
+        evals += spent
+        if theta is None:
             break
+        frame.append(group_element(closure, theta) @ goal)
+        params.append(theta)
 
     if len(frame) < n:
         raise FrameSearchError(f"no orthonormal frame found within budget ({evals} evaluations)")

@@ -710,13 +710,18 @@ import qphase, qphase.cli
 random_at_import = "numpy.random" in sys.modules
 for argv in json.loads(sys.argv[1]):
     assert qphase.cli.run(argv) == qphase.cli.EXIT_OK, argv
+ladder = qphase.lie_closure([qphase.Observable(qphase.ladder_drift()), qphase.Observable(qphase.ladder_control())])
+goal = qphase.PhasePoint([0, 0, 0], [2 ** -0.5, 0, 2 ** -0.5])
+assert qphase.orbit_membership(ladder, goal, qphase.PhasePoint([0, 1, 0], [0, 0, 0])).found
+assert len(qphase.build_frame_general(qphase.from_phase(goal), ladder).frame) == 3
 loaded = sorted(m for m in sys.modules if m.startswith("scipy.") and m not in before)
 print(json.dumps({"loaded": loaded, "random_at_import": random_at_import}))
 """
 
 
 def test_cold_start_loads_no_scipy_submodule(tmp_path):
-    """In a fresh interpreter, no subcommand, ``pmp`` included, loads a SciPy submodule, and the import loads no numpy.random."""
+    """In a fresh interpreter, no subcommand, ``pmp`` included, and neither the orbit nor the frame search loads a
+    SciPy submodule, and the import loads no numpy.random."""
     system = {"drift": LADDER_DRIFT, "controls": [LADDER_CONTROL]}
     scenarios = {
         "measure": {"measurement": {"observable": cm(np.diag([-1.0, 0.0, 1.0]))},

@@ -17,7 +17,7 @@ from qphase import (
     to_phase,
 )
 from qphase.controllability import VERDICT_NOT, VERDICT_SU, VERDICT_U, group_element
-from qphase.errors import DimensionMismatchError, NormalizationError
+from qphase.errors import DimensionMismatchError, NormalizationError, ProtocolParameterError
 from qphase.steering import h1_matrix, ladder_control, ladder_drift
 
 from conftest import random_hermitian, random_point, random_state
@@ -233,7 +233,7 @@ class TestOrbitMembership:
 
     @pytest.mark.parametrize("same", [True, False])
     def test_dimension_zero_closure_answers_from_the_overlap(self, rng, monkeypatch, same):
-        monkeypatch.setattr(qphase.controllability, "minimize", lambda *a, **k: pytest.fail("search started"))
+        monkeypatch.setattr(qphase.controllability, "_orbit_search", lambda *a, **k: pytest.fail("search started"))
         report = lie_closure([Observable(np.zeros((2, 2)))])
         x = random_point(rng, 2)
         a, b = x.amplitudes
@@ -267,17 +267,35 @@ class TestOrbitMembership:
 
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_dimension_mismatch_before_search(self, ladder_closure, rng, monkeypatch, side):
-        monkeypatch.setattr(qphase.controllability, "minimize", lambda *a, **k: pytest.fail("search started"))
+        monkeypatch.setattr(qphase.controllability, "_orbit_search", lambda *a, **k: pytest.fail("search started"))
         states = {"x": random_point(rng, 3), "y": random_point(rng, 3), side: random_point(rng, 2)}
         with pytest.raises(DimensionMismatchError):
             orbit_membership(ladder_closure, states["x"], states["y"], budget=100)
 
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_non_finite_state_raises_before_search(self, ladder_closure, rng, monkeypatch, side):
-        monkeypatch.setattr(qphase.controllability, "minimize", lambda *a, **k: pytest.fail("search started"))
+        monkeypatch.setattr(qphase.controllability, "_orbit_search", lambda *a, **k: pytest.fail("search started"))
         states = {"x": random_point(rng, 3), "y": random_point(rng, 3), side: PhasePoint([np.nan, 0, 0], [1, 0, 0])}
         with pytest.raises(NormalizationError):
             orbit_membership(ladder_closure, states["x"], states["y"], budget=100)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_u4_membership_within_2000(self, seed):
+        rng = np.random.default_rng(seed)
+        report = lie_closure([Observable(random_hermitian(rng, 4)) for _ in range(2)])
+        assert (report.verdict, report.dimension) == (VERDICT_U, 16)
+        x = random_point(rng, 4)
+        y = group_element(report, rng.uniform(-np.pi, np.pi, 16)) @ x.amplitudes
+        res = orbit_membership(report, x, PhasePoint.from_amplitudes(y), budget=2000, rng=np.random.default_rng(seed))
+        assert res.found and res.fidelity >= 1 - 1e-6 and res.evaluations <= 2000
+        assert res.evaluations % 17 == 0  # each objective call is charged d + 1
+        assert abs(np.vdot(y, group_element(report, res.certificate) @ x.amplitudes)) ** 2 >= 1 - 1e-6
+
+    @pytest.mark.parametrize("budget", [True, -1, np.nan, 100.0, "100"])
+    def test_invalid_budget_raises_before_search(self, ladder_closure, rng, monkeypatch, budget):
+        monkeypatch.setattr(qphase.controllability, "_orbit_search", lambda *a, **k: pytest.fail("search started"))
+        with pytest.raises(ProtocolParameterError, match="budget"):
+            orbit_membership(ladder_closure, random_point(rng, 3), random_point(rng, 3), budget=budget)
 
     def test_plant_reads_the_basis_as_one_stack(self, ladder_closure):
         hs = ladder_closure._plant.hamiltonians

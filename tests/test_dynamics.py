@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from qphase import (
     ClassicalHamiltonian,
     ControlSchedule,
     ControlledHamiltonian,
+    Observable,
     PhaseEnsemble,
     PhasePoint,
     StateVector,
@@ -16,16 +17,17 @@ from qphase import (
     evolve_unitary,
     from_phase,
     g_form,
+    lie_closure,
     omega_form,
     sample_trajectory,
     to_phase,
     transport_ensemble,
 )
-from qphase.dynamics import interval_propagators
+from qphase.dynamics import forward_states, interval_propagators, overlap_gradient
 from qphase.errors import DimensionMismatchError, HermiticityError, NormalizationError, ScheduleCoverageError
-from qphase.steering import h3_matrix, ladder_drift
+from qphase.steering import h3_matrix, ladder_control, ladder_drift
 
-from conftest import random_hermitian, random_point, restacked_propagators
+from conftest import random_hermitian, random_point, random_state, restacked_propagators
 
 R2 = np.sqrt(2.0)
 
@@ -269,6 +271,42 @@ class TestIntervalPropagators:
         for ta, tb, u in plant.schedule.segments(0.2, 1.5):
             want = expm(-1j * plant.matrix_for(u) * (tb - ta)) @ want
         assert np.max(np.abs(evolve_unitary(plant, 0.2, 1.5) - want)) < 1e-12
+
+
+class TestOverlapGradient:
+    """``overlap_gradient`` against ``expm_frechet`` interval by interval and against central differences."""
+
+    @pytest.mark.parametrize("case", ["controlled", "closure"])
+    def test_matches_expm_frechet_and_central_differences(self, rng, case):
+        if case == "controlled":
+            plant = ControlledHamiltonian(random_hermitian(rng, 4), tuple(random_hermitian(rng, 4) for _ in range(2)))
+            u, dts = rng.uniform(-1.5, 1.5, size=(6, 2)), rng.uniform(0.1, 1.2, size=6)
+        else:  # the ladder's zero-drift closure plant; at u = 0 its three eigenvalues are equal
+            plant = lie_closure([Observable(ladder_drift(1.0)), Observable(ladder_control(1.0))])._plant
+            u, dts = rng.uniform(-np.pi, np.pi, size=(4, 3)), np.ones(4)
+            u[1] = 0.0
+        psi0, lam = random_state(rng, plant.dim).amplitudes, random_state(rng, plant.dim).amplitudes
+        props, w, v = interval_propagators(plant, u, dts)
+        psis = forward_states(props, psi0)
+        lams = forward_states(props.conj().transpose(0, 2, 1)[::-1], lam)[::-1][1:]  # row k leaves interval k
+        grad = overlap_gradient(plant, w, v, dts, psis[:-1], lams)
+        assert grad.shape == u.shape
+        if case == "closure":
+            assert np.ptp(w[1]) == 0.0
+        for k in range(dts.size):
+            generator = -1j * plant.matrix_for(u[k]) * dts[k]
+            for j, h in enumerate(plant.controls):
+                d_prop = expm_frechet(generator, -1j * h * dts[k], compute_expm=False)
+                assert abs(grad[k, j] - np.vdot(lams[k], d_prop @ psis[k]).real) < 1e-12
+
+        def overlap(u):
+            return np.vdot(lam, forward_states(interval_propagators(plant, u, dts)[0], psi0)[-1]).real
+
+        step = 1e-6
+        for k, j in np.ndindex(u.shape):
+            e = np.zeros_like(u)
+            e[k, j] = step
+            assert abs(grad[k, j] - (overlap(u + e) - overlap(u - e)) / (2 * step)) < 1e-8
 
 
 class TestEvolveBlock:

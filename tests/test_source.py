@@ -3,9 +3,10 @@ module-level name that no code in the package uses, no ``expm`` call, and no
 SciPy submodule loaded at import.
 
 Every propagator goes through ``dynamics.interval_propagators``.  SciPy's
-optimisers are imported on first call (``qphase._solvers``), so importing
-qphase loads no SciPy submodule; ``cli`` imports the bare ``scipy`` package
-only for the manifest's version string.
+least squares, which only the shooting cross-check uses, is imported on first
+call (``qphase._solvers``), so importing qphase loads no SciPy submodule;
+``cli`` imports the bare ``scipy`` package only for the manifest's version
+string.
 """
 
 import ast

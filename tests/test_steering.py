@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import qphase.steering
 from qphase import (
@@ -26,6 +27,7 @@ from qphase.errors import (
     QPhaseError,
     SteeringLabelError,
 )
+from qphase.controllability import VERDICT_NOT
 from qphase.steering import (
     SteeringWord,
     h1_matrix,
@@ -38,7 +40,7 @@ from qphase.steering import (
 from qphase.measurement import born_weights, collapse, select_branches
 from qphase.rng import stream
 
-from conftest import random_point, random_state, stabilize_reference
+from conftest import random_hermitian, random_point, random_state, stabilize_reference
 
 R2 = np.sqrt(2.0)
 PSI_F = StateVector([1j / R2, 0, 1j / R2])
@@ -224,20 +226,40 @@ class TestFrameGeneral:
             build_frame_general(PSI_F, ladder_closure, budget=0)
 
     def test_dimension_zero_closure_fails_without_search(self, monkeypatch):
-        monkeypatch.setattr(qphase.steering, "least_squares", lambda *a, **k: pytest.fail("search started"))
+        monkeypatch.setattr(qphase.steering, "_orbit_search", lambda *a, **k: pytest.fail("search started"))
         with pytest.raises(FrameSearchError):
             build_frame_general(PSI_F, lie_closure([Observable(np.zeros((3, 3)))]))
 
     @pytest.mark.parametrize("goal", [StateVector([1.0, 0.0]), StateVector([0.5, 0.5, 0.5, 0.5])])
     def test_goal_dimension_mismatch_before_search(self, ladder_closure, monkeypatch, goal):
-        monkeypatch.setattr(qphase.steering, "least_squares", lambda *a, **k: pytest.fail("search started"))
+        monkeypatch.setattr(qphase.steering, "_orbit_search", lambda *a, **k: pytest.fail("search started"))
         with pytest.raises(DimensionMismatchError):
             build_frame_general(goal, ladder_closure)
 
     def test_non_finite_goal_raises_before_search(self, ladder_closure, monkeypatch):
-        monkeypatch.setattr(qphase.steering, "least_squares", lambda *a, **k: pytest.fail("search started"))
+        monkeypatch.setattr(qphase.steering, "_orbit_search", lambda *a, **k: pytest.fail("search started"))
         with pytest.raises(NormalizationError):
             build_frame_general(StateVector([np.nan, 0.0, 1.0]), ladder_closure)
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_diagonal_frame_at_population_half(self, seed):
+        rng = np.random.default_rng(seed)
+        closure = lie_closure([Observable(block_diag(random_hermitian(rng, 2), random_hermitian(rng, 2)))
+                               for _ in range(2)])
+        assert (closure.verdict, closure.dimension) == (VERDICT_NOT, 8)
+        goal = StateVector(np.concatenate([random_state(rng, 2).amplitudes, random_state(rng, 2).amplitudes]) / R2)
+        m = build_frame_general(goal, closure, rng=np.random.default_rng(seed))
+        mat = np.column_stack([f.amplitudes for f in m.frame])
+        assert np.max(np.abs(mat.conj().T @ mat - np.eye(4))) < 1e-10
+        for f, w in zip(m.frame, m.words):
+            assert w.apply(f).fidelity(goal) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("budget", [True, -1, np.nan, 100.0, "100"])
+    def test_invalid_budget_raises_before_search(self, ladder_closure, monkeypatch, budget):
+        monkeypatch.setattr(qphase.steering, "_orbit_search", lambda *a, **k: pytest.fail("search started"))
+        with pytest.raises(ProtocolParameterError, match="budget"):
+            build_frame_general(PSI_F, ladder_closure, budget=budget)
 
 
 class TestSteer:
