@@ -1,11 +1,8 @@
-"""Numerical solvers: a NumPy bound-constrained quasi-Newton method, and SciPy's
-least squares imported on its first call, not when qphase is imported.
+"""Numerical solvers: one NumPy bound-constrained quasi-Newton method.
 
-``minimize_box`` polishes maximum-principle synthesis (``pontryagin``) and runs
-the orbit and frame searches (``controllability._orbit_search``).  SciPy serves
-only the shooting cross-check (``pontryagin.solve_shooting``); loading
-``scipy.optimize`` and ``scipy.linalg`` at import would cost every process
-about half a second.
+``minimize_box`` polishes maximum-principle synthesis (``pontryagin``), runs
+the shooting cross-check (``pontryagin.solve_shooting``) and the orbit and
+frame searches (``controllability._orbit_search``).  qphase needs only NumPy.
 """
 
 from __future__ import annotations
@@ -136,26 +133,6 @@ def _lbfgs_direction(q: np.ndarray, s: np.ndarray, y: np.ndarray, free: np.ndarr
     return gamma * q + np.linalg.solve(inv_m, w @ q) @ w
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call."""
-    from scipy.optimize import least_squares
-
-    return least_squares(*args, **kwargs)
-
-
-def linalg_names(module: str, names: tuple):
-    """A module ``__getattr__`` (PEP 562) that serves ``scipy.linalg.<name>``.
-
-    qphase calls none of them, but the benchmark's tracer
-    (``perfbench/tracing.py``) looks them up by name in ``module`` and
-    raises if one is missing; each is imported only when asked for.
-    """
-
-    def __getattr__(name: str):
-        if name in names:
-            import scipy.linalg
-
-            return getattr(scipy.linalg, name)
-        raise AttributeError(f"module {module!r} has no attribute {name!r}")
-
-    return __getattr__
+def never_called(*args, **kwargs):
+    """The ``expm`` names that the benchmark's tracer (``perfbench/tracing.py``) wraps; qphase calls none."""
+    raise NotImplementedError("qphase propagates with dynamics.interval_propagators, never with expm")

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .controllability import lie_closure
@@ -209,7 +208,6 @@ def _write_manifest(out_dir, command, scenario, seed, trials, artifacts, t0):
             "versions": {
                 "qphase": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": ".".join(map(str, sys.version_info[:3])),
             },
             "artifacts": sorted(artifacts),

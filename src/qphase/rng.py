@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ProtocolParameterError
+
 BIT_GENERATOR = "Philox"
 
 _WORD = 2**64 - 1
@@ -33,18 +35,17 @@ _SHIFT32 = np.uint64(32)
 
 def stream(seed: int, trial: int = 0) -> np.random.Generator:
     """Generator for one trial of a seeded run."""
-    seed = _seed(seed)
-    trial = int(trial)
-    if trial < 0:
-        raise ValueError("trial index must be non-negative")
+    seed, trial = _index(seed, "seed", _WORD), _index(trial, "trial index")
     return np.random.Generator(np.random.Philox(key=seed, counter=_counter(trial)))
 
 
-def _seed(seed) -> int:
-    seed = int(seed)
-    if seed < 0 or seed > _WORD:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return seed
+def _index(value, what: str, top: float = np.inf) -> int:
+    """``value`` as an int in [0, top]: a Python or NumPy integer, not a bool, float or str."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ProtocolParameterError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value <= top:
+        raise ProtocolParameterError(f"{what} must lie in [0, {top}], got {value}")
+    return int(value)
 
 
 def _counter(trial: int) -> np.ndarray:
@@ -53,22 +54,24 @@ def _counter(trial: int) -> np.ndarray:
 
 def first_uniforms(seed: int, trials: int) -> np.ndarray:
     """``stream(seed, k).random()`` for k = 0 .. trials - 1."""
-    trials = int(trials)
-    if trials < 0:
-        raise ValueError("number of trials must be non-negative")
+    trials = _index(trials, "number of trials")
     return first_uniforms_at(seed, np.arange(trials, dtype=np.uint64))
 
 
 def first_uniforms_at(seed: int, indices) -> np.ndarray:
-    """``stream(seed, k).random()`` for each trial index k of a uint64 array.
+    """``stream(seed, k).random()`` for each trial index k of an array of non-negative integers.
 
     The first draw of a fresh generator increments word 0 of the counter,
     so it is the first output word of Philox4x64-10 on the counter
     ``[1, 0, k, 0]`` under the key ``[seed, 0]``, and ``random()`` keeps
     its top 53 bits.
     """
-    seed = _seed(seed)
-    c2 = np.asarray(indices, dtype=np.uint64)
+    seed = _index(seed, "seed", _WORD)
+    indices = np.asarray(indices)
+    kind = indices.dtype.kind
+    if indices.size and (kind not in "iu" or (kind == "i" and indices.min() < 0)):
+        raise ProtocolParameterError("trial indices must be integers in [0, 2**64)")
+    c2 = indices.astype(np.uint64, copy=False)
     c0, c1, c3 = np.ones_like(c2), np.zeros_like(c2), np.zeros_like(c2)
     for r in range(_ROUNDS):
         # round r runs under the key bumped r times by the Weyl increments

@@ -719,9 +719,8 @@ print(json.dumps({"loaded": loaded, "random_at_import": random_at_import}))
 """
 
 
-def test_cold_start_loads_no_scipy_submodule(tmp_path):
-    """In a fresh interpreter, no subcommand, ``pmp`` included, and neither the orbit nor the frame search loads a
-    SciPy submodule, and the import loads no numpy.random."""
+def subcommand_runs(tmp_path) -> list:
+    """argv of one short run of each of the seven subcommands, their scenarios written under tmp_path."""
     system = {"drift": LADDER_DRIFT, "controls": [LADDER_CONTROL]}
     scenarios = {
         "measure": {"measurement": {"observable": cm(np.diag([-1.0, 0.0, 1.0]))},
@@ -737,17 +736,129 @@ def test_cold_start_loads_no_scipy_submodule(tmp_path):
                 "control_bounds": {"lower": [-1.0], "upper": [1.0]},
                 "horizon": {"t_final": float(np.pi)}, "grid_points": 8},
     }
-    runs = [
+    return [
         [command, "--scenario", write_scenario(tmp_path / f"{command}.json", payload),
          "--out", str(tmp_path / command), "--trials", "5"]
         for command, payload in scenarios.items()
     ]
+
+
+def run_fresh(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c script *argv`` in a fresh interpreter that imports qphase from this tree."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(runs)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cold_start_loads_no_scipy_submodule(tmp_path):
+    """In a fresh interpreter, no subcommand, ``pmp`` included, and neither the orbit nor the frame search loads a
+    SciPy submodule, and the import loads no numpy.random."""
+    done = run_fresh(COLD_START, json.dumps(subcommand_runs(tmp_path)))
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["loaded"] == []
     assert not result["random_at_import"]
+
+
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy or a scipy submodule now raises ImportError
+import numpy as np
+import qphase, qphase.cli
+
+for argv in json.loads(sys.argv[1]):
+    assert qphase.cli.run(argv) == qphase.cli.EXIT_OK, argv
+
+called = set()
+
+
+def call(name, *args, **kwargs):
+    called.add(name)
+    return getattr(qphase, name)(*args, **kwargs)
+
+
+rng = np.random.default_rng(0)
+sx, sz = np.array([[0, 1], [1, 0]], complex), np.diag([1.0, -1.0])
+x = call("PhasePoint", [0.6, 0.0], [0.0, 0.8])
+y = call("to_phase", call("StateVector", [0.0, 1j]))
+call("from_phase", y)
+call("canonical_apply", call("CanonicalGenerator", "qq-rotation", 0, 1, 0.3), x)
+call("complex_structure", x)
+call("g_form", x, y)
+call("omega_form", x, y)
+call("real_block", sx)
+call("ClassicalHamiltonian", sz).value(x)
+plant = call("ControlledHamiltonian", sz, (sx,), call("ControlSchedule", [0.0, 0.5, 1.0], [[0.3], [-0.7]]))
+call("evolve", plant, x, 0.0, 1.0)
+call("evolve_block", plant, 0.0, 1.0)
+call("evolve_unitary", plant, 0.0, 1.0)
+call("interval_propagators", plant, [[0.3]], [0.5])
+call("sample_trajectory", plant, x, [0.0, 0.5, 1.0])
+call("transport_ensemble", plant, call("PhaseEnsemble", [1.0], (x,)), 0.0, 1.0)
+
+obs, psi = call("Observable", sz), x.amplitudes
+probs = call("born_weights", psi, obs)
+call("born_probability_via_metric", x, obs, 1.0)
+call("branch_outcome", psi, obs, probs, 0)
+call("branch_probabilities", x, obs)
+call("closest_point_check", x, obs, 1.0, 3, rng)
+call("collapse", psi, obs, 0)
+call("draw_branch", probs, rng)
+call("select_branches", probs, [0.2, 0.9])
+call("measure_nonselective", x, obs)
+out = call("measure_selective", x, obs, rng)
+call("MeasurementOutcome", out.value, out.probability, out.post_state, out.branch)
+gauss = call("GaussianMeasurement", obs, 1.0, 0.01)
+call("gaussian_apply", x, gauss, rng)
+call("continuous_observe", call("DensityMatrix", np.full((2, 2), 0.5, complex)), obs, gauss, 0.1, 10)
+
+ladder = call("lie_closure", [qphase.Observable(call("ladder_drift")), qphase.Observable(call("ladder_control"))])
+call("LieClosureReport", ladder.basis, ladder.verdict, ladder.gram)
+call("group_element", ladder, np.zeros(len(ladder.basis)))
+goal = qphase.PhasePoint([0, 0, 0], [2 ** -0.5, 0, 2 ** -0.5])
+member = call("orbit_membership", ladder, goal, qphase.PhasePoint([0, 1, 0], [0, 0, 0]))
+assert member.found
+call("OrbitMembership", member.found, member.certificate, member.fidelity, member.evaluations)
+
+frame = call("build_frame_general", qphase.from_phase(goal), ladder)
+call("SteeringObservable", frame.eigenvalues, frame.frame, frame.words, frame.goal)
+call("SteeringWord", (), np.eye(3, dtype=complex))
+for name in ("h1_matrix", "h2_matrix", "h3_matrix"):
+    call(name, 0.3)
+frame3 = call("build_frame_3level", qphase.from_phase(goal))
+x3 = qphase.PhasePoint(np.full(3, 3 ** -0.5), np.zeros(3))
+trace = call("steer", x3, frame3, rng)
+call("ProtocolTrace", trace.steps, trace.final_fidelity, trace.iterations, trace.occupancy)
+call("ProtocolStep", "measure", {}, x3)
+call("steer_outcome", frame3, qphase.measure_selective(x3, frame3.observable(), rng))
+call("stabilize_middle_level", qphase.PhasePoint([1.0, 0, 0], [0, 0, 0]), disturbance=0.2, n_periods=5, rng=rng)
+
+cat = call("CatMap", qphase.CatMap.default().m)
+plan = call("plan_kicks", (-7, 12), (4, -9), cat)
+call("KickPlan", plan.steps, plan.k_start, plan.k_target)
+torus = call("TorusState", (((0, 0), 2 ** -0.5), ((1, 0), 2 ** -0.5)))
+call("apply_floquet_component", torus, "U1")
+call("measure_momentum", torus, rng)
+call("reach_state", torus, (3, -2), cat, rng)
+
+domain, cost = call("ControlDomain", [-1.0], [1.0]), call("CostIntegrand")
+two_level = qphase.ControlledHamiltonian(sz, (sx,))
+state = call("PmpState", np.arange(5.0), np.ones(5))
+call("argmax_control", state, two_level, cost, domain)
+call("control_hamiltonian", state, [0.5], two_level, cost, domain)
+z0, z1, grid = qphase.PhasePoint([0, 1], [0, 0]), qphase.PhasePoint([1, 0], [0, 0]), np.linspace(0, np.pi, 21)
+sol = call("forward_backward_sweep", two_level, z0, z1, cost, domain, grid)
+call("PmpSolution", sol.schedule, sol.cost, sol.fidelity, sol.iterations, sol.converged)
+assert call("solve_shooting", two_level, z0, z1, cost, domain, grid).converged
+
+exported = {name for name, value in vars(qphase).items() if not name.startswith("_") and callable(value)}
+print(json.dumps({"not_called": sorted(exported - called), "unknown": sorted(called - exported)}))
+"""
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    """With ``scipy`` unimportable, every subcommand runs and every function and class qphase exports works."""
+    done = run_fresh(WITHOUT_SCIPY, json.dumps(subcommand_runs(tmp_path)))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"not_called": [], "unknown": []}

@@ -607,8 +607,20 @@ class TestShooting:
         plant = two_level_plant()
         x0 = to_phase(StateVector([0, 1.0]))
         goal = to_phase(StateVector([1.0, 0]))
-        sol = solve_shooting(
-            plant, x0, goal, CostIntegrand(), ControlDomain([-1.0], [1.0]),
-            grid=np.linspace(0, np.pi, 151),
-        )
+        domain, grid = ControlDomain([-1.0], [1.0]), np.linspace(0, np.pi, 151)
+        sol = solve_shooting(plant, x0, goal, CostIntegrand(), domain, grid=grid)
         assert sol.fidelity >= 0.99
+        # the reported schedule is admissible and the reported cost is its own
+        assert all(domain.contains(u) for u in sol.schedule.values)
+        assert sol.cost == pytest.approx(float(np.sum(sol.schedule.values ** 2 * np.diff(grid)[:, None])), rel=1e-12)
+        assert sol.iterations > 0
+
+    @pytest.mark.parametrize("m", [10, 40, 150])
+    @pytest.mark.parametrize("t_final", [np.pi, 4.0], ids=["pi", "4"])
+    def test_energy_grids(self, m, t_final):
+        sol = solve_shooting(
+            two_level_plant(), to_phase(StateVector([0, 1.0])), to_phase(StateVector([1.0, 0])),
+            CostIntegrand(), ControlDomain([-1.0], [1.0]), grid=np.linspace(0, t_final, m + 1),
+        )
+        assert sol.fidelity >= 0.999
+        assert sol.converged

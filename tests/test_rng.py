@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qphase.errors import ProtocolParameterError
 from qphase.rng import first_uniforms, first_uniforms_at, stream
 
 
@@ -69,3 +70,25 @@ def test_first_uniforms_rejects_out_of_range():
             first_uniforms_at(seed, np.arange(3, dtype=np.uint64))
     with pytest.raises(ValueError):
         first_uniforms(1, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stream(1.9), lambda: stream(3, 2.7), lambda: stream("7"), lambda: stream(True), lambda: stream(3, False),
+    lambda: first_uniforms(5, 2.5), lambda: first_uniforms(3, "4"), lambda: first_uniforms(2.0, 3),
+    lambda: first_uniforms_at(3, [2.7]), lambda: first_uniforms_at(3, [-1]), lambda: first_uniforms_at(3, [True]),
+    lambda: first_uniforms_at(3, [2**64]), lambda: first_uniforms_at(np.float64(3), [2]),
+], ids=["seed-float", "trial-float", "seed-str", "seed-bool", "trial-bool", "trials-float", "trials-str",
+        "trials-seed-float", "index-float", "index-negative", "index-bool", "index-too-large", "index-seed-float"])
+def test_non_integers_are_rejected_not_truncated(call):
+    with pytest.raises(ProtocolParameterError):
+        call()
+
+
+def test_numpy_integers_are_accepted():
+    assert stream(np.int64(3), np.uint8(2)).random() == stream(3, 2).random()
+    assert first_uniforms(np.uint64(3), np.int32(4)).tolist() == first_uniforms(3, 4).tolist()
+    want = [stream(3, k).random() for k in (0, 2, 7)]
+    for dtype in (np.int8, np.int64, np.uint16, np.uint64):
+        assert first_uniforms_at(3, np.array([0, 2, 7], dtype=dtype)).tolist() == want
+    assert first_uniforms_at(3, [0, 2, 7]).tolist() == want
+    assert first_uniforms_at(3, []).shape == (0,)

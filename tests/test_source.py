@@ -1,12 +1,11 @@
 """Source scan of ``src/qphase``: no unused module-level import, no private
 module-level name that no code in the package uses, no ``expm`` call, and no
-SciPy submodule loaded at import.
+SciPy anywhere.
 
-Every propagator goes through ``dynamics.interval_propagators``.  SciPy's
-least squares, which only the shooting cross-check uses, is imported on first
-call (``qphase._solvers``), so importing qphase loads no SciPy submodule;
-``cli`` imports the bare ``scipy`` package only for the manifest's version
-string.
+Every propagator goes through ``dynamics.interval_propagators``, and every
+search runs on the NumPy ``_solvers.minimize_box``, so qphase needs only NumPy
+at runtime: no module imports ``scipy`` or names it, at import or inside a
+function.  SciPy serves the tests and the benchmark as a reference.
 """
 
 import ast
@@ -18,7 +17,6 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qphase")
 FILES = sorted(f[:-3] for f in os.listdir(SRC) if f.endswith(".py"))
 # the package's __init__ imports only to re-export
 MODULES = [f for f in FILES if f != "__init__"]
-SCIPY_AT_IMPORT = {("cli", "scipy")}
 
 
 def parse(module: str) -> ast.Module:
@@ -85,22 +83,23 @@ def test_no_expm_call(module):
     assert not calls, f"{module}.py calls expm on lines {calls}"
 
 
-def import_time_nodes(node):
-    """Statements run when the module is imported: all but function bodies."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield child
-        yield from import_time_nodes(child)
-
-
-@pytest.mark.parametrize("module", FILES)
-def test_no_scipy_submodule_at_import(module):
+def scipy_references(tree: ast.Module) -> list:
+    """(line, what) of every ``scipy`` import, name or module-name string anywhere in ``tree``."""
     found = []
-    for node in import_time_nodes(parse(module)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found += [(node.lineno, alias.name) for alias in node.names if alias.name.split(".")[0] == "scipy"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
             found.append((node.lineno, f"from {node.module}"))
-    found = [(line, name) for line, name in found if (module, name) not in SCIPY_AT_IMPORT]
-    assert not found, f"{module}.py imports SciPy at import time: {found}"
+        elif isinstance(node, ast.Name) and node.id == "scipy":
+            found.append((node.lineno, "scipy"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.split(".")[0] == "scipy":
+            found.append((node.lineno, repr(node.value)))
+    return found
+
+
+@pytest.mark.parametrize("module", FILES)
+def test_no_scipy_submodule_at_import(module):
+    """Stricter than its name: no SciPy reference at all, function bodies included."""
+    found = scipy_references(parse(module))
+    assert not found, f"{module}.py refers to SciPy: {found}"
