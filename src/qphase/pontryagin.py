@@ -6,8 +6,9 @@ integrand X0 and to the linear Hamilton fields of the controlled plant.
 The running cost is the control energy |u|^2 or the l1 norm sum |u_j|, and
 for both the argmax of **H** over a box of controls is closed form.
 The fixed terminal state is enforced by a quadratic penalty on the
-phase-invariant infidelity, escalated geometrically; a forward-backward
-argmax sweep is refined by bounded quasi-Newton steps on exact discrete
+phase-invariant infidelity, escalated geometrically; in each round a
+forward-backward argmax sweep, which stops at its first non-improving
+step, is refined by bounded quasi-Newton steps on exact discrete
 gradients.  For the l1 cost those steps run on the split u = u+ - u- with
 u+, u- >= 0, where the running cost sum(u+ + u-) is linear and the
 objective smooth, instead of on the kink of |u_j| at 0.  Single shooting
@@ -34,7 +35,7 @@ from ._solvers import minimize_box as minimize  # tests and the benchmark's trac
 from ._solvers import never_called
 from .dynamics import (ControlSchedule, ControlledHamiltonian, check_grid, forward_states, interval_propagators,
                        overlap_gradient)
-from .errors import ControlDomainError, DimensionMismatchError, NormalizationError
+from .errors import ControlDomainError, DimensionMismatchError, NormalizationError, ProtocolParameterError
 from .geometry import PhasePoint, _readonly
 
 expm = expm_frechet = never_called  # the benchmark's tracer looks these up here by name
@@ -44,8 +45,9 @@ COST_L1 = "control-l1"
 COST_KINDS = (COST_ENERGY, COST_L1)
 
 # the sweep's penalty weight starts at _PENALTY_WEIGHT and grows 4x per
-# round, for at most _PENALTY_ROUNDS rounds of at most _MAX_SWEEPS damped
-# argmax sweeps, until the terminal fidelity reaches FIDELITY_GOAL
+# round, for at most _PENALTY_ROUNDS rounds of at most _MAX_SWEEPS argmax
+# sweeps damped by _DAMPING, until the terminal fidelity reaches
+# FIDELITY_GOAL; a round's sweep stops at its first non-improving step
 FIDELITY_GOAL = 0.999
 _PENALTY_WEIGHT = 4.0
 _PENALTY_ROUNDS = 6
@@ -66,9 +68,9 @@ class ControlDomain:
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lower and upper bounds must be 1-d and share a shape")
+            raise ControlDomainError("lower and upper bounds must be 1-d and share a shape")
         if not np.all(lo <= hi):  # also false for a NaN bound
-            raise ValueError("each channel needs lower <= upper, neither NaN")
+            raise ControlDomainError("each channel needs lower <= upper, neither NaN")
         object.__setattr__(self, "lower", _readonly(lo))
         object.__setattr__(self, "upper", _readonly(hi))
 
@@ -98,7 +100,7 @@ class CostIntegrand:
 
     def __post_init__(self):
         if self.kind not in COST_KINDS:
-            raise ValueError(f"unknown cost kind {self.kind!r}, expected one of {COST_KINDS}")
+            raise ProtocolParameterError(f"unknown cost kind {self.kind!r}, expected one of {COST_KINDS}")
 
     def rate(self, u) -> np.ndarray:
         """X0 of each row of ``u``."""
@@ -291,11 +293,12 @@ def forward_backward_sweep(
 ) -> PmpSolution:
     """Penalized maximum-principle solve on the control grid ``grid``.
 
-    Each round runs the damped argmax sweep with monotone acceptance, then
-    polishes the same penalized objective on exact discrete gradients with
-    the bound-constrained quasi-Newton solver ``_solvers.minimize_box``; the
-    penalty weight escalates geometrically until the terminal fidelity
-    reaches ``FIDELITY_GOAL`` or the round budget runs out.
+    Each round runs the damped argmax sweep, which stops at its first
+    non-improving step, then polishes the same penalized objective on exact
+    discrete gradients with the bound-constrained quasi-Newton solver
+    ``_solvers.minimize_box``; the penalty weight escalates geometrically
+    until the terminal fidelity reaches ``FIDELITY_GOAL`` or the round
+    budget runs out.
     The polish works on the variables of ``CostIntegrand._split``: u itself
     for the energy cost, the split [u+, u-] for the l1 cost, whose running
     cost sum(u+ + u-) is linear and has no kink; the polished schedule is
@@ -303,8 +306,9 @@ def forward_backward_sweep(
     sum X0(u) dt of that schedule.
 
     The solution's ``iterations`` counts the argmax sweeps of every round,
-    accepted or not, plus the accepted quasi-Newton steps of every polish;
-    it does not count objective evaluations or rejected line-search trials.
+    the non-improving one included, plus the accepted quasi-Newton steps of
+    every polish; it does not count objective evaluations or rejected
+    line-search trials.
     """
     grid = check_grid(grid)
     psi0, goal = _unit_amplitudes(plant, x_init, "x_init"), _unit_amplitudes(plant, x_goal, "x_goal")
@@ -340,24 +344,19 @@ def forward_backward_sweep(
 
     for _round in range(_PENALTY_ROUNDS):
         value = run_cost + weight * (1.0 - fid)
-        beta = _DAMPING
         for _ in range(_MAX_SWEEPS):
             iterations += 1
             props, _, _, psis, overlap = current
             # the adjoint starts at the gradient of -w(1 - |<goal|psi(T)>|^2)
             phis = _backward(props, 2.0 * weight * overlap * goal)
             u_star = _maximize(_slopes(plant, psis[:-1], phis[:-1]), -1.0, cost, domain)
-            u_new = np.clip((1.0 - beta) * u + beta * u_star, domain.lower, domain.upper)
-            step = float(np.max(np.abs(u_new - u))) if u_new.size else 0.0
+            u_new = np.clip((1.0 - _DAMPING) * u + _DAMPING * u_star, domain.lower, domain.upper)
             candidate, new_fid, new_cost = score(u_new)
             new_value = new_cost + weight * (1.0 - new_fid)
-            if new_value <= value + 1e-12:
-                u, value, current = u_new, new_value, candidate
-                beta = _DAMPING
-            else:
-                beta *= 0.5  # monotone acceptance: shrink toward the old schedule
-                if beta < 1e-3:
-                    break
+            if new_value > value + 1e-12:
+                break  # the first non-improving step hands the round to the polish
+            step = float(np.max(np.abs(u_new - u)))  # r = 0 returned above, so u is not empty
+            u, value, current = u_new, new_value, candidate
             if step < _STEP_TOL:
                 break
 
