@@ -74,10 +74,10 @@ def lie_closure(generators, tol: float = 1e-10) -> LieClosureReport:
     be finite and positive.  Rounds stop at N^2 or when one adds nothing.
     """
     if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+        raise ProtocolParameterError("tol must be finite and positive")
     gens = [g if isinstance(g, Observable) else Observable(g) for g in generators]
     if not gens:
-        raise ValueError("at least one generator required")
+        raise ProtocolParameterError("at least one generator required")
     n = gens[0].dim
     if any(g.dim != n for g in gens):
         raise DimensionMismatchError("generators must share one dimension")

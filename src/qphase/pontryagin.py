@@ -6,13 +6,13 @@ integrand X0 and to the linear Hamilton fields of the controlled plant.
 The running cost is the control energy |u|^2 or the l1 norm sum |u_j|, and
 for both the argmax of **H** over a box of controls is closed form.
 The fixed terminal state is enforced by a quadratic penalty on the
-phase-invariant infidelity, escalated geometrically; in each round a
-forward-backward argmax sweep, which stops at its first non-improving
-step, is refined by bounded quasi-Newton steps on exact discrete
-gradients.  For the l1 cost those steps run on the split u = u+ - u- with
-u+, u- >= 0, where the running cost sum(u+ + u-) is linear and the
-objective smooth, instead of on the kink of |u_j| at 0.  Single shooting
-on the initial adjoint, run by the same NumPy solver, is the cross-check.
+phase-invariant infidelity, escalated geometrically: one damped
+forward-backward argmax sweep, stopping at its first non-improving step,
+warm-starts the solve, and each penalty round is a polish alone, bounded
+quasi-Newton steps on exact discrete gradients.  For the l1 cost those
+steps run on the split u = u+ - u- with u+, u- >= 0, where the running cost
+sum(u+ + u-) is linear and the objective smooth, not on the kink of |u_j|
+at 0.  Single shooting on the initial adjoint cross-checks the energy cost.
 
 Internally states and adjoints are complex amplitudes psi = q + i p, and
 every pass over the grid propagates with one batched eigendecomposition
@@ -44,10 +44,10 @@ COST_ENERGY = "control-energy"
 COST_L1 = "control-l1"
 COST_KINDS = (COST_ENERGY, COST_L1)
 
-# the sweep's penalty weight starts at _PENALTY_WEIGHT and grows 4x per
-# round, for at most _PENALTY_ROUNDS rounds of at most _MAX_SWEEPS argmax
-# sweeps damped by _DAMPING, until the terminal fidelity reaches
-# FIDELITY_GOAL; a round's sweep stops at its first non-improving step
+# the warm start makes at most _MAX_SWEEPS argmax sweeps damped by _DAMPING
+# at the weight _PENALTY_WEIGHT, stopping at its first non-improving step or
+# a step below _STEP_TOL; the weight then grows 4x per polish round, for at
+# most _PENALTY_ROUNDS rounds, until the terminal fidelity reaches FIDELITY_GOAL
 FIDELITY_GOAL = 0.999
 _PENALTY_WEIGHT = 4.0
 _PENALTY_ROUNDS = 6
@@ -293,22 +293,22 @@ def forward_backward_sweep(
 ) -> PmpSolution:
     """Penalized maximum-principle solve on the control grid ``grid``.
 
-    Each round runs the damped argmax sweep, which stops at its first
-    non-improving step, then polishes the same penalized objective on exact
-    discrete gradients with the bound-constrained quasi-Newton solver
-    ``_solvers.minimize_box``; the penalty weight escalates geometrically
-    until the terminal fidelity reaches ``FIDELITY_GOAL`` or the round
-    budget runs out.
+    The warm start runs the damped argmax sweep once, at the first penalty
+    weight, up to its first non-improving step.  Each penalty round then
+    polishes from the schedule the last stage left, on exact discrete
+    gradients with the bound-constrained quasi-Newton solver
+    ``_solvers.minimize_box``; the weight escalates geometrically until the
+    fidelity reaches ``FIDELITY_GOAL`` or the round budget runs out.
     The polish works on the variables of ``CostIntegrand._split``: u itself
     for the energy cost, the split [u+, u-] for the l1 cost, whose running
     cost sum(u+ + u-) is linear and has no kink; the polished schedule is
     u+ - u- clipped to the domain, and the reported cost is always
     sum X0(u) dt of that schedule.
 
-    The solution's ``iterations`` counts the argmax sweeps of every round,
-    the non-improving one included, plus the accepted quasi-Newton steps of
-    every polish; it does not count objective evaluations or rejected
-    line-search trials.
+    The solution's ``iterations`` counts the warm start's argmax sweeps,
+    the non-improving one included, plus the accepted quasi-Newton steps
+    (``nit``) of every polish; it does not count objective evaluations or
+    rejected line-search trials.
     """
     grid = check_grid(grid)
     psi0, goal = _unit_amplitudes(plant, x_init, "x_init"), _unit_amplitudes(plant, x_goal, "x_goal")
@@ -329,37 +329,36 @@ def forward_backward_sweep(
     u = np.tile(domain.clip(np.zeros(r)), (m, 1))
     _, best_fid, best_cost = score(u)
     best_u = np.array(u)
-    iterations = 0
     weight = _PENALTY_WEIGHT
 
     if best_fid >= FIDELITY_GOAL or singleton or r == 0:
         schedule = ControlSchedule(grid, best_u)
         return PmpSolution(schedule, best_cost, best_fid, 0, best_fid >= FIDELITY_GOAL)
 
-    # a deterministic non-zero start; u = 0 is a stationary saddle whenever
-    # the drift image of the start is orthogonal to the goal
+    # warm start: damped argmax sweeps at the first weight from a deterministic
+    # non-zero start; u = 0 is a stationary saddle whenever the drift image of
+    # the start is orthogonal to the goal
     u = rng.uniform(-0.5, 0.5, size=(m, r)) * (domain.upper - domain.lower) / 2.0
     u = np.clip(u, domain.lower, domain.upper)
     current, fid, run_cost = score(u)
+    value = run_cost + weight * (1.0 - fid)
+    for iterations in range(1, _MAX_SWEEPS + 1):
+        props, _, _, psis, overlap = current
+        # the adjoint starts at the gradient of -w(1 - |<goal|psi(T)>|^2)
+        phis = _backward(props, 2.0 * weight * overlap * goal)
+        u_star = _maximize(_slopes(plant, psis[:-1], phis[:-1]), -1.0, cost, domain)
+        u_new = np.clip((1.0 - _DAMPING) * u + _DAMPING * u_star, domain.lower, domain.upper)
+        current, new_fid, new_cost = score(u_new)
+        new_value = new_cost + weight * (1.0 - new_fid)
+        if new_value > value + 1e-12:
+            break  # the first non-improving step hands the solve to the polish
+        step = float(np.max(np.abs(u_new - u)))  # r = 0 returned above, so u is not empty
+        u, value = u_new, new_value
+        if step < _STEP_TOL:
+            break
 
+    # penalty rounds: polish only, each from the schedule the last one left
     for _round in range(_PENALTY_ROUNDS):
-        value = run_cost + weight * (1.0 - fid)
-        for _ in range(_MAX_SWEEPS):
-            iterations += 1
-            props, _, _, psis, overlap = current
-            # the adjoint starts at the gradient of -w(1 - |<goal|psi(T)>|^2)
-            phis = _backward(props, 2.0 * weight * overlap * goal)
-            u_star = _maximize(_slopes(plant, psis[:-1], phis[:-1]), -1.0, cost, domain)
-            u_new = np.clip((1.0 - _DAMPING) * u + _DAMPING * u_star, domain.lower, domain.upper)
-            candidate, new_fid, new_cost = score(u_new)
-            new_value = new_cost + weight * (1.0 - new_fid)
-            if new_value > value + 1e-12:
-                break  # the first non-improving step hands the round to the polish
-            step = float(np.max(np.abs(u_new - u)))  # r = 0 returned above, so u is not empty
-            u, value, current = u_new, new_value, candidate
-            if step < _STEP_TOL:
-                break
-
         res = minimize(
             _objective_and_gradient,
             np.clip(u @ lift.T, x_lower, x_upper).ravel(),  # for l1, [u, -u] clipped is [u+, u-]
@@ -369,9 +368,7 @@ def forward_backward_sweep(
         )
         iterations += int(res.nit)
         u = np.clip(res.x.reshape(m, -1) @ lift, domain.lower, domain.upper)
-
-        # the next round starts from this pass
-        current, fid, run_cost = score(u)
+        _, fid, run_cost = score(u)
         if fid >= best_fid - 1e-12:
             best_fid, best_cost, best_u = fid, run_cost, np.array(u)
         if best_fid >= FIDELITY_GOAL:
@@ -398,8 +395,11 @@ def solve_shooting(
     from the adjoint goal - psi0 on the gradient J^T r, J the forward-difference
     Jacobian with the steps sqrt(eps) max(1, |x_i|) signed as x_i, so each
     evaluation costs 1 + 2N rollouts.  The solution's ``iterations`` counts
-    those evaluations.
+    those evaluations.  The l1 cost raises ``ProtocolParameterError``.
     """
+    if cost.kind == COST_L1:
+        raise ProtocolParameterError("solve_shooting needs the energy cost: the l1 argmax is bang-off-bang, so "
+                                     "the terminal residual is piecewise constant in the adjoint and has no slope")
     grid = check_grid(grid)
     psi0, goal = _unit_amplitudes(plant, x_init, "x_init"), _unit_amplitudes(plant, x_goal, "x_goal")
     dts = np.diff(grid)

@@ -198,6 +198,11 @@ class TestLieClosure:
         with pytest.raises(ValueError):
             lie_closure([Observable(np.diag([1.0, 2.0]))], tol=tol)
 
+    @pytest.mark.parametrize("generators, tol, match", [([np.eye(2)], np.nan, "tol"), ([], 1e-10, "generator")])
+    def test_rejections_are_protocol_parameter_errors(self, generators, tol, match):
+        with pytest.raises(ProtocolParameterError, match=match):
+            lie_closure(generators, tol=tol)
+
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_reference_closure(self, case):
         report = lie_closure([Observable(h) for h in ORACLE_CASES[case]])

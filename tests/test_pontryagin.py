@@ -529,8 +529,8 @@ class TestSweep:
 
 
 class TestPropagationCount:
-    """The sweep propagates each schedule once: u = 0, the random start, every
-    candidate, every polish evaluation and every polished schedule."""
+    """The solve propagates each schedule once: u = 0, the random start, every
+    warm-start candidate, every polish evaluation and every polished schedule."""
 
     def _counted(self, monkeypatch):
         calls, rounds = [0], []
@@ -582,7 +582,7 @@ class TestPropagationCount:
 
 
 class TestSweepWork:
-    """Each penalty round's sweep stops at its first non-improving step and hands the round to the polish.
+    """The warm-start sweep runs once, stops at its first non-improving step, and each penalty round is polish alone.
 
     On the four benchmark shapes, the sigma_x inversion with 1 channel at m = 8 and m = 16, 2 channels
     at m = 8, and ``l1_inversion()``, a sweep that retried each rejected step with the damping halved,
@@ -640,6 +640,26 @@ class TestSweepWork:
                 assert sol.cost <= self.HALVING_COSTS[channels, intervals] + 1e-7
             total += passes
         assert total < self.HALVING_PASSES / 2
+
+    @pytest.mark.parametrize("kind, channels, intervals", SHAPES)
+    def test_no_sweep_after_the_first_polish(self, monkeypatch, kind, channels, intervals):
+        sweeps, nits = [0, 0], []
+        maximize, minimize = qphase.pontryagin._maximize, qphase.pontryagin.minimize
+
+        def counted(*args):
+            sweeps[len(nits) > 0] += 1  # [before the first polish, after it]
+            return maximize(*args)
+
+        def polish(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            nits.append(int(res.nit))
+            return res
+
+        monkeypatch.setattr(qphase.pontryagin, "_maximize", counted)
+        monkeypatch.setattr(qphase.pontryagin, "minimize", polish)
+        sol, _ = inversion(kind, channels=channels, intervals=intervals)
+        assert sol.converged and sweeps[0] > 0 and sweeps[1] == 0
+        assert sol.iterations == sweeps[0] + sum(nits)
 
 
 class TestGrid:
@@ -706,3 +726,11 @@ class TestShooting:
         )
         assert sol.fidelity >= 0.999
         assert sol.converged
+
+    @pytest.mark.parametrize("m", [10, 40])
+    def test_rejects_the_l1_cost(self, monkeypatch, m):
+        """The bang-off-bang argmax leaves the residual no slope, so the l1 cost is refused before any rollout."""
+        monkeypatch.setattr(qphase.pontryagin, "minimize", None)
+        with pytest.raises(ProtocolParameterError, match="piecewise constant"):
+            solve_shooting(two_level_plant(), to_phase(StateVector([0, 1.0])), to_phase(StateVector([1.0, 0])),
+                           CostIntegrand("control-l1"), ControlDomain([-1.0], [1.0]), grid=np.linspace(0, np.pi, m + 1))
