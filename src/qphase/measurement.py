@@ -22,6 +22,7 @@ from .errors import (
     DegenerateBasisError,
     DimensionMismatchError,
     NormalizationError,
+    ProtocolParameterError,
     ZeroProbabilityBranchError,
 )
 from .geometry import Observable, PhasePoint, StateVector, _readonly, g_form, hermitian
@@ -188,9 +189,9 @@ class DensityMatrix:
     def __post_init__(self):
         m = hermitian(self.matrix, 1e-10)
         if not abs(np.trace(m).real - 1.0) <= 1e-10:
-            raise ValueError("density matrix must have unit trace")
+            raise NormalizationError("density matrix must have unit trace")
         if np.min(np.linalg.eigvalsh(m)) < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite")
+            raise ProtocolParameterError("density matrix must be positive semidefinite")
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
@@ -217,7 +218,7 @@ class GaussianMeasurement:
 
     def __post_init__(self):
         if not (_positive(self.strength) and _positive(self.dt)):
-            raise ValueError("strength and dt must be finite and positive")
+            raise ProtocolParameterError("strength and dt must be finite and positive")
 
     @property
     def readout_variance(self) -> float:
@@ -294,9 +295,9 @@ def continuous_observe(
     (steps + 1, N, N).
     """
     if not _positive(t_final):
-        raise ValueError("t_final must be finite and positive")
+        raise ProtocolParameterError("t_final must be finite and positive")
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError("steps must be an integer >= 1")
+        raise ProtocolParameterError("steps must be an integer >= 1")
     hm = h.matrix
     lam = m.observable.matrix
     if hm.shape != lam.shape or rho0.dim != hm.shape[0]:

@@ -12,7 +12,8 @@ Because Philox is counter-based, trial k's first uniform is a pure function
 of ``(seed, k)``: ``first_uniforms_at`` computes it for an array of trial
 indices with the Philox4x64-10 rounds written as unsigned 64-bit array
 arithmetic (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy
-as 1, 2, 3", SC'11), with no generator built per trial.
+as 1, 2, 3", SC'11), with no generator built per trial.  The rounds run
+over blocks of ``_BLOCK`` trials, so their working arrays stay in cache.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ _WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+# trials per pass of the rounds: 20,000 trials in one pass fall out of cache
+# and take 5.0 ms; blocks of 8192 take 2.8 ms, of 4096 3.0 ms, of 16384 4.0 ms
+# and of 1024 6.6 ms (best of 7, 2 vCPUs, NumPy 2.4.6)
+_BLOCK = 8192
 
 
 def stream(seed: int, trial: int = 0) -> np.random.Generator:
@@ -64,27 +69,32 @@ def first_uniforms_at(seed: int, indices) -> np.ndarray:
     The first draw of a fresh generator increments word 0 of the counter,
     so it is the first output word of Philox4x64-10 on the counter
     ``[1, 0, k, 0]`` under the key ``[seed, 0]``, and ``random()`` keeps
-    its top 53 bits.
+    its top 53 bits.  The rounds run on blocks of ``_BLOCK`` indices, and
+    the result takes the shape of ``indices`` (a float for a 0-d index).
     """
     seed = _index(seed, "seed", _WORD)
     indices = np.asarray(indices)
     kind = indices.dtype.kind
     if indices.size and (kind not in "iu" or (kind == "i" and indices.min() < 0)):
         raise ProtocolParameterError("trial indices must be integers in [0, 2**64)")
-    c2 = indices.astype(np.uint64, copy=False)
-    c0, c1, c3 = np.ones_like(c2), np.zeros_like(c2), np.zeros_like(c2)
-    for r in range(_ROUNDS):
-        # round r runs under the key bumped r times by the Weyl increments
-        key0 = np.uint64((seed + r * _WEYL[0]) & _WORD)
-        key1 = np.uint64((r * _WEYL[1]) & _WORD)
-        hi0, lo0 = _mulhilo(_MULTIPLIERS[0], c0)
-        hi1, lo1 = _mulhilo(_MULTIPLIERS[1], c2)
-        hi1 ^= c1
-        hi1 ^= key0
-        hi0 ^= c3
-        hi0 ^= key1
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    return (c0 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    flat = indices.astype(np.uint64, copy=False).reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _BLOCK):
+        c2 = flat[start : start + _BLOCK]
+        c0, c1, c3 = np.ones_like(c2), np.zeros_like(c2), np.zeros_like(c2)
+        for r in range(_ROUNDS):
+            # round r runs under the key bumped r times by the Weyl increments
+            key0 = np.uint64((seed + r * _WEYL[0]) & _WORD)
+            key1 = np.uint64((r * _WEYL[1]) & _WORD)
+            hi0, lo0 = _mulhilo(_MULTIPLIERS[0], c0)
+            hi1, lo1 = _mulhilo(_MULTIPLIERS[1], c2)
+            hi1 ^= c1
+            hi1 ^= key0
+            hi0 ^= c3
+            hi0 ^= key1
+            c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+        out[start : start + _BLOCK] = (c0 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    return out.reshape(indices.shape)[()]
 
 
 def _mulhilo(a: np.uint64, b: np.ndarray):

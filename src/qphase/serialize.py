@@ -6,9 +6,15 @@ identical runs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
+
+# rows per write: a 20,000-row, 3.7 MB measurements.csv took a median 7.1-7.6 ms
+# row by row, 4.6-5.0 ms in chunks of 1024, 4.6-5.1 ms of 2048, 4.8-5.3 ms of
+# 512 and 7.5-8.1 ms of 4096 (two runs of 60 alternating writes, 2 vCPUs, ext4)
+_CHUNK = 1024
 
 
 def fmt(x: float) -> str:
@@ -66,13 +72,15 @@ def write_trials_json(path, labels, records: dict):
 def write_csv(path, header, rows, preformatted: bool = False):
     """Write rows of floats (or pre-formatted strings) under a header line.
 
-    ``rows`` may be any iterable, a generator included; it is streamed.
+    ``rows`` may be any iterable, a generator included; it is streamed in
+    chunks of ``_CHUNK`` lines, each joined and written with one call.
     With ``preformatted`` each row is already the full text of its line,
     ending in ``"\\n"``, and is written as it is.
     """
+    if not preformatted:
+        rows = (",".join([c if isinstance(c, str) else fmt(c) for c in row]) + "\n" for row in rows)
+    lines = iter(rows)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if preformatted:
-            fh.writelines(rows)
-        else:
-            fh.writelines(",".join([c if isinstance(c, str) else fmt(c) for c in row]) + "\n" for row in rows)
+        while chunk := list(itertools.islice(lines, _CHUNK)):
+            fh.write("".join(chunk))

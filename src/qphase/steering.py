@@ -504,7 +504,11 @@ def stabilize_middle_level(
     ``rng.integers(0, 3)`` calls, one uniform per measurement, and ``rng``
     ends where they leave it, also when ``MaxIterationsError`` is raised.
     Every measurement, the first of ``x0`` included, computes its Born odds
-    in scalars with numpy's roundings.  After it the state is one level
+    in scalars with numpy's roundings, memoised within the call by the tuple
+    of amplitudes: after a disturbance the state is ``(level, 1+0j)``, so
+    re-acquisitions replay the same amplitude lists.  Signed zeros may share
+    an entry, as the odds depend only on ``|a|**2``; a NaN equals no key, so
+    it always misses and its norm check raises.  After it the state is one level
     times a phase, so the run is an event loop on (level, phase).  An
     undisturbed period's measurement is certain, so it only draws its two
     uniforms and renormalises the phase.  The disturbance test runs once
@@ -537,13 +541,18 @@ def stabilize_middle_level(
     maintained = disturbance is not None and n_periods > 0
     draws = _RawDraws(rng, 2 * n_periods + 32 if maintained else 32)
     steps = [] if record_steps else None
+    odds = {}  # amplitude tuple -> its checked Born odds, for this call only
 
     def measure(amps):
         """Measure amplitudes listed by level: the level it lands on and the phase there."""
-        norm_sq = sum(a.real * a.real + a.imag * a.imag for a in amps)
-        if not abs(norm_sq - 1.0) <= _STATE_TOL:
-            raise NormalizationError(f"state has squared norm {norm_sq!r}, expected 1")
-        d0, d1 = _drift_cdf(amps, levels)
+        key = tuple(amps)
+        cdf = odds.get(key)
+        if cdf is None:
+            norm_sq = sum(a.real * a.real + a.imag * a.imag for a in amps)
+            if not abs(norm_sq - 1.0) <= _STATE_TOL:
+                raise NormalizationError(f"state has squared norm {norm_sq!r}, expected 1")
+            cdf = odds[key] = _drift_cdf(amps, levels)
+        d0, d1 = cdf
         u = draws.uniform()
         branch = (d0 <= u) + (d1 <= u)
         level = levels[branch]

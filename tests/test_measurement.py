@@ -28,6 +28,8 @@ from qphase import (
 from qphase.errors import (
     DegenerateBasisError,
     NormalizationError,
+    ProtocolParameterError,
+    QPhaseError,
     ZeroProbabilityBranchError,
 )
 from qphase.measurement import _step_matrix, select_branches
@@ -441,6 +443,26 @@ class TestDensityMatrix:
     def test_rejects_nan_entry(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[1.0, np.nan], [np.nan, 0.0]], dtype=complex))
+
+
+def _observe(t_final, steps):
+    rho0 = DensityMatrix(np.diag([0.2, 0.8]).astype(complex))
+    m = GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 1.0, 0.01)
+    return continuous_observe(rho0, Observable(np.zeros((2, 2))), m, t_final, steps)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: DensityMatrix(np.diag([0.5, 0.4]).astype(complex)), NormalizationError),
+    (lambda: DensityMatrix(np.diag([1.5, -0.5]).astype(complex)), ProtocolParameterError),
+    (lambda: GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 0.0, 0.1), ProtocolParameterError),
+    (lambda: GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 1.0, np.inf), ProtocolParameterError),
+    (lambda: _observe(0.0, 10), ProtocolParameterError),
+    (lambda: _observe(1.0, 0), ProtocolParameterError),
+], ids=["trace", "negative", "strength", "dt", "t_final", "steps"])
+def test_rejections_are_typed_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, QPhaseError) and isinstance(info.value, ValueError)
 
 
 def degenerate_observable(rng, n):

@@ -595,47 +595,46 @@ class TestSweepWork:
     HALVING_COSTS = {(1, 8): 1.6460172358, (1, 16): 1.5839190199, (2, 8): 0.8191148448}
 
     def _run(self, monkeypatch, kind, channels, intervals):
-        """The solution, its ``_propagate`` passes and the rejected sweep passes of each round."""
-        passes, rejected, pending, polishing = [0], [], [], [False]
+        """The solution, its ``_propagate`` passes, its polishes and the warm start's rejected sweep passes.
+
+        Each later round is a polish alone (``test_no_sweep_after_the_first_polish``), so only the
+        passes before the first polish are sweep passes.
+        """
+        passes, warm, polishes, rejected = [0], [], [0], [0]
         propagate, minimize = qphase.pontryagin._propagate, qphase.pontryagin.minimize
 
         def counted(plant, u, psi0, goal, dts):
             passes[0] += 1
             out = propagate(plant, u, psi0, goal, dts)
-            if not polishing[0]:
-                pending.append((float(CostIntegrand(kind).rate(u) @ dts), abs(out[4]) ** 2))
+            if not polishes[0]:
+                warm.append((float(CostIntegrand(kind).rate(u) @ dts), abs(out[4]) ** 2))
             return out
 
         def polish(fun, x0, args=(), **kwargs):
-            weight = args[-1]
-            # the passes since the last polish: the schedule the round starts from, then its sweeps;
-            # before the first round the sweep also passed u = 0
-            values = [run_cost + weight * (1.0 - fid) for run_cost, fid in pending[0 if rejected else 1 :]]
-            held, worse = values[0], 0
-            for value in values[1:]:
-                if value > held + 1e-12:
-                    worse += 1
-                else:
-                    held = value
-            rejected.append(worse)
-            pending.clear()
-            polishing[0] = True
-            try:
-                return minimize(fun, x0, args, **kwargs)
-            finally:
-                polishing[0] = False
+            if not polishes[0]:
+                # the warm start passed u = 0, then the seeded start and its sweep steps
+                weight = args[-1]
+                values = [run_cost + weight * (1.0 - fid) for run_cost, fid in warm[1:]]
+                held = values[0]
+                for value in values[1:]:
+                    if value > held + 1e-12:
+                        rejected[0] += 1
+                    else:
+                        held = value
+            polishes[0] += 1
+            return minimize(fun, x0, args, **kwargs)
 
         monkeypatch.setattr(qphase.pontryagin, "_propagate", counted)
         monkeypatch.setattr(qphase.pontryagin, "minimize", polish)
         sol, _ = inversion(kind, channels=channels, intervals=intervals)
-        return sol, passes[0], rejected
+        return sol, passes[0], polishes[0], rejected[0]
 
     def test_half_the_passes_at_no_extra_cost(self, monkeypatch):
         total = 0
         for kind, channels, intervals in self.SHAPES:
-            sol, passes, rejected = self._run(monkeypatch, kind, channels, intervals)
-            assert sol.converged and len(rejected) > 1
-            assert max(rejected) <= 1, f"{kind} {channels} ch m = {intervals}: rejected per round {rejected}"
+            sol, passes, polishes, rejected = self._run(monkeypatch, kind, channels, intervals)
+            assert sol.converged and polishes > 1
+            assert rejected <= 1, f"{kind} {channels} ch m = {intervals}: {rejected} rejected warm-start passes"
             if kind == "control-energy":
                 assert sol.cost <= self.HALVING_COSTS[channels, intervals] + 1e-7
             total += passes

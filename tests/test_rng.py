@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qphase.rng
 from qphase.errors import ProtocolParameterError
 from qphase.rng import first_uniforms, first_uniforms_at, stream
 
@@ -60,6 +61,28 @@ def test_counter_arithmetic_matches_the_bit_generator(seed):
     for start in (0, 2**32 - 1500, 2**64 - 3000):
         ks = np.arange(3000, dtype=np.uint64) + np.uint64(start)
         assert first_uniforms_at(seed, ks).tolist() == [stream(seed, int(k)).random() for k in ks]
+
+
+BLOCK = qphase.rng._BLOCK
+
+
+@pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+def test_blocks_match_each_trials_stream(trials):
+    assert first_uniforms(77, trials).tolist() == [stream(77, k).random() for k in range(trials)]
+    # the same counts of indices ending at the top of the counter word
+    ks = np.arange(trials, dtype=np.uint64) + np.uint64(2**64 - trials)
+    assert first_uniforms_at(2**64 - 1, ks).tolist() == [stream(2**64 - 1, int(k)).random() for k in ks]
+
+
+def test_output_takes_the_shape_of_the_indices():
+    ks = np.arange(3 * BLOCK + 3, dtype=np.uint64) + np.uint64(2**64 - 3 * BLOCK - 3)
+    want = np.array([stream(5, int(k)).random() for k in ks])
+    for grid, expect in ((ks.reshape(3, -1), want.reshape(3, -1)), (ks.reshape(3, -1).T, want.reshape(3, -1).T)):
+        got = first_uniforms_at(5, grid)
+        assert got.shape == grid.shape and got.tobytes() == expect.tobytes()
+    for k in (0, 2**64 - 1):
+        got = first_uniforms_at(5, np.uint64(k))
+        assert np.shape(got) == () and got == stream(5, k).random()
 
 
 def test_first_uniforms_rejects_out_of_range():

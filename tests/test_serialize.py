@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qphase.cli
+import qphase.serialize
 from qphase.serialize import fmt_lines, write_csv, write_json, write_trials_json
 
 HEADER = ["trial", "value", "tail"]
@@ -62,6 +63,34 @@ def test_csv_streams_a_generator_of_rows(tmp_path):
     tails = {0: "a,0.5", 1: "b,0.25"}
     rows = ([k, tails[k % 2]] for k in range(4))
     assert csv_text(tmp_path, ["k", "label", "p"], rows) == b"k,label,p\n0,a,0.5\n1,b,0.25\n2,a,0.5\n3,b,0.25\n"
+
+
+def per_line_csv(path, header, rows, preformatted=False):
+    """The writer with one ``write`` per row, as an oracle for the chunked one."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(row if preformatted else ",".join(c if isinstance(c, str) else "%.17g" % float(c) for c in row) + "\n")
+
+
+CHUNK = qphase.serialize._CHUNK
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("preformatted", [False, True], ids=["cells", "preformatted"])
+@pytest.mark.parametrize("as_list", [True, False], ids=["list", "generator"])
+def test_chunked_csv_matches_a_per_line_writer(tmp_path, n, preformatted, as_list):
+    def rows():
+        for k in range(n):
+            row = [k, k / 7, f"s{k % 3}", -0.0 if k % 5 else np.inf]
+            yield ",".join(map(str, row)) + "\n" if preformatted else row
+
+    want = tmp_path / "want.csv"
+    per_line_csv(want, ["k", "x", "s", "y"], rows(), preformatted)
+    got = tmp_path / "got.csv"
+    write_csv(got, ["k", "x", "s", "y"], list(rows()) if as_list else rows(), preformatted)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_bytes().splitlines()) == n + 1
 
 
 def test_json_is_sorted_two_space_indented_with_a_final_newline(tmp_path):

@@ -384,6 +384,37 @@ class TestStabilize:
         with pytest.raises(NormalizationError):
             stabilize_middle_level(PhasePoint([1.0, 1.0, 0.0], [0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("q", [[np.nan, 0.0, 0.0], [0.0, 1.0, np.nan]])
+    def test_nan_state_rejected(self, q):
+        with pytest.raises(NormalizationError):
+            stabilize_middle_level(PhasePoint(q, [0.0, 0.0, 0.0]), disturbance=0.5, n_periods=10)
+
+    def test_born_odds_are_memoised_within_a_call(self, monkeypatch):
+        # the benchmark's stabilize shape; after a disturbance the state is (level, 1+0j), so each
+        # re-acquisition replays amplitude lists whose odds the call has already computed
+        calls = [0]
+        drift_cdf = qphase.steering._drift_cdf
+
+        def counted(amps, levels):
+            calls[0] += 1
+            return drift_cdf(amps, levels)
+
+        monkeypatch.setattr(qphase.steering, "_drift_cdf", counted)
+        gen = np.random.default_rng(31)
+        odds = measured = 0
+        for seed in range(2):
+            x0 = to_phase(StateVector(np.eye(3)[gen.choice([0, 2])] * np.exp(gen.uniform(0.0, 2.0 * np.pi) * 1j)))
+            kwargs = dict(mu=float(gen.uniform(0.5, 2.0)), disturbance=0.05, n_periods=500)
+            for k in range(20):
+                before = calls[0]
+                quiet = stabilize_middle_level(x0, rng=stream(seed, k), **kwargs)
+                odds += calls[0] - before
+                full = stabilize_middle_level(x0, rng=stream(seed, k), record_steps=True, **kwargs)
+                measured += sum(st.action == "measure" for st in full.steps)
+                assert (quiet.final_fidelity, quiet.iterations, quiet.occupancy) == (
+                    full.final_fidelity, full.iterations, full.occupancy)
+        assert 0 < odds <= measured / 4, f"{odds} Born odds computed for {measured} measurements"
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_non_three_level_state_rejected(self, n):
         rng = np.random.default_rng(3)
