@@ -19,10 +19,11 @@ every pass over the grid propagates with one batched eigendecomposition
 (``dynamics.interval_propagators``) and the shared forward loop
 (``dynamics.forward_states``); exact gradients come from Daleckii-Krein
 divided differences in the same eigenbasis (``dynamics.overlap_gradient``).
-Each schedule is propagated once: the sweep keeps the pass of the schedule
-it holds, an accepted candidate's pass becomes the current one, and the
-adjoint runs back over the same propagators.  Flat (q, p) coordinates
-appear only at the public boundary.
+Both solvers pose one ``_TransferProblem``, validated once.  The sweep keeps
+the pass of the schedule it holds and runs the adjoint back over it; a
+penalty round reads F from its polish's last pass, and propagates again only
+when that pass was at a rejected trial.  Flat (q, p) coordinates appear only
+at the public boundary.
 """
 
 from __future__ import annotations
@@ -256,30 +257,55 @@ def _propagate(plant, u: np.ndarray, psi0: np.ndarray, goal: np.ndarray, dts: np
     return props, w, v, psis, np.vdot(goal, psis[-1])
 
 
-def _objective_and_gradient(x_flat, plant, cost, lift, psi0, goal, dts, weight):
-    """Penalized objective of the polish variables x, u = x @ lift, with its exact discrete gradient.
+class _TransferProblem:
+    """The discrete problem psi0 -> goal on the grid, validated and normalised by its constructor alone."""
 
-    The running cost is ``CostIntegrand._split_rate`` of x, and the penalty
-    gradient in u (``dynamics.overlap_gradient``) is chained to x by lift^T.
-    """
-    x = x_flat.reshape(dts.size, -1)
-    props, w, v, psis, overlap = _propagate(plant, x @ lift, psi0, goal, dts)
-    rate, rate_grad = cost._split_rate(x)
-    value = float(rate @ dts) + weight * (1.0 - abs(overlap) ** 2)
-    lams = _backward(props, -2.0 * weight * overlap * goal)  # d(penalty)/dpsi_T
-    grad = overlap_gradient(plant, w, v, dts, psis[:-1], lams[1:]) @ lift.T
-    grad += rate_grad * dts[:, None]
-    return value, grad.ravel()
+    def __init__(self, plant, x_init, x_goal, cost, domain, grid):
+        self.grid = check_grid(grid)
+        for name, x in (("x_init", x_init), ("x_goal", x_goal)):
+            if x.dim != plant.dim:
+                raise DimensionMismatchError(f"{name} has dimension {x.dim}, the plant {plant.dim}")
+            if not x.norm_sq() > 0:
+                raise NormalizationError(f"{name} cannot be normalized (|x|^2 = {x.norm_sq()})")
+        if domain.n_channels != len(plant.controls):
+            raise DimensionMismatchError("domain channel count must match the plant controls")
+        self.psi0, self.goal = (x.amplitudes / np.sqrt(x.norm_sq()) for x in (x_init, x_goal))
+        self.plant, self.cost = plant, cost
+        self.dts = np.diff(self.grid)
+        self.lift, self.x_lower, self.x_upper = cost._split(domain.lower, domain.upper)
+        self._last = (None, None)  # (u, pass) of the latest objective evaluation, for score to reuse
 
+    def score(self, u):
+        """The pass of the schedule u (the latest objective pass if it was at u), its fidelity and its running cost."""
+        last_u, propagated = self._last
+        if not np.array_equal(last_u, u):
+            propagated = _propagate(self.plant, u, self.psi0, self.goal, self.dts)
+        return propagated, float(abs(propagated[4]) ** 2), float(self.cost.rate(u) @ self.dts)
 
-def _unit_amplitudes(plant: ControlledHamiltonian, x: PhasePoint, name: str) -> np.ndarray:
-    """Normalized amplitudes of an endpoint state of the plant."""
-    if x.dim != plant.dim:
-        raise DimensionMismatchError(f"{name} has dimension {x.dim}, the plant {plant.dim}")
-    norm_sq = x.norm_sq()
-    if not norm_sq > 0:
-        raise NormalizationError(f"{name} cannot be normalized (|x|^2 = {norm_sq})")
-    return x.amplitudes / np.sqrt(norm_sq)
+    def objective(self, x_flat, weight):
+        """Penalized objective of the polish variables x, u = x @ lift, and its exact gradient."""
+        x = x_flat.reshape(self.dts.size, -1)
+        u = x @ self.lift
+        self._last = u, _propagate(self.plant, u, self.psi0, self.goal, self.dts)
+        props, w, v, psis, overlap = self._last[1]
+        rate, rate_grad = self.cost._split_rate(x)
+        value = float(rate @ self.dts) + weight * (1.0 - abs(overlap) ** 2)
+        lams = _backward(props, -2.0 * weight * overlap * self.goal)  # d(penalty)/dpsi_T
+        grad = overlap_gradient(self.plant, w, v, self.dts, psis[:-1], lams[1:]) @ self.lift.T  # d/du to d/dx
+        grad += rate_grad * self.dts[:, None]
+        return value, grad.ravel()
+
+    def polish(self, u, weight):
+        """One penalty round at weight w from u: the polished schedule, its score and ``nit``."""
+        m = self.dts.size
+        x0 = np.clip(u @ self.lift.T, self.x_lower, self.x_upper).ravel()  # for l1, [u, -u] clipped is [u+, u-]
+        res = minimize(self.objective, x0, args=(weight,), lower=np.tile(self.x_lower, m),
+                       upper=np.tile(self.x_upper, m))
+        u = res.x.reshape(m, -1) @ self.lift  # x @ lift over the split box lies in the domain: no clip
+        return u, self.score(u), int(res.nit)
+
+    def solution(self, u, fid, run_cost, iterations) -> PmpSolution:
+        return PmpSolution(ControlSchedule(self.grid, u), run_cost, fid, iterations, fid >= FIDELITY_GOAL)
 
 
 def forward_backward_sweep(
@@ -299,56 +325,40 @@ def forward_backward_sweep(
     gradients with the bound-constrained quasi-Newton solver
     ``_solvers.minimize_box``; the weight escalates geometrically until the
     fidelity reaches ``FIDELITY_GOAL`` or the round budget runs out.
-    The polish works on the variables of ``CostIntegrand._split``: u itself
-    for the energy cost, the split [u+, u-] for the l1 cost, whose running
-    cost sum(u+ + u-) is linear and has no kink; the polished schedule is
-    u+ - u- clipped to the domain, and the reported cost is always
-    sum X0(u) dt of that schedule.
+    The polish works on the variables of ``CostIntegrand._split``, u or for
+    the l1 cost [u+, u-]; u+ - u- already lies in the domain, and the
+    reported cost is sum X0(u) dt of that schedule.
 
     The solution's ``iterations`` counts the warm start's argmax sweeps,
     the non-improving one included, plus the accepted quasi-Newton steps
     (``nit``) of every polish; it does not count objective evaluations or
     rejected line-search trials.
     """
-    grid = check_grid(grid)
-    psi0, goal = _unit_amplitudes(plant, x_init, "x_init"), _unit_amplitudes(plant, x_goal, "x_goal")
+    problem = _TransferProblem(plant, x_init, x_goal, cost, domain, grid)
     rng = np.random.default_rng(0) if rng is None else rng
-    r = len(plant.controls)
-    if domain.n_channels != r:
-        raise DimensionMismatchError("domain channel count must match the plant controls")
-    m = grid.size - 1
-    dts = np.diff(grid)
-    singleton = np.allclose(domain.lower, domain.upper)
-    lift, x_lower, x_upper = cost._split(domain.lower, domain.upper)
+    r, m = len(plant.controls), problem.dts.size
 
-    def score(u):
-        """The pass of the schedule u, its terminal fidelity and its running cost."""
-        propagated = _propagate(plant, u, psi0, goal, dts)
-        return propagated, float(abs(propagated[4]) ** 2), float(cost.rate(u) @ dts)
-
-    u = np.tile(domain.clip(np.zeros(r)), (m, 1))
-    _, best_fid, best_cost = score(u)
-    best_u = np.array(u)
+    best_u = np.tile(domain.clip(np.zeros(r)), (m, 1))
+    _, best_fid, best_cost = problem.score(best_u)
     weight = _PENALTY_WEIGHT
 
-    if best_fid >= FIDELITY_GOAL or singleton or r == 0:
-        schedule = ControlSchedule(grid, best_u)
-        return PmpSolution(schedule, best_cost, best_fid, 0, best_fid >= FIDELITY_GOAL)
+    if best_fid >= FIDELITY_GOAL or np.allclose(domain.lower, domain.upper) or r == 0:
+        return problem.solution(best_u, best_fid, best_cost, 0)
 
     # warm start: damped argmax sweeps at the first weight from a deterministic
     # non-zero start; u = 0 is a stationary saddle whenever the drift image of
     # the start is orthogonal to the goal
     u = rng.uniform(-0.5, 0.5, size=(m, r)) * (domain.upper - domain.lower) / 2.0
     u = np.clip(u, domain.lower, domain.upper)
-    current, fid, run_cost = score(u)
+    current, fid, run_cost = problem.score(u)
     value = run_cost + weight * (1.0 - fid)
     for iterations in range(1, _MAX_SWEEPS + 1):
         props, _, _, psis, overlap = current
         # the adjoint starts at the gradient of -w(1 - |<goal|psi(T)>|^2)
-        phis = _backward(props, 2.0 * weight * overlap * goal)
+        phis = _backward(props, 2.0 * weight * overlap * problem.goal)
         u_star = _maximize(_slopes(plant, psis[:-1], phis[:-1]), -1.0, cost, domain)
         u_new = np.clip((1.0 - _DAMPING) * u + _DAMPING * u_star, domain.lower, domain.upper)
-        current, new_fid, new_cost = score(u_new)
+        current, new_fid, new_cost = problem.score(u_new)
         new_value = new_cost + weight * (1.0 - new_fid)
         if new_value > value + 1e-12:
             break  # the first non-improving step hands the solve to the polish
@@ -359,24 +369,15 @@ def forward_backward_sweep(
 
     # penalty rounds: polish only, each from the schedule the last one left
     for _round in range(_PENALTY_ROUNDS):
-        res = minimize(
-            _objective_and_gradient,
-            np.clip(u @ lift.T, x_lower, x_upper).ravel(),  # for l1, [u, -u] clipped is [u+, u-]
-            args=(plant, cost, lift, psi0, goal, dts, weight),
-            lower=np.tile(x_lower, m),
-            upper=np.tile(x_upper, m),
-        )
-        iterations += int(res.nit)
-        u = np.clip(res.x.reshape(m, -1) @ lift, domain.lower, domain.upper)
-        _, fid, run_cost = score(u)
+        u, (_, fid, run_cost), nit = problem.polish(u, weight)
+        iterations += nit
         if fid >= best_fid - 1e-12:
             best_fid, best_cost, best_u = fid, run_cost, np.array(u)
         if best_fid >= FIDELITY_GOAL:
             break
         weight *= 4.0
 
-    schedule = ControlSchedule(grid, best_u)
-    return PmpSolution(schedule, best_cost, best_fid, iterations, best_fid >= FIDELITY_GOAL)
+    return problem.solution(best_u, best_fid, best_cost, iterations)
 
 
 def solve_shooting(
@@ -400,9 +401,8 @@ def solve_shooting(
     if cost.kind == COST_L1:
         raise ProtocolParameterError("solve_shooting needs the energy cost: the l1 argmax is bang-off-bang, so "
                                      "the terminal residual is piecewise constant in the adjoint and has no slope")
-    grid = check_grid(grid)
-    psi0, goal = _unit_amplitudes(plant, x_init, "x_init"), _unit_amplitudes(plant, x_goal, "x_goal")
-    dts = np.diff(grid)
+    problem = _TransferProblem(plant, x_init, x_goal, cost, domain, grid)
+    psi0, goal, dts = problem.psi0, problem.goal, problem.dts
 
     def rollout(phi_flat):
         psi, phi = psi0, PhasePoint.from_flat(phi_flat).amplitudes
@@ -432,7 +432,4 @@ def solve_shooting(
     guess = PhasePoint.from_amplitudes(goal - psi0).flat()
     res = minimize(objective, guess, lower=-np.inf, upper=np.inf, ftol=0.0, gtol=1e-15)
     _, u = rollout(res.x)
-    fid = float(abs(_propagate(plant, u, psi0, goal, dts)[4]) ** 2)
-    run_cost = float(cost.rate(u) @ dts)
-    schedule = ControlSchedule(grid, u)
-    return PmpSolution(schedule, run_cost, fid, int(res.nfev), fid >= FIDELITY_GOAL)
+    return problem.solution(u, *problem.score(u)[1:], int(res.nfev))

@@ -662,7 +662,7 @@ class TestPmpCommand:
     def test_non_finite_polish_objective_is_not_converged(self, tmp_path, monkeypatch, bad, code):
         """A polish objective that is never finite leaves the sweep's schedule, which falls short
         of the goal on 4 intervals: exit 3 with finite artifacts, not a NaN schedule."""
-        objective = qphase.pontryagin._objective_and_gradient
+        objective = qphase.pontryagin._TransferProblem.objective
 
         def broken(*args):
             value, grad = objective(*args)
@@ -670,7 +670,7 @@ class TestPmpCommand:
                 return value, np.full_like(grad, np.inf)
             return {"none": value, "nan": np.nan, "-inf": -np.inf}[bad], grad
 
-        monkeypatch.setattr(qphase.pontryagin, "_objective_and_gradient", broken)
+        monkeypatch.setattr(qphase.pontryagin._TransferProblem, "objective", broken)
         scen = write_scenario(tmp_path / "s.json", {
             "system": {"drift": cm(np.diag([1.0, -1.0])), "controls": [cm([[0, 1], [1, 0]])]},
             "initial_state": cv([0.0, 1.0]), "goal_state": cv([1.0, 0.0]),

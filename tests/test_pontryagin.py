@@ -23,9 +23,9 @@ from qphase.dynamics import forward_states, real_block
 from qphase.errors import (ControlDomainError, DimensionMismatchError, NormalizationError, ProtocolParameterError,
                            QPhaseError)
 import qphase.pontryagin
-from qphase.pontryagin import _backward, _maximize, _objective_and_gradient, _propagate, _slopes
+from qphase.pontryagin import _TransferProblem, _backward, _maximize, _propagate, _slopes
 
-from conftest import random_hermitian, random_point, random_state, restacked_propagators
+from conftest import random_hermitian, random_point, restacked_propagators
 
 H0 = np.diag([1.0, -1.0]).astype(complex)
 H1 = np.array([[0, 1], [1, 0]], complex)
@@ -149,7 +149,7 @@ def unit_flat(rng, n):
 
 
 def restacked_objective_and_gradient(x_flat, plant, cost, lift, psi0, goal, dts, weight):
-    """``_objective_and_gradient`` with the control tuple re-stacked on every call."""
+    """``_TransferProblem.objective`` with the control tuple re-stacked on every call."""
     x = x_flat.reshape(dts.size, -1)
     props, w, v = restacked_propagators(plant, x @ lift, dts)
     psis = forward_states(props, psi0)
@@ -186,12 +186,12 @@ class TestStackInPlace:
     @pytest.mark.parametrize("n, r", [(2, 1), (3, 2)])
     def test_objective_and_gradient(self, rng, kind, n, r):
         plant = ControlledHamiltonian(random_hermitian(rng, n), tuple(random_hermitian(rng, n) for _ in range(r)))
-        cost, dts = CostIntegrand(kind), rng.uniform(0.05, 0.4, 10)
-        lift, _, _ = cost._split(-np.ones(r), np.ones(r))
+        cost, grid = CostIntegrand(kind), np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, 10))])
         x = split_variables(cost, rng.uniform(-1, 1, size=(10, r))).ravel()
-        psi0, goal = random_state(rng, n).amplitudes, random_state(rng, n).amplitudes
-        args = (plant, cost, lift, psi0, goal, dts, 3.0)
-        got_v, got_g = _objective_and_gradient(x, *args)
+        problem = _TransferProblem(plant, random_point(rng, n), random_point(rng, n), cost,
+                                   ControlDomain(-np.ones(r), np.ones(r)), grid)
+        args = (plant, cost, problem.lift, problem.psi0, problem.goal, problem.dts, 3.0)
+        got_v, got_g = problem.objective(x, 3.0)
         want_v, want_g = restacked_objective_and_gradient(x, *args)
         assert got_v == want_v and np.array_equal(got_g, want_g)
 
@@ -203,10 +203,11 @@ class TestSpectralObjective:
         wide = np.full(u.shape[1], 2.0)
         for kind in ("control-energy", "control-l1"):
             cost = CostIntegrand(kind)
-            lift, _, _ = cost._split(-wide, wide)
+            problem = _TransferProblem(plant, PhasePoint.from_flat(z0), PhasePoint.from_flat(zg), cost,
+                                       ControlDomain(-wide, wide), grid)
             x = split_variables(cost, u)
             want_v, want_g = reference_objective_and_gradient(u.ravel(), plant, cost, z0, zg, grid, weight)
-            got_v, got_g = _objective_and_gradient(x.ravel(), plant, cost, lift, psi0, goal, dts, weight)
+            got_v, got_g = problem.objective(x.ravel(), weight)
             assert abs(got_v - want_v) < 1e-12
             assert np.max(np.abs(got_g - want_g)) < 1e-12
             assert abs(penalized_objective(plant, cost, u, psi0, goal, dts, weight) - want_v) < 1e-12
@@ -270,14 +271,15 @@ class TestSplitPolish:
         plant = ControlledHamiltonian(random_hermitian(rng, 3), (random_hermitian(rng, 3), random_hermitian(rng, 3)))
         grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, 6))])
         dts = np.diff(grid)
-        psi0, goal = (PhasePoint.from_flat(unit_flat(rng, 3)).amplitudes for _ in range(2))
+        x_init, x_goal = (PhasePoint.from_flat(unit_flat(rng, 3)) for _ in range(2))
+        psi0, goal = x_init.amplitudes, x_goal.amplitudes
         cost = CostIntegrand("control-l1")
-        lift, _, _ = cost._split(np.full(2, -1.5), np.full(2, 1.5))
+        problem = _TransferProblem(plant, x_init, x_goal, cost, ControlDomain(np.full(2, -1.5), np.full(2, 1.5)), grid)
         for _ in range(5):
             u = rng.uniform(-1.5, 1.5, size=(6, 2))
             u[rng.random(size=u.shape) < 0.3] = 0.0  # some controls at the kink
             x = split_variables(cost, u).ravel()
-            value, grad = _objective_and_gradient(x, plant, cost, lift, psi0, goal, dts, 3.0)
+            value, grad = problem.objective(x, 3.0)
             assert abs(value - penalized_objective(plant, cost, u, psi0, goal, dts, 3.0)) < 1e-14
             eps = 1e-6
             fd = np.empty_like(x)
@@ -286,8 +288,7 @@ class TestSplitPolish:
                 xp[i] += eps
                 xm[i] -= eps
                 fd[i] = (
-                    _objective_and_gradient(xp, plant, cost, lift, psi0, goal, dts, 3.0)[0]
-                    - _objective_and_gradient(xm, plant, cost, lift, psi0, goal, dts, 3.0)[0]
+                    problem.objective(xp, 3.0)[0] - problem.objective(xm, 3.0)[0]
                 ) / (2 * eps)
             assert np.max(np.abs(grad - fd)) < 1e-7
 
@@ -530,9 +531,22 @@ class TestSweep:
 
 class TestPropagationCount:
     """The solve propagates each schedule once: u = 0, the random start, every
-    warm-start candidate, every polish evaluation and every polished schedule."""
+    warm-start candidate and every polish evaluation.  A polished schedule is
+    propagated again only when its polish did not end on an evaluation at its
+    result; otherwise the round reads F from that evaluation's pass."""
+
+    CASES = [
+        ("control-energy", 1, 8, 1.0, 1),
+        ("control-energy", 1, 16, 1.0, 2),
+        ("control-energy", 2, 8, 1.0, 3),
+        ("control-l1", 1, 8, 1.0, 4),
+        ("control-l1", 2, 12, 1.0, 5),
+        ("control-energy", 1, 4, 0.05, 6),  # out of reach: every penalty round runs
+    ]
 
     def _counted(self, monkeypatch):
+        """The ``interval_propagators`` calls, and per polish (nfev, nit, whether its last evaluation was at
+        ``res.x``, the calls when it started, the calls when it returned)."""
         calls, rounds = [0], []
         propagators, minimize = qphase.pontryagin.interval_propagators, qphase.pontryagin.minimize
 
@@ -540,24 +554,22 @@ class TestPropagationCount:
             calls[0] += 1
             return propagators(*args, **kwargs)
 
-        def recorded(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            rounds.append((int(res.nfev), int(res.nit)))
+        def recorded(fun, x0, args=(), **kwargs):
+            start, last = calls[0], []
+
+            def seen(x, *more):
+                last[:] = [np.array(x)]
+                return fun(x, *more)
+
+            res = minimize(seen, x0, args, **kwargs)
+            rounds.append((int(res.nfev), int(res.nit), np.array_equal(last[0], res.x), start, calls[0]))
             return res
 
         monkeypatch.setattr(qphase.pontryagin, "interval_propagators", counted)
         monkeypatch.setattr(qphase.pontryagin, "minimize", recorded)
         return calls, rounds
 
-    @pytest.mark.parametrize("kind, channels, intervals, bound, seed", [
-        ("control-energy", 1, 8, 1.0, 1),
-        ("control-energy", 1, 16, 1.0, 2),
-        ("control-energy", 2, 8, 1.0, 3),
-        ("control-l1", 1, 8, 1.0, 4),
-        ("control-l1", 2, 12, 1.0, 5),
-        ("control-energy", 1, 4, 0.05, 6),  # out of reach: every penalty round runs
-    ])
-    def test_each_schedule_propagated_once(self, monkeypatch, kind, channels, intervals, bound, seed):
+    def _solve(self, monkeypatch, kind, channels, intervals, bound, seed):
         sy = np.array([[0, -1j], [1j, 0]])
         plant = ControlledHamiltonian(H0, (H1, sy)[:channels])
         x0, goal = to_phase(StateVector([0, 1.0])), to_phase(StateVector([1.0, 0]))
@@ -565,9 +577,27 @@ class TestPropagationCount:
         calls, rounds = self._counted(monkeypatch)
         sol = forward_backward_sweep(plant, x0, goal, CostIntegrand(kind), dom,
                                      grid=np.linspace(0.0, np.pi, intervals + 1), rng=np.random.default_rng(seed))
-        sweeps = sol.iterations - sum(nit for _, nit in rounds)
+        return sol, calls[0], rounds
+
+    @pytest.mark.parametrize("kind, channels, intervals, bound, seed", CASES)
+    def test_each_schedule_propagated_once(self, monkeypatch, kind, channels, intervals, bound, seed):
+        sol, calls, rounds = self._solve(monkeypatch, kind, channels, intervals, bound, seed)
+        sweeps = sol.iterations - sum(nit for _, nit, *_ in rounds)
         assert len(rounds) > 1 and sweeps > 0
-        assert calls[0] == 2 + sweeps + sum(nfev for nfev, _ in rounds) + len(rounds)
+        repropagated = sum(not at_result for _, _, at_result, *_ in rounds)
+        assert calls == 2 + sweeps + sum(nfev for nfev, *_ in rounds) + repropagated
+
+    @pytest.mark.parametrize("kind, channels, intervals, bound, seed", CASES)
+    def test_polished_pass_reused(self, monkeypatch, kind, channels, intervals, bound, seed):
+        """After a polish whose last evaluation was at its result, no pass runs before the next round
+        starts or the solve returns; after any other polish, exactly one."""
+        sol, calls, rounds = self._solve(monkeypatch, kind, channels, intervals, bound, seed)
+        starts = [start for *_, start, _ in rounds[1:]] + [calls]  # the next round's start, or the solve's end
+        after = [start - end for (*_, end), start in zip(rounds, starts)]
+        assert after == [int(not at_result) for _, _, at_result, *_ in rounds]
+        assert any(at_result for _, _, at_result, *_ in rounds)
+        if bound == 0.05:
+            assert len(rounds) == 6 and after == [0] * 6 and not sol.converged
 
     @pytest.mark.parametrize("case", ["goal-met", "singleton"])
     def test_early_return_propagates_once(self, monkeypatch, case):
@@ -701,6 +731,16 @@ class TestEndpoints:
     def test_zero_state(self, solver, which):
         with pytest.raises(NormalizationError, match=which):
             solver(*self._args(which, PhasePoint(np.zeros(2), np.zeros(2))))
+
+    @pytest.mark.parametrize("solver", [forward_backward_sweep, solve_shooting])
+    @pytest.mark.parametrize("channels, controls", [(1, 2), (2, 1)])
+    def test_channel_count_mismatch(self, solver, channels, controls):
+        """A 1-channel box on a 2-control plant once lent channel 0's bounds to both channels in shooting,
+        and a 2-channel box on a 1-control plant let NumPy's broadcast error escape."""
+        plant = ControlledHamiltonian(H0, (H1, np.array([[0, -1j], [1j, 0]]))[:controls])
+        with pytest.raises(DimensionMismatchError, match="channel count"):
+            solver(plant, to_phase(StateVector([0, 1.0])), to_phase(StateVector([1.0, 0])), CostIntegrand(),
+                   ControlDomain([-1.0] * channels, [1.0] * channels), np.linspace(0, np.pi, 11))
 
 
 class TestShooting:

@@ -163,3 +163,54 @@ def test_builtin_raise_scan_sees_every_form():
     errors = [(2, "ValueError"), (3, "IndexError"), (5, "RuntimeError")]
     assert builtin_raises(tree, "m") == errors + [(8, "NotImplementedError")]
     assert builtin_raises(tree, "_solvers") == errors
+
+
+# pontryagin validates its transfer problem in one place: a solver builds a
+# _TransferProblem and never checks the grid or normalises an endpoint itself
+PROBLEM_CONSTRUCTOR = "_TransferProblem.__init__"
+
+
+def validation_sites(tree: ast.Module) -> list:
+    """(line, qualified function) of each ``check_grid`` call and ``NormalizationError`` raise in ``tree``."""
+    found = []
+
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and named(child.func) == "check_grid":
+                found.append((child.lineno, scope))
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if named(exc) == "NormalizationError":
+                    found.append((child.lineno, scope))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_pontryagin_validates_in_the_problem_constructor_alone():
+    sites = validation_sites(parse("pontryagin"))
+    assert sites, "pontryagin no longer checks its grid or endpoints"
+    stray = [(line, scope) for line, scope in sites if scope != PROBLEM_CONSTRUCTOR]
+    assert not stray, f"pontryagin validates outside {PROBLEM_CONSTRUCTOR}: {stray}"
+
+
+def test_validation_scan_sees_every_form():
+    tree = ast.parse(
+        "g = check_grid([0.0, 1.0])\n"
+        "class P:\n"
+        "    def __init__(self, grid):\n"
+        "        self.grid = dynamics.check_grid(grid)\n"
+        "        raise NormalizationError('x')\n"
+        "def solve(grid):\n"
+        "    def inner():\n"
+        "        raise NormalizationError\n"
+        "    return check_grid(grid)\n"
+    )
+    assert validation_sites(tree) == [(1, ""), (4, "P.__init__"), (5, "P.__init__"), (8, "solve.inner"), (9, "solve")]
