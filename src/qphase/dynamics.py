@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._solvers import never_called
-from .errors import DimensionMismatchError, NormalizationError, ScheduleCoverageError
+from .errors import DimensionMismatchError, NormalizationError, ProtocolParameterError, ScheduleCoverageError
 from .geometry import Observable, PhasePoint, _readonly, hermitian, real_block
 
 expm = never_called  # the benchmark's tracer looks ``expm`` up here by name
@@ -33,7 +33,7 @@ def check_grid(grid) -> np.ndarray:
     """``grid`` as a 1-d float array of >= 2 finite, strictly increasing points."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 2 or not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
-        raise ValueError("grid must be a strictly increasing array of >= 2 finite points")
+        raise ProtocolParameterError("grid must be a strictly increasing array of >= 2 finite points")
     return g
 
 
@@ -69,9 +69,9 @@ class ControlSchedule:
         g = check_grid(self.grid)
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
         if v.shape[0] != g.size - 1:
-            raise ValueError("values must have one row per grid interval")
+            raise DimensionMismatchError("values must have one row per grid interval")
         if not np.all(np.isfinite(v)):
-            raise ValueError("control values must be finite")
+            raise ProtocolParameterError("control values must be finite")
         object.__setattr__(self, "grid", _readonly(g))
         object.__setattr__(self, "values", _readonly(v))
 
@@ -213,7 +213,7 @@ def forward_states(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     psis = np.empty((len(props) + 1, psi0.size), dtype=complex)
     psis[0] = psi0
     for k, prop in enumerate(props):
-        psis[k + 1] = prop @ psis[k]
+        np.matmul(prop, psis[k], out=psis[k + 1])
     return psis
 
 
@@ -229,7 +229,7 @@ def _finite_amplitudes(h: ControlledHamiltonian, x0: PhasePoint) -> np.ndarray:
 def evolve_unitary(h: ControlledHamiltonian, t0: float, t1: float) -> np.ndarray:
     """Complex N x N propagator of the Schroedinger flow over [t0, t1]."""
     if t1 < t0:
-        raise ValueError("t1 must be >= t0")
+        raise ProtocolParameterError("t1 must be >= t0")
     u = np.eye(h.dim, dtype=complex)
     if t1 > t0:
         _, values, dts = h._pieces(np.array([t0, t1], dtype=float))
@@ -263,7 +263,7 @@ def sample_trajectory(h: ControlledHamiltonian, x0: PhasePoint, times) -> tuple[
     psi0 = _finite_amplitudes(h, x0)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be a non-decreasing 1-d array of finite sample times")
+        raise ProtocolParameterError("times must be a non-decreasing 1-d array of finite sample times")
     cuts, values, dts = h._pieces(times)
     psis = forward_states(interval_propagators(h, values, dts)[0], psi0)[np.searchsorted(cuts, times)]
     coeffs = np.ones((times.size, 1 + len(h.controls)))
@@ -289,11 +289,11 @@ class PhaseEnsemble:
         w = np.asarray(self.weights, dtype=float)
         pts = tuple(self.points)
         if w.ndim != 1 or w.size != len(pts):
-            raise ValueError("one weight per point required")
+            raise DimensionMismatchError("one weight per point required")
         if not np.all(w > 0):
-            raise ValueError("weights must be positive")
+            raise ProtocolParameterError("weights must be positive")
         if not abs(w.sum() - 1.0) <= 1e-10:
-            raise ValueError("weights must sum to 1 within 1e-10")
+            raise NormalizationError("weights must sum to 1 within 1e-10")
         object.__setattr__(self, "weights", _readonly(w))
         object.__setattr__(self, "points", pts)
 

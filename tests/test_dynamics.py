@@ -24,7 +24,8 @@ from qphase import (
     transport_ensemble,
 )
 from qphase.dynamics import forward_states, interval_propagators, overlap_gradient
-from qphase.errors import DimensionMismatchError, HermiticityError, NormalizationError, ScheduleCoverageError
+from qphase.errors import (DimensionMismatchError, HermiticityError, NormalizationError, QPhaseError,
+                           ScheduleCoverageError)
 from qphase.steering import h3_matrix, ladder_control, ladder_drift
 
 from conftest import random_hermitian, random_point, random_state, restacked_propagators
@@ -396,3 +397,24 @@ class TestPhaseEnsemble:
         assert m0.q[0] == pytest.approx(np.cos(t)) and m0.p[0] == pytest.approx(-np.sin(t))
         assert m1.q[1] == pytest.approx(np.cos(t)) and m1.p[1] == pytest.approx(np.sin(t))
         assert abs(m0.q[1]) + abs(m0.p[1]) + abs(m1.q[0]) + abs(m1.p[0]) == 0.0
+
+
+class TestTypedErrors:
+    """Every rejected input of ``dynamics`` raises a ``QPhaseError`` that is still a ``ValueError``."""
+
+    @pytest.mark.parametrize("call", [
+        lambda h, x: evolve(h, x, 1.0, 0.0),
+        lambda h, x: sample_trajectory(h, x, [1.0, 0.0]),
+        lambda h, x: ControlSchedule([0, 1], [[np.nan]]),
+        lambda h, x: ControlSchedule([0, 0], [[1]]),
+        lambda h, x: ControlSchedule([0, 1, 2], [[1]]),
+        lambda h, x: PhaseEnsemble([1.0], (x, x)),
+        lambda h, x: PhaseEnsemble([1.5, -0.5], (x, x)),
+        lambda h, x: PhaseEnsemble([0.5, 0.4], (x, x)),
+    ], ids=["evolve-backwards", "times-decrease", "nan-control", "flat-grid", "row-count",
+            "weight-count", "negative-weight", "weight-sum"])
+    def test_rejected_input_raises_a_qphase_error(self, call):
+        plant = ControlledHamiltonian.drift_only(np.diag([1.0, -1.0]))
+        with pytest.raises(QPhaseError) as info:
+            call(plant, PhasePoint([1.0, 0.0], [0.0, 0.0]))
+        assert isinstance(info.value, ValueError)

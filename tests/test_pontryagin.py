@@ -19,7 +19,7 @@ from qphase import (
     solve_shooting,
     to_phase,
 )
-from qphase.dynamics import forward_states, real_block
+from qphase.dynamics import forward_states, interval_propagators, real_block
 from qphase.errors import (ControlDomainError, DimensionMismatchError, NormalizationError, ProtocolParameterError,
                            QPhaseError)
 import qphase.pontryagin
@@ -474,6 +474,25 @@ class TestAdjointConsistency:
                     - control_hamiltonian(sm, u, plant, cost)
                 ) / (2 * eps)
             assert np.max(np.abs(got + fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_passes_match_the_assigning_loop_bit_for_bit(self, rng, n):
+        """``forward_states`` writes each product into its row; the states and adjoints keep the bits of
+        the loop that assigned ``psis[k + 1] = U_k @ psis[k]``, the adjoints run on the reversed U_k^H."""
+        def assigning_loop(props, psi0):
+            psis = np.empty((len(props) + 1, psi0.size), dtype=complex)
+            psis[0] = psi0
+            for k, prop in enumerate(props):
+                psis[k + 1] = prop @ psis[k]
+            return psis
+
+        plant = ControlledHamiltonian(random_hermitian(rng, n), (random_hermitian(rng, n), random_hermitian(rng, n)))
+        for m in (1, 2, 9):
+            props = interval_propagators(plant, rng.uniform(-2.0, 2.0, (m, 2)), rng.uniform(0.05, 0.8, m))[0]
+            psi0, lam = random_point(rng, n).amplitudes, random_point(rng, n).amplitudes
+            assert forward_states(props, psi0).tobytes() == assigning_loop(props, psi0).tobytes()
+            old_adjoints = assigning_loop(props.conj().transpose(0, 2, 1)[::-1], lam)[::-1]
+            assert _backward(props, lam).tobytes() == old_adjoints.tobytes()
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 """``_solvers.minimize_box`` against SciPy's L-BFGS-B on convex quadratics in a
-box, and its behaviour on objectives that are not finite everywhere."""
+box, its behaviour on objectives that are not finite everywhere, and its
+iterates against the concatenating implementation it replaced, bit for bit."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.optimize import minimize
 
 import qphase.pontryagin
 from qphase import ControlDomain, ControlledHamiltonian, CostIntegrand, StateVector, forward_backward_sweep, to_phase
-from qphase._solvers import minimize_box
+from qphase._solvers import _ARMIJO, _MAX_TRIALS, _MEMORY, BoxResult, minimize_box
 
 # only the projected-gradient test stops these runs, so both solvers go all the way
 FTOL, GTOL, MAXITER = 0.0, 1e-12, 400
@@ -167,3 +168,135 @@ class TestNonFinite:
         res = minimize_box(fun, [-5.0, 0.5], lower=[-0.5, -3.0], upper=[3.0, 3.0])
         assert np.array_equal(evaluated[0], [-0.5, 0.5])
         assert np.all(res.x >= [-0.5, -3.0]) and np.linalg.norm(res.x) <= self.RADIUS
+
+
+def reference_minimize_box(fun, x0, args=(), *, lower, upper, maxiter=400, ftol=1e-14, gtol=1e-12) -> BoxResult:
+    """``minimize_box`` as it was before the pair buffer: new (s, y) arrays by concatenation each step."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    fixed, eps_cap = lower == upper, 1e-3 * (upper - lower)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    f, g = reference_evaluate(fun, x, args)
+    nit, nfev = 0, 1
+    s = y = np.empty((0, x.size))
+    scale = 1.0
+    while nit < maxiter and not np.isnan(f):
+        pg = x - np.clip(x - g, lower, upper)
+        if not np.any(np.abs(pg) > gtol):
+            break
+        eps = np.minimum(np.sqrt(pg @ pg), eps_cap)
+        active = fixed | ((x <= lower + eps) & (g > 0)) | ((x >= upper - eps) & (g < 0))
+        d = -np.where(active, g, reference_lbfgs_direction(np.where(active, 0.0, g), s, y, ~active, scale))
+        floor = ftol * max(abs(f), 1.0)
+        lam, accepted = 1.0, False
+        for _ in range(_MAX_TRIALS):
+            xt = np.clip(x + lam * d, lower, upper)
+            decrease = float(g @ (x - xt))
+            if not decrease > floor:
+                break
+            ft, gt = reference_evaluate(fun, xt, args)
+            nfev += 1
+            if np.isnan(ft):
+                lam *= 0.1
+            elif ft <= f - _ARMIJO * decrease:
+                accepted = True
+                break
+            else:
+                lam *= min(max(0.5 * decrease / (ft - f + decrease), 0.1), 0.5)
+        if not accepted:
+            if len(s):
+                sy = float(s[-1] @ y[-1])
+                scale = sy / float(y[-1] @ y[-1]) if sy > 0 else 1.0
+                s = y = s[:0]
+                continue
+            break
+        s, y = np.concatenate((s, [xt - x]))[-_MEMORY:], np.concatenate((y, [gt - g]))[-_MEMORY:]
+        nit += 1
+        reduced = f - ft <= ftol * max(abs(f), abs(ft), 1.0)
+        x, f, g = xt, ft, gt
+        if reduced:
+            break
+    return BoxResult(x, f, nit, nfev)
+
+
+def reference_evaluate(fun, x, args):
+    f, g = fun(x, *args)
+    f, g = float(f), np.asarray(g, dtype=float)
+    return (f if np.isfinite(f) and np.isfinite(g).all() else np.nan), g
+
+
+def reference_lbfgs_direction(q, s, y, free, scale):
+    """The compact-form direction with ``np.triu`` and ``np.diag`` temporaries."""
+    s, y = s * free, y * free
+    sy, yy = s @ y.T, y @ y.T
+    keep = sy.diagonal() > 1e-12 * yy.diagonal()
+    if not keep.all():
+        return reference_lbfgs_direction(q, s[keep], y[keep], free, scale)
+    k = len(s)
+    if k == 0:
+        return scale * q
+    gamma = sy[-1, -1] / yy[-1, -1]
+    inv_m = np.zeros((2 * k, 2 * k))
+    inv_m[:k, k:] = -np.triu(sy)
+    inv_m[k:, :k] = inv_m[:k, k:].T
+    inv_m[k:, k:] = -gamma * yy - np.diag(sy.diagonal())
+    w = np.concatenate((s, gamma * y))
+    return gamma * q + np.linalg.solve(inv_m, w @ q) @ w
+
+
+def rosenbrock(x):
+    """Non-convex, so a step's curvature s . y on the free variables can be negative."""
+    d, e = x[1:] - x[:-1] ** 2, 1.0 - x[:-1]
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * d - 2.0 * e
+    g[1:] += 200.0 * d
+    return float(100.0 * d @ d + e @ e), g
+
+
+def oracle_runs():
+    """(name, fun, x0, keyword arguments) of runs that cover every branch of the pair bookkeeping."""
+    runs = []
+    for case in sorted(CASES):
+        for n, seed in [(2, 1), (5, 2), (12, 3), (40, 4)]:
+            rng = np.random.default_rng(seed)
+            fun, lower, upper, _ = box_quadratic(rng, n, *CASES[case](n, rng))
+            runs.append((f"{case}-{n}", fun, rng.uniform(lower, upper),
+                         dict(lower=lower, upper=upper, ftol=FTOL, gtol=GTOL)))
+    rng = np.random.default_rng(6)
+    for n in (4, 10):
+        runs.append((f"rosenbrock-box-{n}", rosenbrock, rng.uniform(-2.0, 2.0, n),
+                     dict(lower=np.full(n, -1.5), upper=np.r_[np.full(n - 1, 2.0), 0.7], ftol=FTOL, gtol=GTOL)))
+        # solve_shooting's call: scalar infinite bounds
+        runs.append((f"rosenbrock-free-{n}", rosenbrock, rng.uniform(-2.0, 2.0, n),
+                     dict(lower=-np.inf, upper=np.inf, ftol=0.0, gtol=1e-15)))
+    for bad in ("nan", "-inf", "inf-gradient"):
+        fun, _ = TestNonFinite().objective(bad)
+        runs.append((f"disc-{bad}", fun, [0.1, -0.2], dict(lower=TestNonFinite.LOWER, upper=TestNonFinite.UPPER)))
+    return runs
+
+
+RUNS = oracle_runs()
+
+
+@pytest.mark.parametrize("name, fun, x0, kwargs", RUNS, ids=[run[0] for run in RUNS])
+def test_iterates_match_the_concatenating_reference_bit_for_bit(name, fun, x0, kwargs):
+    res, ref = minimize_box(fun, x0, **kwargs), reference_minimize_box(fun, x0, **kwargs)
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert (res.nit, res.nfev) == (ref.nit, ref.nfev)
+
+
+def test_oracle_runs_wrap_the_buffer_and_drop_pairs(monkeypatch):
+    """The sweep above fills all 20 pair slots and leaves out pairs of non-positive restricted curvature."""
+    seen = {"full": 0, "dropped": 0}
+
+    def counted(q, s, y, free, scale):
+        seen["full"] += len(s) == _MEMORY
+        sy = np.einsum("ij,ij->i", s * free, y * free)
+        seen["dropped"] += bool(np.any(sy <= 1e-12 * np.einsum("ij,ij->i", y * free, y * free)))
+        return direction(q, s, y, free, scale)
+
+    direction = reference_lbfgs_direction
+    monkeypatch.setitem(globals(), "reference_lbfgs_direction", counted)
+    for _, fun, x0, kwargs in RUNS:
+        reference_minimize_box(fun, x0, **kwargs)
+    assert seen["full"] > 0 and seen["dropped"] > 0

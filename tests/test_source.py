@@ -109,7 +109,7 @@ def test_no_scipy_submodule_at_import(module):
 
 # modules that still raise builtin ValueErrors (ROADMAP item 9); each leaves
 # this set when its sites raise QPhaseErrors, and every other module is scanned
-UNCONVERTED = {"dynamics", "geometry"}
+UNCONVERTED = {"geometry"}
 # (module, function) pairs allowed a builtin raise: the expm stand-in the
 # benchmark's tracer wraps raises NotImplementedError if anything calls it
 BUILTIN_RAISE_EXEMPT = {("_solvers", "never_called")}
