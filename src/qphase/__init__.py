@@ -22,11 +22,9 @@ from .dynamics import (
     ControlledHamiltonian,
     PhaseEnsemble,
     evolve,
-    evolve_block,
     evolve_unitary,
     interval_propagators,
     sample_trajectory,
-    transport_ensemble,
 )
 from .measurement import (
     DensityMatrix,

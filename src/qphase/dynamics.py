@@ -5,7 +5,7 @@ linear Hamiltonian field, so norm and energy are conserved to rounding.  All
 intervals are diagonalized in one batched eigendecomposition
 (``interval_propagators``), the only propagator path, and ``forward_states``
 is the one loop that carries a state through them; states move as complex
-amplitudes and ``real_block`` gives the (q, p) matrix at the public edge.
+amplitudes and become ``PhasePoint`` (q, p) coordinates at the public edge.
 ``sample_trajectory`` samples a whole trajectory in one such pass: one cut of
 the time axis, one batched eigendecomposition, one forward loop and one
 energy contraction.  ``overlap_gradient`` differentiates a pass exactly.
@@ -20,7 +20,7 @@ import numpy as np
 
 from ._solvers import never_called
 from .errors import DimensionMismatchError, NormalizationError, ProtocolParameterError, ScheduleCoverageError
-from .geometry import Observable, PhasePoint, _readonly, hermitian, real_block
+from .geometry import Observable, PhasePoint, _readonly, hermitian
 
 expm = never_called  # the benchmark's tracer looks ``expm`` up here by name
 
@@ -273,11 +273,6 @@ def sample_trajectory(h: ControlledHamiltonian, x0: PhasePoint, times) -> tuple[
     return np.concatenate([psis.real, psis.imag], axis=1), energies
 
 
-def evolve_block(h: ControlledHamiltonian, t0: float, t1: float) -> np.ndarray:
-    """Real 2N x 2N phase-space propagator over [t0, t1]."""
-    return real_block(evolve_unitary(h, t0, t1))
-
-
 @dataclass(frozen=True)
 class PhaseEnsemble:
     """Weighted finite collection of phase points (atomic phase-space density)."""
@@ -299,11 +294,3 @@ class PhaseEnsemble:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def transport_ensemble(
-    h: ControlledHamiltonian, e: PhaseEnsemble, t0: float, t1: float
-) -> PhaseEnsemble:
-    """Advance every member point; weights are Liouville-invariant."""
-    u = evolve_unitary(h, t0, t1)
-    return PhaseEnsemble(e.weights, tuple(PhasePoint.from_amplitudes(u @ x.amplitudes) for x in e.points))

@@ -11,6 +11,9 @@ import json
 
 import numpy as np
 
+_str_text = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
 # rows per write: a 20,000-row, 3.7 MB measurements.csv took a median 7.1-7.6 ms
 # row by row, 4.6-5.0 ms in chunks of 1024, 4.6-5.1 ms of 2048, 4.8-5.3 ms of
 # 512 and 7.5-8.1 ms of 4096 (two runs of 60 alternating writes, 2 vCPUs, ext4)
@@ -41,10 +44,64 @@ def vector_from_json(items) -> np.ndarray:
     return np.array([complex(re, im) for re, im in items], dtype=complex)
 
 
+def _float_text(x: float, memo: dict) -> str:
+    """``json``'s text for a float, stored in ``memo`` unless it is a zero (``0.0 == -0.0``)."""
+    text = float.__repr__(x) if x - x == 0 else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    if x:
+        memo[x] = text
+    return text
+
+
+def _encode(obj, indent: str, memo: dict) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
+    each line after the first prefixed with ``indent``, the indentation of
+    the line ``obj`` starts on.
+
+    It dispatches on the exact type: ``str``, ``int``, ``float``, ``bool``,
+    ``None``, ``list``, ``tuple`` and ``dict`` with ``str`` keys.  Anything
+    else, subclasses included, goes to ``json.dumps``, which encodes it or
+    raises as ``json.dump`` would.  Float texts are memoised by value in
+    ``memo``, which the caller makes for one file: a Gram matrix holds
+    thousands of entries but a few hundred distinct values.
+    """
+    t = type(obj)
+    if t is float:
+        text = memo.get(obj)
+        return _float_text(obj, memo) if text is None else text
+    if t is str:
+        return _str_text(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
+    inner = indent + "  "
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        parts = []
+        for v in obj:
+            if type(v) is float:  # inline: a Gram's floats are its whole cost
+                text = memo.get(v)
+                parts.append(_float_text(v, memo) if text is None else text)
+            else:
+                parts.append(_encode(v, inner, memo))
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        keys = sorted(obj)  # mixed key types raise TypeError here, as in json.dump
+        # a first key that is a str means every key is one: no other builtin type orders against str
+        if type(keys[0]) is str:
+            items = [_str_text(k) + ": " + _encode(obj[k], inner, memo) for k in keys]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def write_json(path, payload: dict):
+    """``json.dump(payload, fh, indent=2, sort_keys=True)`` and a newline, byte for byte."""
+    text = _encode(payload, "", {})
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_trials_json(path, labels, records: dict):
@@ -57,9 +114,10 @@ def write_trials_json(path, labels, records: dict):
     encoded string holds no raw newline, so the cut is unambiguous.
     """
     cut = '\n      "trial": '
+    memo = {}
     pieces = {}
     for label, record in records.items():
-        text = json.dumps({**record, "trial": 0}, indent=2, sort_keys=True).replace("\n", "\n    ")
+        text = _encode({**record, "trial": 0}, "    ", memo)
         head, _, tail = text.partition(cut + "0")
         pieces[label] = (head + cut, tail)
     seps = ("\n    ", ",\n    ")

@@ -199,7 +199,7 @@ def test_criterion_07_worked_example_fixed_points(capsys):
         v1 = h1_matrix(-np.pi / 2) @ xf
         assert np.max(np.abs(v1 - x1)) < 1e-12
         assert np.max(np.abs(h2_matrix(np.pi / 2) @ v1 - x2)) < 1e-12
-        from qphase.dynamics import real_block
+        from qphase.geometry import real_block
 
         for mu, t in ((1.0, 0.3), (2.5, 1.9), (0.4, np.pi)):
             drift = real_block(expm(-1j * ladder_drift(mu) * t))

@@ -791,11 +791,10 @@ call("real_block", sx)
 call("ClassicalHamiltonian", sz).value(x)
 plant = call("ControlledHamiltonian", sz, (sx,), call("ControlSchedule", [0.0, 0.5, 1.0], [[0.3], [-0.7]]))
 call("evolve", plant, x, 0.0, 1.0)
-call("evolve_block", plant, 0.0, 1.0)
 call("evolve_unitary", plant, 0.0, 1.0)
 call("interval_propagators", plant, [[0.3]], [0.5])
 call("sample_trajectory", plant, x, [0.0, 0.5, 1.0])
-call("transport_ensemble", plant, call("PhaseEnsemble", [1.0], (x,)), 0.0, 1.0)
+call("PhaseEnsemble", [1.0], (x,))
 
 obs, psi = call("Observable", sz), x.amplitudes
 probs = call("born_weights", psi, obs)

@@ -13,15 +13,14 @@ from qphase import (
     PhasePoint,
     StateVector,
     evolve,
-    evolve_block,
     evolve_unitary,
     from_phase,
     g_form,
     lie_closure,
     omega_form,
+    real_block,
     sample_trajectory,
     to_phase,
-    transport_ensemble,
 )
 from qphase.dynamics import forward_states, interval_propagators, overlap_gradient
 from qphase.errors import (DimensionMismatchError, HermiticityError, NormalizationError, QPhaseError,
@@ -310,12 +309,19 @@ class TestOverlapGradient:
             assert abs(grad[k, j] - (overlap(u + e) - overlap(u - e)) / (2 * step)) < 1e-8
 
 
+def phase_propagator(plant, t0, t1):
+    """The real 2N x 2N phase-space propagator over [t0, t1]."""
+    return real_block(evolve_unitary(plant, t0, t1))
+
+
 class TestEvolveBlock:
+    """The realified propagator of the flow is orthogonal and symplectic."""
+
     def test_generator_blocks(self):
         # infinitesimal propagator of the ladder drift: A = diag(-1, 0, 1)
         plant = ControlledHamiltonian.drift_only(ladder_drift(1.0))
         dt = 1e-7
-        b = evolve_block(plant, 0.0, dt)
+        b = phase_propagator(plant, 0.0, dt)
         gen = (b - np.eye(6)) / dt
         a = np.diag([-1.0, 0.0, 1.0])
         z = np.zeros((3, 3))
@@ -328,7 +334,7 @@ class TestEvolveBlock:
             (np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], complex),),
             ControlSchedule.constant([0.7], 0.0, 2.0),
         )
-        b = evolve_block(plant, 0.0, 2.0)
+        b = phase_propagator(plant, 0.0, 2.0)
         assert np.max(np.abs(b.T @ b - np.eye(6))) < 1e-10
         x, y = random_point(rng, 3), random_point(rng, 3)
         bx = PhasePoint.from_flat(b @ x.flat())
@@ -342,14 +348,14 @@ class TestEvolveBlock:
             (np.array([[0, 1], [1, 0]], complex),),
             ControlSchedule([0.0, 1.0, 2.0], [[1.0], [-0.5]]),
         )
-        full = evolve_block(plant, 0.0, 2.0)
-        split = evolve_block(plant, 1.0, 2.0) @ evolve_block(plant, 0.0, 1.0)
+        full = phase_propagator(plant, 0.0, 2.0)
+        split = phase_propagator(plant, 1.0, 2.0) @ phase_propagator(plant, 0.0, 1.0)
         assert np.max(np.abs(full - split)) < 1e-12
 
     def test_block_applies_like_evolve(self, rng):
         plant = ControlledHamiltonian.drift_only(random_hermitian(rng, 3))
         x = random_point(rng, 3)
-        b = evolve_block(plant, 0.0, 1.3)
+        b = phase_propagator(plant, 0.0, 1.3)
         assert np.max(np.abs(b @ x.flat() - evolve(plant, x, 0.0, 1.3).flat())) < 1e-12
 
 
@@ -361,42 +367,6 @@ class TestPhaseEnsemble:
     def test_rejects_nan_weight(self):
         with pytest.raises(ValueError):
             PhaseEnsemble([np.nan], (PhasePoint([1], [0]),))
-
-    def test_singleton_transport_matches_evolve(self, rng):
-        plant = ControlledHamiltonian.drift_only(random_hermitian(rng, 2))
-        x = random_point(rng, 2)
-        e = PhaseEnsemble([1.0], (x,))
-        moved = transport_ensemble(plant, e, 0.0, 1.0)
-        assert np.max(np.abs(moved.points[0].flat() - evolve(plant, x, 0.0, 1.0).flat())) < 1e-12
-
-    def test_transport_matches_evolve_point_by_point(self, rng):
-        plant = ControlledHamiltonian(
-            random_hermitian(rng, 3),
-            (random_hermitian(rng, 3),),
-            ControlSchedule([0.0, 0.3, 0.9, 1.6], [[0.4], [-1.1], [0.8]]),
-        )
-        points = tuple(random_point(rng, 3) for _ in range(5))
-        e = PhaseEnsemble(np.full(5, 0.2), points)
-        moved = transport_ensemble(plant, e, 0.1, 1.4)
-        for x, y in zip(points, moved.points):
-            assert np.max(np.abs(y.flat() - evolve(plant, x, 0.1, 1.4).flat())) < 1e-14
-
-    def test_weights_invariant(self, rng):
-        plant = ControlledHamiltonian.drift_only(np.diag([1.0, -1.0]))
-        e = PhaseEnsemble([0.25, 0.75], (PhasePoint([1, 0], [0, 0]), PhasePoint([0, 0], [0, 1])))
-        moved = transport_ensemble(plant, e, 0.0, 2.0)
-        assert np.array_equal(moved.weights, e.weights)
-
-    def test_members_rotate_in_their_plane(self):
-        # per-member oracle: diag(1,-1) rotates (q_k, p_k) at rate +/-1
-        plant = ControlledHamiltonian.drift_only(np.diag([1.0, -1.0]))
-        e = PhaseEnsemble([0.5, 0.5], (PhasePoint([1, 0], [0, 0]), PhasePoint([0, 1], [0, 0])))
-        t = 0.9
-        moved = transport_ensemble(plant, e, 0.0, t)
-        m0, m1 = moved.points
-        assert m0.q[0] == pytest.approx(np.cos(t)) and m0.p[0] == pytest.approx(-np.sin(t))
-        assert m1.q[1] == pytest.approx(np.cos(t)) and m1.p[1] == pytest.approx(np.sin(t))
-        assert abs(m0.q[1]) + abs(m0.p[1]) + abs(m1.q[0]) + abs(m1.p[0]) == 0.0
 
 
 class TestTypedErrors:

@@ -19,9 +19,10 @@ from qphase import (
     solve_shooting,
     to_phase,
 )
-from qphase.dynamics import forward_states, interval_propagators, real_block
+from qphase.dynamics import forward_states, interval_propagators
 from qphase.errors import (ControlDomainError, DimensionMismatchError, NormalizationError, ProtocolParameterError,
                            QPhaseError)
+from qphase.geometry import real_block
 import qphase.pontryagin
 from qphase.pontryagin import _TransferProblem, _backward, _maximize, _propagate, _slopes
 

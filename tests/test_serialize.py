@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import qphase.cli
 import qphase.serialize
@@ -155,3 +157,61 @@ def test_json_bytes_equal_json_dump_on_cli_payloads(tmp_path, monkeypatch):
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         assert (tmp_path / "encoded.json").read_bytes() == (tmp_path / "dumped.json").read_bytes(), name
+
+
+class Count(int):
+    """An int subclass leaf, which ``json`` writes with ``int.__repr__``."""
+
+
+ROUNDOFF = [2.7755575615628914e-17, -1.1102230246251565e-16, 0.0, -0.0, 1.0, 0.1]
+KEYS = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "\U0001f600"]))
+LEAVES = st.one_of(
+    st.floats(),  # NaN, +-inf and subnormals included
+    st.sampled_from(ROUNDOFF + [5e-324, 2.2250738585072014e-308, 1e16, -1e16, float("nan"), float("inf"), float("-inf")]),
+    st.integers(),
+    st.sampled_from([10**30, -(10**30), 2**63, -(2**63) - 1]),
+    st.booleans(),
+    st.none(),
+    KEYS,
+    st.floats().map(np.float64),
+    st.integers().map(Count),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(KEYS, children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),  # non-str keys go to json, which converts them
+    ),
+    max_leaves=20,
+)
+
+
+def dumped_bytes(path, payload):
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+# every example overwrites the same two files, so one tmp_path serves them all
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=st.dictionaries(KEYS, TREES, max_size=6))
+@example(payload={"gram": [[0.0, -0.0, 2.7755575615628914e-17], [2.7755575615628914e-17, -0.0, 0.0]], "e": [], "f": {}})
+def test_json_bytes_equal_json_dump(tmp_path, payload):
+    """The typed encoder and its float memo write ``json.dump``'s bytes:
+    signed zeros side by side, repeated round-off, non-finite floats,
+    escapes, big ints, subclasses and non-str keys."""
+    write_json(tmp_path / "encoded.json", payload)
+    assert (tmp_path / "encoded.json").read_bytes() == dumped_bytes(tmp_path / "dumped.json", payload)
+
+
+@pytest.mark.parametrize("leaf", [{1, 2}, 1 + 2j, np.int64(3)], ids=["set", "complex", "int64"])
+def test_json_rejects_what_json_dump_rejects(tmp_path, leaf):
+    payload = {"a": 1.5, "z": [0.1, {"x": leaf}]}
+    with pytest.raises(TypeError):
+        dumped_bytes(tmp_path / "dumped.json", payload)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "encoded.json", payload)
+    assert not (tmp_path / "encoded.json").exists()

@@ -1,7 +1,8 @@
 """Source scan of ``src/qphase``: no unused module-level import, no private
 module-level name that no code in the package uses, no ``expm`` call, no
-SciPy anywhere, and no ``raise`` of a builtin exception class outside the
-modules that ROADMAP item 9 has yet to convert to ``QPhaseError``.
+SciPy anywhere, no ``raise`` of a builtin exception class outside the
+modules that ROADMAP item 9 has yet to convert to ``QPhaseError``, and no
+indented JSON written outside ``serialize``.
 
 Every propagator goes through ``dynamics.interval_propagators``, and every
 search runs on the NumPy ``_solvers.minimize_box``, so qphase needs only NumPy
@@ -214,3 +215,36 @@ def test_validation_scan_sees_every_form():
         "    return check_grid(grid)\n"
     )
     assert validation_sites(tree) == [(1, ""), (4, "P.__init__"), (5, "P.__init__"), (8, "solve.inner"), (9, "solve")]
+
+
+# every artifact goes through serialize's one JSON encoder: no other module
+# calls json.dump or asks for indented text (a compact json.dumps line is fine)
+JSON_WRITER = "serialize"
+
+
+def json_file_writes(tree: ast.Module) -> list:
+    """(line, what) of each call of a function named ``dump`` and each call passing ``indent=``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "dump":
+            found.append((node.lineno, "dump"))
+        found += [(node.lineno, "indent=") for kw in node.keywords if kw.arg == "indent"]
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in FILES if m != JSON_WRITER])
+def test_json_artifacts_only_through_serialize(module):
+    found = json_file_writes(parse(module))
+    assert not found, f"{module}.py writes JSON outside serialize: {found}"
+
+
+def test_json_write_scan_sees_every_form():
+    tree = ast.parse(
+        "json.dump(x, fh)\n"
+        "dump(x, fh, indent=2)\n"
+        "text = json.dumps(x, indent=2, sort_keys=True)\n"
+        "line = json.dumps(x, sort_keys=True)\n"
+    )
+    assert json_file_writes(tree) == [(1, "dump"), (2, "dump"), (2, "indent="), (3, "indent=")]

@@ -73,7 +73,7 @@ class TestSubgroupMatrices:
     def test_h3_equals_drift_evolution(self):
         from scipy.linalg import expm
 
-        from qphase.dynamics import real_block
+        from qphase.geometry import real_block
 
         mu = 1.4
         for t in (0.1, 1.0, 2.9):
