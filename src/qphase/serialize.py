@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 
 import numpy as np
 
@@ -97,11 +98,33 @@ def _encode(obj, indent: str, memo: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
+def _write_chunks(path, chunks):
+    """Write an iterable of text chunks to ``path``, created or truncated.
+
+    Raw ``os`` calls in place of a text-mode ``open``, which also runs
+    ``fstat``, ``ioctl`` and ``lseek``: the file gets the same mode, and the
+    artifact text is ASCII, so the same bytes.  ``os.write`` may write less
+    than it is given, so each chunk is written until none of it is left.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        for chunk in chunks:
+            data = memoryview(chunk.encode())
+            while data:
+                data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
+def _joined(pieces):
+    """The pieces of text, joined ``_CHUNK`` at a time."""
+    while chunk := list(itertools.islice(pieces, _CHUNK)):
+        yield "".join(chunk)
+
+
 def write_json(path, payload: dict):
     """``json.dump(payload, fh, indent=2, sort_keys=True)`` and a newline, byte for byte."""
-    text = _encode(payload, "", {})
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_chunks(path, (_encode(payload, "", {}) + "\n",))
 
 
 def write_trials_json(path, labels, records: dict):
@@ -121,24 +144,20 @@ def write_trials_json(path, labels, records: dict):
         head, _, tail = text.partition(cut + "0")
         pieces[label] = (head + cut, tail)
     seps = ("\n    ", ",\n    ")
-    with open(path, "w", newline="\n") as fh:
-        fh.write('{\n  "trials": [')
-        fh.writelines(seps[k > 0] + pieces[b][0] + str(k) + pieces[b][1] for k, b in enumerate(labels))
-        fh.write("\n  ]\n}\n" if len(labels) else "]\n}\n")
+    trials = (seps[k > 0] + pieces[b][0] + str(k) + pieces[b][1] for k, b in enumerate(labels))
+    end = "\n  ]\n}\n" if len(labels) else "]\n}\n"
+    _write_chunks(path, _joined(itertools.chain(('{\n  "trials": [',), trials, (end,))))
 
 
 def write_csv(path, header, rows, preformatted: bool = False):
     """Write rows of floats (or pre-formatted strings) under a header line.
 
-    ``rows`` may be any iterable, a generator included; it is streamed in
-    chunks of ``_CHUNK`` lines, each joined and written with one call.
+    ``rows`` may be any iterable, a generator included; it is streamed, with
+    the header line, in chunks of ``_CHUNK`` lines, each joined and written
+    with one call.
     With ``preformatted`` each row is already the full text of its line,
     ending in ``"\\n"``, and is written as it is.
     """
     if not preformatted:
         rows = (",".join([c if isinstance(c, str) else fmt(c) for c in row]) + "\n" for row in rows)
-    lines = iter(rows)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(lines, _CHUNK)):
-            fh.write("".join(chunk))
+    _write_chunks(path, _joined(itertools.chain((",".join(header) + "\n",), rows)))

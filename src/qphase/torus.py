@@ -34,7 +34,13 @@ class CatMap:
     m: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.m)
+        try:
+            rows = tuple(self.m)
+        except TypeError:
+            rows = ()
+        m = tuple(_label(row, "cat map row") for row in rows)
+        if len(m) != 2:
+            raise ProtocolParameterError(f"cat map {self.m!r} is not a 2x2 integer matrix")
         (a, b), (c, d) = m
         if a * d - b * c != 1:
             raise ProtocolParameterError("cat map must have determinant 1")
@@ -55,8 +61,8 @@ class CatMap:
         return cls(DEFAULT_CAT)
 
 
-def _label(k) -> tuple:
-    """A momentum label as a tuple of ints; a non-integral entry raises.
+def _label(k, what: str = "momentum label") -> tuple:
+    """A pair of ints; anything else, a non-integral entry included, raises.
 
     Integral floats and NumPy integers are accepted; ``int()`` alone would
     truncate 1.5 to 1.
@@ -64,12 +70,19 @@ def _label(k) -> tuple:
     try:
         items = tuple(k)
         label = tuple(int(x) for x in items)
-        integral = label == items
+        integral = label == items and len(label) == 2
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
-        raise ProtocolParameterError(f"momentum label {k!r} is not a sequence of integers")
+        raise ProtocolParameterError(f"{what} {k!r} is not a pair of integers")
     return label
+
+
+def _radius(radius) -> int:
+    """The box radius as an int; a bool, a non-integer or a negative value raises."""
+    if isinstance(radius, bool) or not isinstance(radius, (int, np.integer)) or radius < 0:
+        raise ProtocolParameterError(f"box radius {radius!r} is not an integer >= 0")
+    return int(radius)
 
 
 def _outside(k, radius: int) -> bool:
@@ -101,16 +114,24 @@ class TorusState:
     radius: int = DEFAULT_RADIUS
 
     def __post_init__(self):
-        items = tuple(sorted(((tuple(int(x) for x in k), complex(a)) for k, a in self.support)))
+        radius = _radius(self.radius)
+        amplitudes = {}
+        for k, a in self.support:
+            k = _label(k)
+            if k in amplitudes:
+                raise ProtocolParameterError(f"momentum {k} appears twice in the support")
+            amplitudes[k] = complex(a)
+        items = tuple(sorted(amplitudes.items()))  # labels are distinct: no amplitudes are compared
         if not items:
             raise ProtocolParameterError("state must have non-empty support")
         for k, _ in items:
-            if _outside(k, self.radius):
-                raise TruncationOverflowError(f"momentum {k} outside |k_i| <= {self.radius}")
+            if _outside(k, radius):
+                raise TruncationOverflowError(f"momentum {k} outside |k_i| <= {radius}")
         nrm = np.sqrt(sum(abs(a) ** 2 for _, a in items))
         if not abs(nrm - 1.0) <= 1e-12:
             raise NormalizationError("state must be normalized within 1e-12")
         object.__setattr__(self, "support", items)
+        object.__setattr__(self, "radius", radius)
 
     @classmethod
     def eigenstate(cls, k, radius: int = DEFAULT_RADIUS) -> "TorusState":
@@ -207,17 +228,26 @@ def _index(k, radius: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _neighbours(cat: CatMap, radius: int) -> np.ndarray:
-    """Row ``_index(k)``: the box index of k's neighbour under each move in
-    MOVES, or -1 outside the box.  Each column is one ``move_step`` on the
-    arrays of all labels in index order.  Read-only, as it is shared between
-    calls."""
+    """The box twice, once for each side of the search.
+
+    Row ``2 * i`` is the start copy of the label with box index
+    ``i = _index(k)`` and row ``2 * i + 1`` its target copy.  Column j holds
+    the neighbour under ``MOVES[j]`` on the same copy, ``2 * _index(nxt) +
+    side``, or ``2 * len(box)``, the slot past both copies, for a move that
+    leaves the box.  Each column is one ``move_step`` on the arrays of all
+    labels in index order.  The entries stay ``intp``: a narrower table costs
+    an index cast in every ``take``.  Read-only, as it is shared between calls.
+    """
     side = np.arange(-radius, radius + 1, dtype=np.intp)
     k = (np.repeat(side, side.size), np.tile(side, side.size))
-    table = np.full((side.size**2, len(MOVES)), -1, dtype=np.intp)
+    out = 2 * side.size**2
+    table = np.full((out, len(MOVES)), out, dtype=np.intp)
+    start = table[0::2]
     for j, move in enumerate(MOVES):
         nxt = move_step(move, k, cat)
         inside = np.maximum(abs(nxt[0]), abs(nxt[1])) <= radius
-        table[inside, j] = _index(nxt, radius)[inside]
+        start[inside, j] = 2 * _index(nxt, radius)[inside]
+    table[1::2] = np.minimum(start + 1, out)
     table.flags.writeable = False
     return table
 
@@ -225,34 +255,62 @@ def _neighbours(cat: CatMap, radius: int) -> np.ndarray:
 def _in_box_moves(k_start, k_target, cat: CatMap, radius: int) -> list:
     """Lexicographically first minimal move sequence that stays in the box.
 
-    A breadth-first search from the target labels the box with distances
-    until the start has one (every move's inverse is a move, so distances
-    are symmetric); the walk down from the start takes the first move in
-    MOVES order that lowers the distance.
+    A breadth-first search runs from both ends at once, the start's on the
+    start copy of the box and the target's on the target copy (every move's
+    inverse is a move, so one neighbour table serves both): each pass
+    gathers the rows of both frontiers with one ``take``, so it covers a
+    level on each side.  The search stops at the first level L at which a
+    node is labelled on both copies.  No node was labelled on both after
+    level L - 1, so the distance d is ``L + base``, where ``base`` (L - 1 or
+    L) is the least partner label over the level-L frontier.
 
-    Levels are ``int32``, -1 while unlabelled: the translations alone join
-    any two labels inside the box, so no in-box distance exceeds the
-    Manhattan bound 4 * radius.  ``dist`` has one trailing slot past the
-    box, preset to the type's maximum, and the table's -1 (a move leaving
-    the box) indexes it: the search reads it as already labelled, and the
-    walk never finds it one below a node's distance.
+    The walk from the start takes, at each step, the first move in MOVES
+    order whose neighbour lies on a minimal path, as a one-sided search
+    from the target would.  From step ``base`` on, that neighbour is one
+    whose distance to the target, labelled exactly up to L, is one below
+    the node's.  Before it, the nodes on minimal paths are Python sets,
+    layer k holding those at distance k from the start, propagated back
+    from the nodes at ``base`` from the start and L from the target.
+
+    Levels are ``int32``, the type's maximum while unlabelled: the
+    translations alone join any two labels inside the box, so no in-box
+    distance exceeds the Manhattan bound 4 * radius.  A pass labels what it
+    reaches with one ``np.minimum`` against the level, which leaves a
+    labelled node, always at a lower level, as it was.  ``dist`` has one
+    trailing slot past both copies, preset to -1, and the table's entry for
+    a move leaving the box indexes it: the minimum keeps it at -1, so the
+    search never takes it into a frontier and the walk never finds it on a
+    minimal path.  An unlabelled partner reads as the maximum, so the least
+    partner label exceeds the level until the two sides meet.
     """
     table = _neighbours(cat, radius)
-    start, target = _index(k_start, radius), _index(k_target, radius)
-    dist = np.full(len(table) + 1, -1, dtype=np.int32)
-    dist[-1] = np.iinfo(np.int32).max
-    dist[target] = 0
-    frontier, level = np.array([target]), 0
-    while dist[start] < 0:
+    start, target = 2 * _index(k_start, radius), 2 * _index(k_target, radius) + 1
+    dist = np.full(len(table) + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    dist[-1] = -1
+    dist[start] = dist[target] = 0
+    frontier, level = np.array([start, target]), 0
+    partner = dist.take(frontier ^ 1)
+    while partner.min() > level:
         level += 1
         reached = table.take(frontier, axis=0)
-        dist[reached[dist.take(reached) < 0]] = level
+        dist[reached] = np.minimum(dist.take(reached), level)
         frontier = (dist == level).nonzero()[0]
-    dist = dist.tolist()
-    moves, node = [], start
-    while node != target:
+        partner = dist.take(frontier ^ 1)
+    base = int(partner.min())
+    d = level + base
+    # on_path[k]: target copies of the nodes k moves from the start on a minimal path
+    on_path = [None] * base
+    if base > 1:
+        layer = {v for v in frontier[partner == base].tolist() if v & 1}
+        for k in range(base - 1, 0, -1):
+            layer = on_path[k] = {u + 1 for v in layer for u in table[v - 1].tolist() if dist.item(u) == k}
+    moves, node = [], start + 1
+    for k in range(1, d + 1):
         row = table[node].tolist()
-        j = next(j for j, nxt in enumerate(row) if dist[nxt] == dist[node] - 1)
+        if k < base:
+            j = next(j for j, nxt in enumerate(row) if nxt in on_path[k])
+        else:
+            j = next(j for j, nxt in enumerate(row) if dist.item(nxt) == d - k)
         moves.append(MOVES[j])
         node = row[j]
     return moves
@@ -265,10 +323,11 @@ def plan_kicks(k_start, k_target, cat: CatMap | None = None, allow_cat_moves: bo
     Every label the plan passes through stays in the box.  Without cat moves
     the plan is the translation sequence of Manhattan length; with them it is
     the lexicographically first (in MOVES order) minimal-length sequence, and
-    ties resolve to the translation plan (fewer cat kicks).  A non-integral
-    label entry raises ``ProtocolParameterError``.
+    ties resolve to the translation plan (fewer cat kicks).  A label that is
+    not a pair of integers, or a radius that is not an integer >= 0, raises
+    ``ProtocolParameterError``.
     """
-    k_start, k_target = _label(k_start), _label(k_target)
+    k_start, k_target, radius = _label(k_start), _label(k_target), _radius(radius)
     for k in (k_start, k_target):
         if _outside(k, radius):
             raise TruncationOverflowError(f"endpoint {k} outside |k_i| <= {radius}")

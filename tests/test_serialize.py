@@ -215,3 +215,53 @@ def test_json_rejects_what_json_dump_rejects(tmp_path, leaf):
     with pytest.raises(TypeError):
         write_json(tmp_path / "encoded.json", payload)
     assert not (tmp_path / "encoded.json").exists()
+
+
+def test_trials_json_with_a_rejected_record_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        write_trials_json(tmp_path / "trials.json", ["a", "b"], {"a": {"x": 1}, "b": {"x": {1, 2}}})
+    assert not (tmp_path / "trials.json").exists()
+
+
+WRITERS = {
+    "json": (lambda path: write_json(path, {"b": [1, 0.1, None], "a": {"s": "té"}}),
+             json.dumps({"b": [1, 0.1, None], "a": {"s": "té"}}, indent=2, sort_keys=True) + "\n"),
+    "trials": (lambda path: write_trials_json(path, [0, 1, 0], {0: {"f": 0.5}, 1: {"f": 1.0}}),
+               json.dumps({"trials": [{"f": 0.5, "trial": 0}, {"f": 1.0, "trial": 1}, {"f": 0.5, "trial": 2}]},
+                          indent=2, sort_keys=True) + "\n"),
+    "csv": (lambda path: write_csv(path, ["k", "x"], ([k, k / 3] for k in range(2 * CHUNK + 5))),
+            "k,x\n" + "".join(f"{k},{k / 3:.17g}\n" for k in range(2 * CHUNK + 5))),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_raw_writes_match_a_text_mode_file(tmp_path, writer):
+    """The writers' ``os.open``/``os.write`` path leaves the bytes and the
+    mode that a text-mode ``open`` leaves, and truncates an existing file."""
+    write, text = WRITERS[writer]
+    with open(tmp_path / "text-mode", "w", newline="\n") as fh:
+        fh.write(text)
+    write(tmp_path / "fresh")
+    (tmp_path / "longer").write_bytes(b"x" * (len(text) + 100))
+    write(tmp_path / "longer")
+    want = (tmp_path / "text-mode").read_bytes()
+    for name in ("fresh", "longer"):
+        assert (tmp_path / name).read_bytes() == want
+        assert os.stat(tmp_path / name).st_mode == os.stat(tmp_path / "text-mode").st_mode
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_short_writes_are_continued(tmp_path, monkeypatch, writer):
+    """``os.write`` may write less than it is given: one byte per call still writes the whole file."""
+    write, text = WRITERS[writer]
+    real, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(fd)
+        return real(fd, data[:1])
+
+    monkeypatch.setattr(os, "write", one_byte)
+    write(tmp_path / "out")
+    monkeypatch.undo()
+    assert (tmp_path / "out").read_bytes() == text.encode()
+    assert len(calls) == len(text.encode())

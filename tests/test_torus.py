@@ -1,5 +1,6 @@
 """Kicked torus dynamics, momentum measurement, and plan search."""
 
+import functools
 from collections import deque
 
 import numpy as np
@@ -37,6 +38,15 @@ class TestTorusState:
     (lambda: TorusState((((0, 0), 0.5),)), NormalizationError),
     (lambda: apply_floquet_component(TorusState.eigenstate((0, 0)), "U1", sign=2), ProtocolParameterError),
     (lambda: apply_floquet_component(TorusState.eigenstate((0, 0)), "U9"), ProtocolParameterError),
+    # int() alone would read the first and the third as ((2, 1), (1, 1)) and (0, 0)
+    (lambda: CatMap(((2, 1), (1, 1.5))), ProtocolParameterError),
+    (lambda: CatMap(((2, 1, 0), (1, 1, 0), (0, 0, 1))), ProtocolParameterError),
+    (lambda: TorusState((((0.5, 0), 1.0),)), ProtocolParameterError),
+    (lambda: TorusState((((0, 0), 1 / R2), ((0, 0), 1j / R2))), ProtocolParameterError),
+    (lambda: TorusState.eigenstate((0, 0), radius=2.5), ProtocolParameterError),
+    (lambda: TorusState.eigenstate((0, 0), radius=True), ProtocolParameterError),
+    (lambda: TorusState.eigenstate((0, 0), radius=-1), ProtocolParameterError),
+    (lambda: plan_kicks((0, 0), (1, 2), radius=2.5), ProtocolParameterError),
 ])
 def test_rejections_are_typed(call, error):
     # a QPhaseError that is also the ValueError callers caught before
@@ -132,21 +142,24 @@ class TestMeasureMomentum:
 
 
 class TestNeighbours:
-    """The in-box neighbour table against one scalar ``move_step`` per label and move."""
+    """The two-copy neighbour table against one scalar ``move_step`` per label and move."""
 
     @pytest.mark.parametrize("cat", [((2, 1), (1, 1)), ((3, 2), (1, 1)), ((1, 1), (1, 2))])
-    @pytest.mark.parametrize("radius", [1, 2, 5, 32])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 5, 32])
     def test_matches_the_label_loop(self, cat, radius):
         cat = CatMap(cat)
         side = range(-radius, radius + 1)
-        want = np.full(((2 * radius + 1) ** 2, len(torus.MOVES)), -1, dtype=np.intp)
+        out = 2 * len(side) ** 2
+        want = np.full((out, len(torus.MOVES)), out, dtype=np.intp)
         for k in ((k1, k2) for k1 in side for k2 in side):
             for j, move in enumerate(torus.MOVES):
                 nxt = torus.move_step(move, k, cat)
                 if max(abs(nxt[0]), abs(nxt[1])) <= radius:
-                    want[torus._index(k, radius), j] = torus._index(nxt, radius)
+                    for copy in (0, 1):  # start copy, target copy
+                        want[2 * torus._index(k, radius) + copy, j] = 2 * torus._index(nxt, radius) + copy
         got = torus._neighbours(cat, radius)
         assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
+        assert torus._neighbours(CatMap(cat.m), radius) is got
 
 
 class TestPlanKicks:
@@ -199,6 +212,7 @@ class TestPlanKicks:
 
     @pytest.mark.parametrize("start, target", [
         ((1.5, 0), (3, 0)), ((0, 0), (3, 0.25)), ((np.nan, 0), (0, 0)), ((0, 0), (np.inf, 0)), (("1", 0), (3, 0)),
+        ((0, 0, 0), (3, 0)), ((0, 0), (3,)),
     ])
     def test_non_integral_label_raises(self, start, target):
         # int() alone would truncate 1.5 to 1 and plan from (1, 0)
@@ -259,11 +273,26 @@ def test_plans_match_in_box_oracle(radius):
             assert k == target
 
 
+@functools.lru_cache(maxsize=4)
+def one_copy_table(cat, radius) -> np.ndarray:
+    """Row ``_index(k)``: the index of k's neighbour under each move in
+    MOVES, or -1 outside the box, one scalar ``move_step`` at a time."""
+    side = range(-radius, radius + 1)
+    table = np.full((len(side) ** 2, len(torus.MOVES)), -1)
+    for k in ((k1, k2) for k1 in side for k2 in side):
+        for j, move in enumerate(torus.MOVES):
+            nxt = torus.move_step(move, k, cat)
+            if max(abs(nxt[0]), abs(nxt[1])) <= radius:
+                table[torus._index(k, radius), j] = torus._index(nxt, radius)
+    return table
+
+
 def fancy_index_moves(k_start, k_target, cat, radius) -> list:
-    """The in-box search with fancy indexing, an int64 level array and a
-    ``>= 0`` filter on the table's out-of-box entries: the reference for the
-    take-gather search with its trailing out-of-box slot."""
-    table = torus._neighbours(cat, radius)
+    """A one-sided search from the target with fancy indexing, an int64
+    level array and a ``>= 0`` filter on its own table's out-of-box
+    entries; the walk down takes the first move in MOVES order that lowers
+    the distance.  The reference for the two-sided search."""
+    table = one_copy_table(cat, radius)
     start, target = torus._index(k_start, radius), torus._index(k_target, radius)
     dist = np.full(len(table), -1)
     dist[target] = 0
@@ -282,26 +311,36 @@ def fancy_index_moves(k_start, k_target, cat, radius) -> list:
     return moves
 
 
-@pytest.mark.parametrize("cat, radius, n_targets", [(((2, 1), (1, 1)), 32, 20), (((3, 1), (2, 1)), 10, 5)])
+@pytest.mark.parametrize("cat, radius, n_targets", [
+    (((2, 1), (1, 1)), 32, 20), (((3, 1), (2, 1)), 10, 5), (((2, 1), (1, 1)), 1, 3), (((2, 1), (1, 1)), 0, 1),
+])
 def test_search_matches_reference_at_large_radius(cat, radius, n_targets):
-    """Seeded pairs, ten starts per target, with box corners and edge labels
-    (where several moves leave the box) among both: the same moves as the
-    reference search, and as many as the plain breadth-first distance."""
+    """Seeded pairs, eleven starts per target, with box corners and edge
+    labels (where several moves leave the box) among both and the target
+    itself among the starts: the same moves as the reference search, and
+    as many as the plain breadth-first distance.  The two sides meet at
+    equal labels for an even distance and at labels one apart for an odd
+    one; both occur."""
     cat, r = CatMap(cat), radius
     rng = np.random.default_rng(radius)
     boundary = [(r, r), (-r, -r), (r, -r), (-r, r), (r, 3), (-5, -r), (-r, 7), (2, r)]
+    boundary = [(max(-r, min(r, k1)), max(-r, min(r, k2))) for k1, k2 in boundary]  # in a small box
 
     def draw():
         return tuple(int(v) for v in rng.integers(-r, r + 1, 2))
 
     targets = boundary[:n_targets] + [draw() for _ in range(n_targets - len(boundary))]
+    lengths = set()
     for i, target in enumerate(targets):
         dist = in_box_distances(target, cat, r)
-        starts = [boundary[i % 8], boundary[(i + 3) % 8]] + [draw() for _ in range(8)]
+        starts = [target, boundary[i % 8], boundary[(i + 3) % 8]] + [draw() for _ in range(8)]
         for start in starts:
             moves = torus._in_box_moves(start, target, cat, r)
             assert moves == fancy_index_moves(start, target, cat, r), (start, target)
             assert len(moves) == dist[start]
+            lengths.add(len(moves))
+    assert 0 in lengths
+    assert r == 0 or {d % 2 for d in lengths} == {0, 1}
 
 
 class TestReachState:
