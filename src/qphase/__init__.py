@@ -4,11 +4,9 @@ real phase-space coordinates (q = Re psi, p = Im psi)."""
 __version__ = "0.1.0"
 
 from .geometry import (
-    CanonicalGenerator,
     Observable,
     PhasePoint,
     StateVector,
-    canonical_apply,
     complex_structure,
     from_phase,
     g_form,
@@ -38,7 +36,6 @@ from .measurement import (
     collapse,
     continuous_observe,
     draw_branch,
-    gaussian_apply,
     measure_nonselective,
     measure_selective,
     select_branches,

@@ -101,11 +101,6 @@ class ControlSchedule:
         for ta, tb in zip(cuts[:-1], cuts[1:]):
             yield ta, tb, self.value_at(0.5 * (ta + tb))
 
-    @classmethod
-    def constant(cls, u, t0: float, t1: float) -> "ControlSchedule":
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return cls(np.array([t0, t1]), u[None, :])
-
 
 @dataclass(frozen=True)
 class ControlledHamiltonian:
@@ -227,9 +222,13 @@ def _finite_amplitudes(h: ControlledHamiltonian, x0: PhasePoint) -> np.ndarray:
 
 
 def evolve_unitary(h: ControlledHamiltonian, t0: float, t1: float) -> np.ndarray:
-    """Complex N x N propagator of the Schroedinger flow over [t0, t1]."""
-    if t1 < t0:
-        raise ProtocolParameterError("t1 must be >= t0")
+    """Complex N x N propagator of the Schroedinger flow over [t0, t1].
+
+    ``t0`` and ``t1`` must be finite with ``t0 <= t1``, or
+    ``ProtocolParameterError`` is raised; ``t1 < t0`` alone lets NaN through.
+    """
+    if not (np.isfinite(t0) and np.isfinite(t1) and t0 <= t1):
+        raise ProtocolParameterError(f"need finite t0 <= t1, got t0={t0!r}, t1={t1!r}")
     u = np.eye(h.dim, dtype=complex)
     if t1 > t0:
         _, values, dts = h._pieces(np.array([t0, t1], dtype=float))
@@ -241,7 +240,8 @@ def evolve_unitary(h: ControlledHamiltonian, t0: float, t1: float) -> np.ndarray
 def evolve(h: ControlledHamiltonian, x0: PhasePoint, t0: float, t1: float) -> PhasePoint:
     """Advance a phase point along Hamilton's equations from t0 to t1.
 
-    Non-finite amplitudes raise ``NormalizationError``.
+    Non-finite amplitudes raise ``NormalizationError``, and times that are
+    not finite with ``t0 <= t1`` raise ``ProtocolParameterError``.
     """
     psi0 = _finite_amplitudes(h, x0)
     return PhasePoint.from_amplitudes(evolve_unitary(h, t0, t1) @ psi0)

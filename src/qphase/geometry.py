@@ -1,4 +1,4 @@
-"""States, phase coordinates, the (J, G, Omega) forms and canonical generators.
+"""States, phase coordinates, the (J, G, Omega) forms and observables.
 
 A pure state with amplitudes ``psi_k`` is identified with the real phase
 point ``q_k = Re psi_k``, ``p_k = Im psi_k``.  With this convention
@@ -28,13 +28,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """``matrix`` as a complex square array, finite and Hermitian within ``tol``.
+    """``matrix`` as a non-empty complex square array, finite and Hermitian within ``tol``.
 
     ``max|m - m^H| > tol`` alone lets NaN through, so finiteness is checked.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise HermiticityError("matrix must be square")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise HermiticityError("matrix must be square and non-empty")
     if not (np.all(np.isfinite(m)) and np.max(np.abs(m - m.conj().T)) <= tol):
         raise HermiticityError(f"matrix is not finite and Hermitian within {tol:g}")
     return m
@@ -49,7 +49,7 @@ class StateVector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
-            raise ValueError("amplitudes must be a non-empty 1-d sequence")
+            raise DimensionMismatchError("amplitudes must be a non-empty 1-d sequence")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @property
@@ -183,8 +183,8 @@ class Observable:
     One ``eigh`` gives the eigenvector matrix V, columns in ascending order
     of eigenvalue; eigenvalues closer than ``DEGENERACY_RTOL`` (relative,
     floored at 1) form one branch, a contiguous range of columns.  Every
-    measurement formula is a product with V: the Born weights, the
-    projection onto a branch and a spectral function of the matrix.
+    measurement formula is a product with V: the Born weights and the
+    projection onto a branch.
     """
 
     def __init__(self, matrix):
@@ -202,8 +202,6 @@ class Observable:
         self._starts = np.array(starts)
         self._vecs = _readonly(vecs)
         self.eigenvalues = tuple(float(np.mean(vals[c])) for c in self._columns)
-        # each column's branch eigenvalue, the argument of spectral functions
-        self._levels = np.repeat(self.eigenvalues, np.diff(bounds))
 
     @property
     def dim(self) -> int:
@@ -212,8 +210,8 @@ class Observable:
     def is_nondegenerate(self) -> bool:
         return len(self.eigenvalues) == self.dim
 
-    def is_traceless(self, tol: float = 1e-10) -> bool:
-        return abs(np.trace(self.matrix)) <= tol * max(1.0, np.max(np.abs(self.matrix)))
+    def is_traceless(self) -> bool:
+        return abs(np.trace(self.matrix)) <= 1e-10 * max(1.0, np.max(np.abs(self.matrix)))
 
     def branch_index(self, a: float) -> int:
         """Index of the spectral branch whose eigenvalue is closest to ``a``."""
@@ -238,11 +236,6 @@ class Observable:
         v = self._branch_vectors(branch)
         return v @ (v.conj().T @ psi)
 
-    def apply(self, f, psi: np.ndarray) -> np.ndarray:
-        """f(A) psi = V f(Lambda) V^H psi, f called on each column's branch eigenvalue."""
-        self._check_dim(psi)
-        return self._vecs @ (f(self._levels) * (self._vecs.conj().T @ psi))
-
     @cached_property
     def spectrum(self) -> tuple:
         """(eigenvalue, projector) pairs in ascending order, built on first use."""
@@ -252,54 +245,7 @@ class Observable:
             pairs.append((a, _readonly(v @ v.conj().T)))
         return tuple(pairs)
 
-    def projector(self, a: float) -> np.ndarray:
-        return self.spectrum[self.branch_index(a)][1]
-
     def eigenspace_basis(self, a: float) -> np.ndarray:
         """Orthonormal column basis of the eigenspace of ``a``."""
         return self._branch_vectors(self.branch_index(a))
 
-
-_GENERATOR_KINDS = ("qq-rotation", "qp-rotation", "phase-rotation")
-
-
-@dataclass(frozen=True)
-class CanonicalGenerator:
-    """One-parameter canonical subgroup element acting on (q, p).
-
-    ``qq-rotation`` mixes channels i and j identically in q and in p,
-    ``qp-rotation`` mixes q_i with p_j (and q_j with p_i),
-    ``phase-rotation`` rotates the single (q_i, p_i) plane.
-    """
-
-    kind: str
-    i: int
-    j: int
-    theta: float
-
-    def __post_init__(self):
-        if self.kind not in _GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind != "phase-rotation" and self.i == self.j:
-            raise ValueError("two-channel generators need distinct indices")
-
-    def matrix(self, n: int) -> np.ndarray:
-        """The complex n x n unitary as a 2n x 2n real matrix, layout (q_1..q_n, p_1..p_n)."""
-        for idx in (self.i, self.j):
-            if not 0 <= idx < n:
-                raise IndexError(f"channel index {idx} out of range for dimension {n}")
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        u = np.eye(n, dtype=complex)
-        i, j = self.i, self.j
-        if self.kind == "qq-rotation":
-            u[i, i], u[i, j], u[j, i], u[j, j] = c, s, -s, c
-        elif self.kind == "qp-rotation":
-            u[i, i], u[i, j], u[j, i], u[j, j] = c, 1j * s, 1j * s, c
-        else:  # phase-rotation on channel i: e^{i theta}
-            u[i, i] = complex(c, s)
-        return real_block(u)
-
-
-def canonical_apply(g: CanonicalGenerator, x: PhasePoint) -> PhasePoint:
-    """Apply the generator's explicit matrix to a phase point."""
-    return PhasePoint.from_flat(g.matrix(x.dim) @ x.flat())

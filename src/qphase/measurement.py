@@ -1,4 +1,4 @@
-"""Projective and Gaussian generalized measurement as phase-space operations.
+"""Projective measurement and continuous observation as phase-space operations.
 
 Selective projective measurement jumps the phase point onto the closest
 point of the eigenspace in the G metric; non-selective measurement in a
@@ -25,7 +25,7 @@ from .errors import (
     ProtocolParameterError,
     ZeroProbabilityBranchError,
 )
-from .geometry import Observable, PhasePoint, StateVector, _readonly, g_form, hermitian
+from .geometry import Observable, PhasePoint, _readonly, g_form, hermitian
 
 _STATE_TOL = 1e-9
 _ZERO_WEIGHT = 1e-14
@@ -198,18 +198,13 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def from_state(cls, psi: StateVector) -> "DensityMatrix":
-        a = psi.normalized().amplitudes
-        return cls(np.outer(a, a.conj()))
-
 
 @dataclass(frozen=True)
 class GaussianMeasurement:
     """Finite-resolution measurement of an observable over a time step dt.
 
-    ``strength`` is the resolution s; the readout density for a pure state
-    is a mixture of Gaussians at the eigenvalues with variance 1/(4 s dt).
+    ``strength`` is the resolution s, the rate of the double-commutator
+    damping that ``continuous_observe`` integrates.
     """
 
     observable: Observable
@@ -219,35 +214,6 @@ class GaussianMeasurement:
     def __post_init__(self):
         if not (_positive(self.strength) and _positive(self.dt)):
             raise ProtocolParameterError("strength and dt must be finite and positive")
-
-    @property
-    def readout_variance(self) -> float:
-        return 1.0 / (4.0 * self.strength * self.dt)
-
-    def readout_density(self, x: PhasePoint, alpha) -> np.ndarray:
-        """Probability density of the readout alpha for state x."""
-        alpha = np.asarray(alpha, dtype=float)[..., None]
-        probs = branch_probabilities(x, self.observable)
-        var = self.readout_variance
-        kernels = np.exp(-((alpha - self.observable.eigenvalues) ** 2) / (2 * var))
-        return kernels @ probs / np.sqrt(2 * np.pi * var)
-
-
-def gaussian_apply(
-    x: PhasePoint, m: GaussianMeasurement, rng: np.random.Generator
-) -> tuple[float, PhasePoint]:
-    """Selective generalized measurement: sample a readout, damp the state.
-
-    The post state is exp(-s dt (Lambda - alpha)^2) psi renormalized; it is
-    a projection only in the infinite-strength limit.
-    """
-    psi = x.amplitudes
-    probs = born_weights(psi, m.observable)
-    lam = m.observable.eigenvalues[draw_branch(probs, rng)]
-    alpha = float(rng.normal(lam, np.sqrt(m.readout_variance)))
-    sdt = m.strength * m.dt
-    post = m.observable.apply(lambda val: np.exp(-sdt * (val - alpha) ** 2), psi)
-    return alpha, PhasePoint.from_amplitudes(post / np.linalg.norm(post))
 
 
 def _step_matrix(hm: np.ndarray, lam: np.ndarray, s: float, dt: float) -> np.ndarray:

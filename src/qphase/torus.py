@@ -142,19 +142,19 @@ def apply_floquet_component(
     s: TorusState,
     which: str,
     sign: int = 1,
-    tau: float = 1.0,
     cat: CatMap | None = None,
 ) -> TorusState:
     """One Floquet factor: 'U0' free phase, 'U1' cat kick, 'U2'/'U3' shifts.
 
-    sign -1 applies the inverse factor.  Relabelings that would leave the
-    truncation box raise rather than clip.
+    'U0' is the free evolution over one period, the phase ``exp(-i |k|^2 / 2)``
+    on label k.  sign -1 applies the inverse factor.  Relabelings that would
+    leave the truncation box raise rather than clip.
     """
     if sign not in (1, -1):
         raise ProtocolParameterError("sign must be +1 or -1")
     if which == "U0":
         items = tuple(
-            (k, a * np.exp(-1j * sign * (k[0] ** 2 + k[1] ** 2) * tau / 2))
+            (k, a * np.exp(-1j * sign * (k[0] ** 2 + k[1] ** 2) / 2))
             for k, a in s.support
         )
         return TorusState(items, s.radius)
@@ -351,7 +351,6 @@ def reach_state(
     k_target,
     cat: CatMap | None = None,
     rng: np.random.Generator | None = None,
-    allow_cat_moves: bool = True,
 ) -> tuple[ProtocolTrace, TorusState]:
     """Measure momentum, plan from the recorded outcome, replay the plan.
 
@@ -361,7 +360,7 @@ def reach_state(
     cat = CatMap.default() if cat is None else cat
     k_target = _label(k_target)
     k0, state = measure_momentum(s0, rng)
-    plan = plan_kicks(k0, k_target, cat, allow_cat_moves, s0.radius)
+    plan = plan_kicks(k0, k_target, cat, radius=s0.radius)
     # one placeholder point for every step: PhasePoint is frozen and its arrays are read-only
     point = PhasePoint([0.0], [0.0])
     steps = [ProtocolStep("measure", {"k": list(k0)}, point)]

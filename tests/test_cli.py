@@ -783,7 +783,6 @@ sx, sz = np.array([[0, 1], [1, 0]], complex), np.diag([1.0, -1.0])
 x = call("PhasePoint", [0.6, 0.0], [0.0, 0.8])
 y = call("to_phase", call("StateVector", [0.0, 1j]))
 call("from_phase", y)
-call("canonical_apply", call("CanonicalGenerator", "qq-rotation", 0, 1, 0.3), x)
 call("complex_structure", x)
 call("g_form", x, y)
 call("omega_form", x, y)
@@ -809,7 +808,6 @@ call("measure_nonselective", x, obs)
 out = call("measure_selective", x, obs, rng)
 call("MeasurementOutcome", out.value, out.probability, out.post_state, out.branch)
 gauss = call("GaussianMeasurement", obs, 1.0, 0.01)
-call("gaussian_apply", x, gauss, rng)
 call("continuous_observe", call("DensityMatrix", np.full((2, 2), 0.5, complex)), obs, gauss, 0.1, 10)
 
 ladder = call("lie_closure", [qphase.Observable(call("ladder_drift")), qphase.Observable(call("ladder_control"))])

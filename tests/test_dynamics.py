@@ -23,8 +23,8 @@ from qphase import (
     to_phase,
 )
 from qphase.dynamics import forward_states, interval_propagators, overlap_gradient
-from qphase.errors import (DimensionMismatchError, HermiticityError, NormalizationError, QPhaseError,
-                           ScheduleCoverageError)
+from qphase.errors import (DimensionMismatchError, HermiticityError, NormalizationError, ProtocolParameterError,
+                           QPhaseError, ScheduleCoverageError)
 from qphase.steering import h3_matrix, ladder_control, ladder_drift
 
 from conftest import random_hermitian, random_point, random_state, restacked_propagators
@@ -63,7 +63,7 @@ class TestClassicalHamiltonian:
 
 class TestControlSchedule:
     def test_constant_covers(self):
-        s = ControlSchedule.constant([0.5], 0.0, 2.0)
+        s = ControlSchedule([0.0, 2.0], [[0.5]])
         assert s.covers(0.0, 2.0) and not s.covers(0.0, 2.5)
         assert s.value_at(1.0)[0] == 0.5
 
@@ -129,7 +129,7 @@ class TestEvolve:
         plant = ControlledHamiltonian(
             np.diag([1.0, -1.0]),
             (np.array([[0, 1], [1, 0]], complex),),
-            ControlSchedule.constant([0.3], 0.0, 1.0),
+            ControlSchedule([0.0, 1.0], [[0.3]]),
         )
         with pytest.raises(ScheduleCoverageError):
             evolve(plant, PhasePoint([1, 0], [0, 0]), 0.0, 2.0)
@@ -332,7 +332,7 @@ class TestEvolveBlock:
         plant = ControlledHamiltonian(
             ladder_drift(1.0),
             (np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], complex),),
-            ControlSchedule.constant([0.7], 0.0, 2.0),
+            ControlSchedule([0.0, 2.0], [[0.7]]),
         )
         b = phase_propagator(plant, 0.0, 2.0)
         assert np.max(np.abs(b.T @ b - np.eye(6))) < 1e-10
@@ -388,3 +388,15 @@ class TestTypedErrors:
         with pytest.raises(QPhaseError) as info:
             call(plant, PhasePoint([1.0, 0.0], [0.0, 0.0]))
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("evolver", [
+        lambda h, t0, t1: evolve_unitary(h, t0, t1),
+        lambda h, t0, t1: evolve(h, PhasePoint([1.0, 0.0], [0.0, 0.0]), t0, t1),
+    ], ids=["evolve_unitary", "evolve"])
+    @pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (np.nan, 1.0), (-np.inf, 0.0), (0.0, np.inf)],
+                             ids=["nan-t1", "nan-t0", "minus-inf-t0", "inf-t1"])
+    def test_non_finite_times_are_rejected(self, evolver, t0, t1):
+        # each once gave a silent answer: the identity, or an all-NaN unitary for t1 = inf
+        plant = ControlledHamiltonian.drift_only(np.diag([1.0, -1.0]))
+        with pytest.raises(ProtocolParameterError):
+            evolver(plant, t0, t1)

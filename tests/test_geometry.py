@@ -1,4 +1,4 @@
-"""States, phase coordinates, the (G, Omega, J) forms and canonical generators."""
+"""States, phase coordinates, the (G, Omega, J) forms and observables."""
 
 import pathlib
 import re
@@ -6,15 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qphase import (
-    CanonicalGenerator,
     Observable,
     PhasePoint,
     StateVector,
-    canonical_apply,
     complex_structure,
     from_phase,
     g_form,
@@ -122,6 +118,11 @@ class TestNormalized:
         with pytest.raises(NormalizationError):
             StateVector(amps).normalized()
 
+    @pytest.mark.parametrize("amps", [[], [[1.0], [0.0]]])
+    def test_rejects_empty_or_not_1d(self, amps):
+        with pytest.raises(DimensionMismatchError):
+            StateVector(amps)
+
     @pytest.mark.parametrize("amps", [
         [1e200, 1e200],
         [1e-200, 1e-200],
@@ -177,6 +178,10 @@ class TestAmplitudeMap:
 
 
 class TestObservable:
+    def test_rejects_empty(self):
+        with pytest.raises(HermiticityError):
+            Observable(np.zeros((0, 0)))
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             Observable([[0, 1], [0, 0]])
@@ -189,7 +194,7 @@ class TestObservable:
     def test_projectors_built_on_first_use(self):
         obs = Observable(np.diag([1.0, 1.0, 2.0]))
         assert "spectrum" not in vars(obs)
-        assert np.array_equal(obs.projector(1.0), np.diag([1.0, 1.0, 0.0]))
+        assert np.array_equal(obs.spectrum[0][1], np.diag([1.0, 1.0, 0.0]))
         assert "spectrum" in vars(obs)
 
     def test_projector_completeness(self, rng):
@@ -209,74 +214,3 @@ class TestObservable:
         obs = Observable(random_hermitian(rng, 6))
         vals = obs.eigenvalues
         assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-class TestCanonicalGenerators:
-    def test_zero_angle_identity(self, rng):
-        x = random_point(rng, 3)
-        g = CanonicalGenerator("qq-rotation", 0, 2, 0.0)
-        y = canonical_apply(g, x)
-        assert np.max(np.abs(y.flat() - x.flat())) < 1e-15
-
-    def test_phase_rotation_quarter_turn(self):
-        g = CanonicalGenerator("phase-rotation", 0, 0, np.pi / 2)
-        y = canonical_apply(g, PhasePoint([1.0], [0.0]))
-        assert abs(y.q[0]) < 1e-15 and y.p[0] == pytest.approx(1.0)
-
-    def test_qp_rotation_periodicity(self, rng):
-        x = random_point(rng, 4)
-        g = CanonicalGenerator("qp-rotation", 1, 3, 2 * np.pi)
-        y = canonical_apply(g, x)
-        assert np.max(np.abs(y.flat() - x.flat())) < 1e-12
-
-    @given(
-        kind=st.sampled_from(["qq-rotation", "qp-rotation", "phase-rotation"]),
-        theta=st.floats(-10, 10, allow_nan=False),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_generators_preserve_both_forms(self, kind, theta, seed):
-        rng = np.random.default_rng(seed)
-        n = 4
-        i, j = (1, 1) if kind == "phase-rotation" else (0, 2)
-        g = CanonicalGenerator(kind, i, j, theta)
-        m = g.matrix(n)
-        assert np.max(np.abs(m.T @ m - np.eye(2 * n))) < 1e-12
-        x, y = random_point(rng, n), random_point(rng, n)
-        gx, gy = canonical_apply(g, x), canonical_apply(g, y)
-        assert abs(g_form(gx, gy) - g_form(x, y)) < 1e-12
-        assert abs(omega_form(gx, gy) - omega_form(x, y)) < 1e-12
-
-    @staticmethod
-    def _literal(kind, i, j, theta, n):
-        # element-wise 2n x 2n construction: a reference for real_block of
-        # the complex n x n unitary that matrix() builds
-        c, s = np.cos(theta), np.sin(theta)
-        m = np.eye(2 * n)
-        qi, qj, pi, pj = i, j, n + i, n + j
-        if kind == "qq-rotation":
-            for a, b in ((qi, qj), (pi, pj)):
-                m[a, a], m[a, b], m[b, a], m[b, b] = c, s, -s, c
-        elif kind == "qp-rotation":
-            m[qi, qi], m[qi, pj], m[qj, qj], m[qj, pi] = c, -s, c, -s
-            m[pi, pi], m[pi, qj], m[pj, pj], m[pj, qi] = c, s, c, s
-        else:
-            m[qi, qi], m[qi, pi], m[pi, qi], m[pi, pi] = c, -s, s, c
-        return m
-
-    def test_matrix_equals_the_literal_construction(self):
-        rng = np.random.default_rng(11)
-        kinds = ("qq-rotation", "qp-rotation", "phase-rotation")
-        for k in range(1500):
-            kind, n = kinds[k % 3], int(rng.integers(2, 7))
-            i, j = (int(v) for v in rng.choice(n, 2, replace=False))
-            if kind == "phase-rotation":
-                j = i
-            theta = (0.0, np.pi, float(rng.uniform(-10, 10)))[k % 5 // 2]
-            g = CanonicalGenerator(kind, i, j, theta)
-            assert np.array_equal(g.matrix(n), self._literal(kind, i, j, theta, n))
-
-    def test_index_out_of_range(self):
-        g = CanonicalGenerator("qq-rotation", 0, 5, 1.0)
-        with pytest.raises(IndexError):
-            g.matrix(3)

@@ -1,4 +1,4 @@
-"""Projective jumps, metric probabilities, ensembles, Gaussian measurement."""
+"""Projective jumps, metric probabilities, ensembles, continuous observation."""
 
 import tracemalloc
 
@@ -10,7 +10,6 @@ from qphase import (
     GaussianMeasurement,
     Observable,
     PhasePoint,
-    StateVector,
     born_probability_via_metric,
     born_weights,
     branch_probabilities,
@@ -20,7 +19,6 @@ from qphase import (
     draw_branch,
     from_phase,
     g_form,
-    gaussian_apply,
     measure_nonselective,
     measure_selective,
     to_phase,
@@ -394,23 +392,6 @@ class TestStepMatrix:
 
 
 class TestGaussian:
-    def test_eigenstate_readout_distribution(self):
-        rng = np.random.default_rng(5)
-        m = GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 2.0, 0.5)
-        x = PhasePoint([1, 0], [0, 0])
-        alphas = np.array([gaussian_apply(x, m, rng)[0] for _ in range(20_000)])
-        assert abs(alphas.mean() - 1.0) < 3 * np.sqrt(m.readout_variance / alphas.size)
-        assert abs(alphas.var() - m.readout_variance) < 0.05 * m.readout_variance
-        _, post = gaussian_apply(x, m, rng)
-        assert np.max(np.abs(post.flat() - x.flat())) < 1e-12
-
-    def test_strong_limit_projects(self, rng):
-        m = GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 1000.0, 1.0)
-        x = PhasePoint([1 / R2, 1 / R2], [0, 0])
-        _, post = gaussian_apply(x, m, rng)
-        psi = from_phase(post).amplitudes
-        assert max(abs(psi[0]) ** 2, abs(psi[1]) ** 2) > 1 - 1e-6
-
     @pytest.mark.parametrize("strength, dt", [
         (np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, np.inf), (0.0, 0.1), (1.0, -0.1),
     ])
@@ -418,24 +399,8 @@ class TestGaussian:
         with pytest.raises(ValueError):
             GaussianMeasurement(Observable(np.diag([1.0, -1.0])), strength, dt)
 
-    def test_readout_density_mixture(self):
-        m = GaussianMeasurement(Observable(np.diag([1.0, -1.0])), 1.0, 0.25)
-        x = PhasePoint([1 / R2, 1 / R2], [0, 0])
-        var = m.readout_variance
-        grid = np.linspace(-8, 8, 5001)
-        dens = m.readout_density(x, grid)
-        want = 0.5 * (
-            np.exp(-((grid - 1) ** 2) / (2 * var)) + np.exp(-((grid + 1) ** 2) / (2 * var))
-        ) / np.sqrt(2 * np.pi * var)
-        assert np.max(np.abs(dens - want)) < 1e-12
-        assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-9
-
 
 class TestDensityMatrix:
-    def test_from_state(self):
-        rho = DensityMatrix.from_state(StateVector([1 / R2, 1j / R2]))
-        assert rho.matrix[0, 1] == pytest.approx(-0.5j)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
@@ -501,21 +466,6 @@ class TestSpectralKernelOracle:
                 if want[b] > 1e-3:  # the normalized projection is ill-conditioned near zero weight
                     ref = p @ psi / np.linalg.norm(p @ psi)
                     assert np.max(np.abs(collapse(psi, obs, b) - ref)) < 1e-14
-
-    def test_gaussian_post_state_and_readout_density(self, rng):
-        grid = np.linspace(-2.0, 5.0, 71)
-        for obs, projectors, x in self.cases(rng, 100):
-            m = GaussianMeasurement(obs, 0.7, 0.5)
-            alpha, post = gaussian_apply(x, m, rng)
-            psi, sdt = x.amplitudes, m.strength * m.dt
-            ref = sum(np.exp(-sdt * (a - alpha) ** 2) * (p @ psi) for a, p in obs.spectrum)
-            assert np.max(np.abs(post.amplitudes - ref / np.linalg.norm(ref))) < 1e-14
-            var = m.readout_variance
-            want = sum(
-                np.vdot(psi, p @ psi).real * np.exp(-((grid - a) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
-                for a, p in zip(obs.eigenvalues, projectors)
-            )
-            assert np.max(np.abs(m.readout_density(x, grid) - want)) < 1e-14
 
     def test_nonselective_atoms(self, rng):
         for _ in range(200):

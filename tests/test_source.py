@@ -1,8 +1,8 @@
 """Source scan of ``src/qphase``: no unused module-level import, no private
 module-level name that no code in the package uses, no ``expm`` call, no
-SciPy anywhere, no ``raise`` of a builtin exception class outside the
-modules that ROADMAP item 9 has yet to convert to ``QPhaseError``, and no
-indented JSON written outside ``serialize``.
+SciPy anywhere, no ``raise`` of a builtin exception class in any module
+(every rejection is a ``QPhaseError``), no indented JSON written outside
+``serialize``, and no export that only tests reach.
 
 Every propagator goes through ``dynamics.interval_propagators``, and every
 search runs on the NumPy ``_solvers.minimize_box``, so qphase needs only NumPy
@@ -16,15 +16,20 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qphase")
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(REPO, "src", "qphase")
 FILES = sorted(f[:-3] for f in os.listdir(SRC) if f.endswith(".py"))
 # the package's __init__ imports only to re-export
 MODULES = [f for f in FILES if f != "__init__"]
 
 
-def parse(module: str) -> ast.Module:
-    with open(os.path.join(SRC, f"{module}.py")) as fh:
+def parse_file(path: str) -> ast.Module:
+    with open(path) as fh:
         return ast.parse(fh.read())
+
+
+def parse(module: str) -> ast.Module:
+    return parse_file(os.path.join(SRC, f"{module}.py"))
 
 
 def imported_names(tree: ast.Module) -> list:
@@ -108,9 +113,6 @@ def test_no_scipy_submodule_at_import(module):
     assert not found, f"{module}.py refers to SciPy: {found}"
 
 
-# modules that still raise builtin ValueErrors (ROADMAP item 9); each leaves
-# this set when its sites raise QPhaseErrors, and every other module is scanned
-UNCONVERTED = {"geometry"}
 # (module, function) pairs allowed a builtin raise: the expm stand-in the
 # benchmark's tracer wraps raises NotImplementedError if anything calls it
 BUILTIN_RAISE_EXEMPT = {("_solvers", "never_called")}
@@ -139,15 +141,10 @@ def builtin_raises(tree: ast.Module, module: str) -> list:
     return sorted(found)
 
 
-@pytest.mark.parametrize("module", [m for m in FILES if m not in UNCONVERTED])
+@pytest.mark.parametrize("module", FILES)
 def test_no_builtin_raise(module):
     found = builtin_raises(parse(module), module)
     assert not found, f"{module}.py raises builtin exceptions, not QPhaseErrors: {found}"
-
-
-@pytest.mark.parametrize("module", sorted(UNCONVERTED))
-def test_unconverted_modules_still_raise_builtins(module):
-    assert builtin_raises(parse(module), module), f"{module}.py is converted: drop it from UNCONVERTED"
 
 
 def test_builtin_raise_scan_sees_every_form():
@@ -248,3 +245,113 @@ def test_json_write_scan_sees_every_form():
         "line = json.dumps(x, sort_keys=True)\n"
     )
     assert json_file_writes(tree) == [(1, "dump"), (2, "dump"), (2, "indent="), (3, "indent=")]
+
+
+# every export earns its place: each public name the package's __init__
+# re-exports, and each public method of an exported class, is referenced by
+# production code outside its own definition.  Production is the package,
+# scripts/, the acceptance tests and the benchmark's non-test files.
+# Exports that tests alone reach stay only for a planned caller:
+TEST_ONLY_EXPORTS = {
+    "control_hamiltonian": "ROADMAP item 12; the one statement of H, which TestAdjointConsistency checks",
+    "solve_shooting": "ROADMAP items 17 and 20",
+    "orbit_membership": "ROADMAP items 7 and 14",
+    "build_frame_general": "ROADMAP items 7 and 14",
+    "ProtocolTrace.to_json_lines": "ROADMAP item 1's --trace",
+}
+
+
+def non_test_files(directory: str) -> list:
+    return [
+        os.path.join(directory, f)
+        for f in sorted(os.listdir(directory))
+        if f.endswith(".py") and not f.startswith("test_")
+    ]
+
+
+def export_definitions(init: ast.Module, modules: dict) -> dict:
+    """Qualified name -> definition node of each public export and each public method of an exported class.
+
+    ``modules`` maps a module name to its tree.  A module re-exported whole
+    (``from . import m``) maps to its tree, and a name that is not a
+    ``def`` or ``class`` maps to None.
+    """
+    found = {}
+    for node in init.body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name
+            if name.startswith("_"):
+                continue
+            if node.module is None:
+                found[name] = modules[alias.name]
+                continue
+            found[name] = None
+            for d in modules[node.module].body:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and d.name == alias.name:
+                    found[name] = d
+                    if isinstance(d, ast.ClassDef):
+                        for m in d.body:
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_"):
+                                found[f"{name}.{m.name}"] = m
+    return found
+
+
+def uncalled_exports(init: ast.Module, modules: dict, production: list) -> list:
+    """Exports of ``init`` that no tree in ``production`` reads by name, attribute or string outside the definition."""
+    refs = {}
+    for tree in production:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                key = node.id
+            elif isinstance(node, ast.Attribute):
+                key = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                key = node.value
+            else:
+                continue
+            refs.setdefault(key, []).append(id(node))
+    uncalled = []
+    for qualname, definition in export_definitions(init, modules).items():
+        inside = {id(n) for n in ast.walk(definition)} if definition is not None else set()
+        if all(ref in inside for ref in refs.get(qualname.split(".")[-1], [])):
+            uncalled.append(qualname)
+    return sorted(uncalled)
+
+
+def test_every_export_has_a_caller():
+    modules = {m: parse(m) for m in MODULES}
+    production = list(modules.values()) + [
+        parse_file(path)
+        for path in non_test_files(os.path.join(REPO, "scripts"))
+        + [os.path.join(REPO, "tests", "test_acceptance.py")]
+        + non_test_files(os.path.join(REPO, "perfbench"))
+    ]
+    uncalled = uncalled_exports(parse("__init__"), modules, production)
+    stray = [name for name in uncalled if name not in TEST_ONLY_EXPORTS]
+    assert not stray, f"exported, but only tests reach: {stray}"
+    called = sorted(set(TEST_ONLY_EXPORTS) - set(uncalled))
+    assert not called, f"{called} now have a production caller or are gone: drop them from TEST_ONLY_EXPORTS"
+
+
+def test_export_scan_sees_every_form():
+    init = ast.parse("from .m import Used, Unused, Recursive, Cls, Assigned\nfrom . import m, other\n")
+    m = ast.parse(
+        "def Used(): pass\n"
+        "def Unused(): pass\n"
+        "def Recursive(n): return Recursive(n - 1)\n"
+        "class Cls:\n"
+        "    def called(self): return self.helper()\n"
+        "    def helper(self): pass\n"
+        "    def by_string(self): pass\n"
+        "    def uncalled(self): return self.uncalled()\n"
+        "    def _private(self): pass\n"
+        "Assigned = Used()\n"
+    )
+    other = ast.parse("def f(): return other\n")
+    caller = ast.parse("import qphase\nqphase.Cls().called()\ngetattr(obj, 'by_string')\nAssigned = 1\nm.x\n")
+    modules = {"m": m, "other": other}
+    assert uncalled_exports(init, modules, [m, other, caller]) == [
+        "Assigned", "Cls.uncalled", "Recursive", "Unused", "other",
+    ]

@@ -82,9 +82,9 @@ class TestFloquetComponents:
 
     def test_free_propagation_pure_phase(self):
         s = TorusState.eigenstate((2, -1))
-        out = apply_floquet_component(s, "U0", tau=0.8)
+        out = apply_floquet_component(s, "U0")
         amp = out.support[0][1]
-        assert abs(amp - np.exp(-1j * 5 * 0.8 / 2)) < 1e-12
+        assert abs(amp - np.exp(-1j * 5 / 2)) < 1e-12
 
     def test_norm_preserved_on_superposition(self):
         s = TorusState((((0, 0), 0.6), ((1, 2), 0.8j)))
