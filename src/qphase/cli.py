@@ -60,6 +60,7 @@ EXIT_DOMAIN = 4
 # the seed is None for a deterministic command
 COMMANDS = ("evolve", "measure", "closure", "steer", "stabilize", "torus-plan", "pmp")
 STOCHASTIC_COMMANDS = ("measure", "steer", "stabilize")
+_MISSING = object()  # Scenario.get's default when Scenario.require asks
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,9 @@ class Scenario:
     path: str
 
     def require(self, field: str):
-        node = self.raw
-        for part in field.split("."):
-            if not isinstance(node, dict) or part not in node:
-                raise ScenarioError(field, "required field is missing")
-            node = node[part]
+        node = self.get(field, _MISSING)
+        if node is _MISSING:
+            raise ScenarioError(field, "required field is missing")
         return node
 
     def get(self, field: str, default=None):
@@ -245,7 +244,7 @@ def cmd_evolve(scenario: Scenario, args, seed=None) -> list:
         + ["energy"]
     )
     path = os.path.join(args.out, "trajectory.csv")
-    write_csv(path, header, fmt_lines(np.column_stack([times, points, energies])), preformatted=True)
+    write_csv(path, header, fmt_lines(np.column_stack([times, points, energies])))
     return ["trajectory.csv"]
 
 
@@ -266,7 +265,7 @@ def cmd_measure(scenario: Scenario, args, seed: int) -> list:
         + [f"q{k+1}" for k in range(x0.dim)]
         + [f"p{k+1}" for k in range(x0.dim)]
     )
-    write_csv(os.path.join(args.out, "measurements.csv"), header, lines, preformatted=True)
+    write_csv(os.path.join(args.out, "measurements.csv"), header, lines)
     return ["measurements.csv"]
 
 
@@ -371,7 +370,7 @@ def cmd_pmp(scenario: Scenario, args, seed=None) -> list:
     write_csv(
         os.path.join(args.out, "pmp_schedule.csv"),
         ["t"] + [f"u{j+1}" for j in range(sol.schedule.n_channels)],
-        [[t, *row] for t, row in zip(sol.schedule.grid[:-1], sol.schedule.values)],
+        fmt_lines(np.column_stack([sol.schedule.grid[:-1], sol.schedule.values])),
     )
     if not sol.converged:
         raise MaxIterationsError(

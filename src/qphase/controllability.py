@@ -6,7 +6,7 @@ dimension N^2 means full u(N) control, N^2 - 1 with traceless generators
 means su(N) (phases not controllable), anything smaller leaves the complex
 sphere foliated into proper orbits.  The closure basis is one stacked
 array, orthonormalised by classical Gram-Schmidt with re-orthogonalisation
-under a finite positive tolerance; a closure of dimension 0 still knows N.
+under a fixed tolerance; a closure of dimension 0 still knows N.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ VERDICT_SU = "controllable-su(N)"
 VERDICT_NOT = "not-controllable"
 
 _FIDELITY_TOL = 1e-6  # orbit membership is accepted at fidelity >= 1 - this
+_CLOSURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,18 +64,16 @@ class LieClosureReport:
         }
 
 
-def lie_closure(generators, tol: float = 1e-10) -> LieClosureReport:
+def lie_closure(generators) -> LieClosureReport:
     """Closure of {i H_k} under commutators, orthonormalized in HS norm.
 
     Row k of one ``(N^2, N^2)`` array is basis element k, flattened.  Each
     candidate (the generators, then [B_a, B_b] for b among the last round's
     additions and a before them) is scaled to unit norm and projected off
     the rows twice (classical Gram-Schmidt with re-orthogonalisation in
-    Re(a^H b)); it is kept unless either norm is at most ``tol``, which must
-    be finite and positive.  Rounds stop at N^2 or when one adds nothing.
+    Re(a^H b)); it is kept unless either norm is at most ``_CLOSURE_TOL``,
+    1e-10.  Rounds stop at N^2 or when one adds nothing.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ProtocolParameterError("tol must be finite and positive")
     gens = [g if isinstance(g, Observable) else Observable(g) for g in generators]
     if not gens:
         raise ProtocolParameterError("at least one generator required")
@@ -89,13 +88,13 @@ def lie_closure(generators, tol: float = 1e-10) -> LieClosureReport:
     def try_add(m: np.ndarray) -> None:
         nonlocal d
         scale = np.linalg.norm(m)
-        if scale <= tol:
+        if scale <= _CLOSURE_TOL:
             return
         v = m.ravel() / scale
         for _ in range(2):  # re-orthogonalize for stability
             v -= np.real(q[:d].conj() @ v) @ q[:d]
         nv = np.linalg.norm(v)
-        if nv > tol:
+        if nv > _CLOSURE_TOL:
             q[d] = v / nv
             d += 1
 
@@ -135,13 +134,15 @@ class OrbitMembership:
 
 
 def group_element(report: LieClosureReport, params: np.ndarray) -> np.ndarray:
-    """exp(sum_m params_m B_m) over the closure basis, one coefficient per element."""
+    """exp(sum_m params_m B_m) over the closure basis, one finite coefficient per element."""
     params = np.atleast_1d(params)
     if params.shape != (report.dimension,):
         raise DimensionMismatchError(
             f"{report.dimension} coefficients expected for a closure of dimension {report.dimension}, "
             f"got {params.size}"
         )
+    if not np.all(np.isfinite(params)):
+        raise ProtocolParameterError(f"closure coefficients must be finite, got {params.tolist()}")
     props, _, _ = interval_propagators(report._plant, params[None, :], [1.0])
     return props[0]
 

@@ -91,16 +91,6 @@ class ControlSchedule:
         k = np.clip(np.searchsorted(self.grid, t, side="right") - 1, 0, len(self.values) - 1)
         return self.values[k]
 
-    def segments(self, t0: float, t1: float):
-        """Yield (ta, tb, u) covering [t0, t1] with constant control per piece."""
-        if not self.covers(t0, t1):
-            raise ScheduleCoverageError(
-                f"schedule [{self.grid[0]}, {self.grid[-1]}] does not cover [{t0}, {t1}]"
-            )
-        cuts = [t0] + [float(t) for t in self.grid if t0 < t < t1] + [t1]
-        for ta, tb in zip(cuts[:-1], cuts[1:]):
-            yield ta, tb, self.value_at(0.5 * (ta + tb))
-
 
 @dataclass(frozen=True)
 class ControlledHamiltonian:

@@ -115,9 +115,6 @@ class PhasePoint:
     def norm_sq(self) -> float:
         return float(np.sum(self.q**2 + self.p**2))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
     @property
     def amplitudes(self) -> np.ndarray:
         """Complex amplitudes psi_k = q_k + i p_k of this phase point."""

@@ -88,15 +88,21 @@ def draw_branch(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def collapse(psi: np.ndarray, a: Observable, branch: int) -> np.ndarray:
-    """Normalized projection of the amplitudes psi onto one spectral branch."""
+    """Normalized projection of the amplitudes psi onto one spectral branch.
+
+    A projection of norm at most 1e-15 raises ``ZeroProbabilityBranchError``.
+    """
     post = a.project(psi, branch)
-    return post / np.linalg.norm(post)
+    nrm = np.linalg.norm(post)
+    if nrm <= 1e-15:
+        raise ZeroProbabilityBranchError(f"branch {branch} has zero weight: nothing to collapse onto")
+    return post / nrm
 
 
 def branch_outcome(
     psi: np.ndarray, a: Observable, probs: np.ndarray, branch: int
 ) -> MeasurementOutcome:
-    """Outcome of a measurement of psi that landed on ``branch``."""
+    """Outcome of a measurement of psi that landed on ``branch``; a zero-weight branch raises as in ``collapse``."""
     post = collapse(psi, a, branch)
     return MeasurementOutcome(
         value=a.eigenvalues[branch],

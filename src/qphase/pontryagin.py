@@ -79,11 +79,11 @@ class ControlDomain:
     def n_channels(self) -> int:
         return self.lower.size
 
-    def contains(self, u, tol: float = 1e-12) -> bool:
+    def contains(self, u) -> bool:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape != self.lower.shape:
             return False
-        return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
+        return bool(np.all(u >= self.lower - 1e-12) and np.all(u <= self.upper + 1e-12))
 
     def clip(self, u) -> np.ndarray:
         return np.clip(np.atleast_1d(np.asarray(u, dtype=float)), self.lower, self.upper)
@@ -133,10 +133,6 @@ class CostIntegrand:
         if self.kind == COST_ENERGY and phi0 < 0:
             return -slopes / (2.0 * phi0)
         return None
-
-    def evaluate(self, x: PhasePoint, u, t: float = 0.0) -> float:
-        """X0(u); x and t complete the signature X0(x, u, t) of a running cost."""
-        return float(self.rate(np.atleast_1d(u)))
 
 
 @dataclass(frozen=True)
@@ -190,14 +186,14 @@ def control_hamiltonian(
     cost: CostIntegrand,
     domain: ControlDomain | None = None,
 ) -> float:
-    """**H**(x, phi, u) = phi0 X0(x, u) + phi_z . L(u) z, the coupling being Im(phi^H H(u) psi)."""
+    """**H**(x, phi, u) = phi0 X0(u) + phi_z . L(u) z, the coupling being Im(phi^H H(u) psi)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if domain is not None and not domain.contains(u):
         raise ControlDomainError(f"control {u} outside the domain")
     if s.dim != plant.dim:
         raise DimensionMismatchError("state and plant dimensions differ")
     psi, phi = s.point.amplitudes, PhasePoint.from_flat(s.phi[1:]).amplitudes
-    return float(s.phi[0] * cost.evaluate(s.point, u) + np.vdot(phi, plant.matrix_for(u) @ psi).imag)
+    return float(s.phi[0] * cost.rate(u) + np.vdot(phi, plant.matrix_for(u) @ psi).imag)
 
 
 def _slopes(plant: ControlledHamiltonian, psis: np.ndarray, phis: np.ndarray) -> np.ndarray:

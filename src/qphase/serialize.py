@@ -30,7 +30,7 @@ def fmt_lines(rows):
     """CSV lines of a 2-d array of floats, every cell as ``fmt`` writes it.
 
     One format operation per row; the lines end in ``"\\n"``, ready for
-    ``write_csv(..., preformatted=True)``.
+    ``write_csv``.
     """
     rows = np.asarray(rows, dtype=float)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
@@ -149,15 +149,11 @@ def write_trials_json(path, labels, records: dict):
     _write_chunks(path, _joined(itertools.chain(('{\n  "trials": [',), trials, (end,))))
 
 
-def write_csv(path, header, rows, preformatted: bool = False):
-    """Write rows of floats (or pre-formatted strings) under a header line.
+def write_csv(path, header, lines):
+    """Write text lines, each ending in ``"\\n"`` (``fmt_lines`` makes them from floats), under a header line.
 
-    ``rows`` may be any iterable, a generator included; it is streamed, with
+    ``lines`` may be any iterable, a generator included; it is streamed, with
     the header line, in chunks of ``_CHUNK`` lines, each joined and written
     with one call.
-    With ``preformatted`` each row is already the full text of its line,
-    ending in ``"\\n"``, and is written as it is.
     """
-    if not preformatted:
-        rows = (",".join([c if isinstance(c, str) else fmt(c) for c in row]) + "\n" for row in rows)
-    _write_chunks(path, _joined(itertools.chain((",".join(header) + "\n",), rows)))
+    _write_chunks(path, _joined(itertools.chain((",".join(header) + "\n",), lines)))

@@ -395,6 +395,7 @@ _WORD_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
 _UNIT = 1.0 / 9007199254740992.0  # 2**-53
 _LOW32 = 0xFFFFFFFF
 _MAX_BLOCK = 1 << 16
+_MAX_KICKS = 10_000  # per acquisition; each kick lands on the middle level with odds 1/2
 
 
 class _RawDraws:
@@ -485,7 +486,6 @@ def stabilize_middle_level(
     mu: float = 1.0,
     disturbance: float | None = None,
     n_periods: int = 0,
-    max_iters: int = 10_000,
     rng: np.random.Generator | None = None,
     record_steps: bool = False,
 ) -> ProtocolTrace:
@@ -493,7 +493,7 @@ def stabilize_middle_level(
 
     Measures the drift energy; an extreme outcome triggers the h2(pi/2)
     kick, which leaves Born weight 1/2 on the middle level, and the cycle
-    repeats, at most ``max_iters`` kicks per acquisition.  With a
+    repeats, at most ``_MAX_KICKS`` (10,000) kicks per acquisition.  With a
     disturbance probability set, ``n_periods`` maintenance periods follow:
     each draws a uniform, below ``disturbance`` moves the state to the
     level ``rng.integers(0, 3)``, then measures, and a period that ends on
@@ -531,9 +531,8 @@ def stabilize_middle_level(
         isinstance(disturbance, bool) or not (isinstance(disturbance, numbers.Real) and 0.0 <= disturbance <= 1.0)
     ):
         raise ProtocolParameterError(f"disturbance must be a probability in [0, 1], got {disturbance!r}")
-    for name, value in (("n_periods", n_periods), ("max_iters", max_iters)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-            raise ProtocolParameterError(f"{name} must be a non-negative integer, got {value!r}")
+    if isinstance(n_periods, bool) or not isinstance(n_periods, (int, np.integer)) or n_periods < 0:
+        raise ProtocolParameterError(f"n_periods must be a non-negative integer, got {n_periods!r}")
     if x0.dim != 3:
         raise DimensionMismatchError(f"the ladder stabilizer needs a three-level state, got dimension {x0.dim}")
     obs, kick, levels, columns = _ladder_stabilizer(mu)
@@ -566,8 +565,8 @@ def stabilize_middle_level(
         """Kick and measure the measured state e_level z until it is on the middle level."""
         cycles = 0
         while level != 1:
-            if cycles >= max_iters:
-                raise MaxIterationsError(f"no middle-level projection in {max_iters} cycles")
+            if cycles >= _MAX_KICKS:
+                raise MaxIterationsError(f"no middle-level projection in {_MAX_KICKS} cycles")
             amps = _kicked(columns[level], z)
             if steps is not None:
                 steps.append(ProtocolStep("evolve", {"word": kick.describe()}, PhasePoint.from_amplitudes(amps)))

@@ -189,9 +189,6 @@ class KickPlan:
     k_start: tuple
     k_target: tuple
 
-    def moves(self) -> list:
-        return list(self.steps)
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -205,7 +202,7 @@ class KickPlan:
         return {
             "k_start": list(self.k_start),
             "k_target": list(self.k_target),
-            "moves": self.moves(),
+            "moves": list(self.steps),
             "length": len(self),
         }
 
@@ -349,15 +346,14 @@ def plan_kicks(k_start, k_target, cat: CatMap | None = None, allow_cat_moves: bo
 def reach_state(
     s0: TorusState,
     k_target,
-    cat: CatMap | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[ProtocolTrace, TorusState]:
-    """Measure momentum, plan from the recorded outcome, replay the plan.
+    """Measure momentum, plan from the recorded outcome under ``CatMap.default()``, replay the plan.
 
     A non-integral entry of ``k_target`` raises ``ProtocolParameterError``.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    cat = CatMap.default() if cat is None else cat
+    cat = CatMap.default()
     k_target = _label(k_target)
     k0, state = measure_momentum(s0, rng)
     plan = plan_kicks(k0, k_target, cat, radius=s0.radius)

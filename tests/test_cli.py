@@ -24,7 +24,7 @@ from qphase import (
 from qphase.cli import EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_SCHEMA, run
 from qphase.measurement import branch_probabilities, measure_selective
 from qphase.rng import stream
-from qphase.serialize import write_csv, write_json
+from qphase.serialize import fmt, write_csv, write_json
 from qphase.steering import build_frame_3level, h3_matrix, stabilize_middle_level, steer
 
 from conftest import random_hermitian, random_point
@@ -398,7 +398,7 @@ class TestTrialOracles:
             rows.append([k, out.branch, out.value, out.probability, *out.post_state.q, *out.post_state.p])
         header = ["trial", "branch", "value", "probability"]
         header += [f"q{k+1}" for k in range(len(psi))] + [f"p{k+1}" for k in range(len(psi))]
-        write_csv(tmp_path / "oracle.csv", header, rows)
+        write_csv(tmp_path / "oracle.csv", header, (",".join(map(fmt, row)) + "\n" for row in rows))
         return read(tmp_path / "oracle.csv")
 
     def test_measure_three_level(self, tmp_path):
@@ -837,7 +837,7 @@ call("KickPlan", plan.steps, plan.k_start, plan.k_target)
 torus = call("TorusState", (((0, 0), 2 ** -0.5), ((1, 0), 2 ** -0.5)))
 call("apply_floquet_component", torus, "U1")
 call("measure_momentum", torus, rng)
-call("reach_state", torus, (3, -2), cat, rng)
+call("reach_state", torus, (3, -2), rng)
 
 domain, cost = call("ControlDomain", [-1.0], [1.0]), call("CostIntegrand")
 two_level = qphase.ControlledHamiltonian(sz, (sx,))

@@ -68,9 +68,10 @@ class TestControlSchedule:
         assert s.value_at(1.0)[0] == 0.5
 
     def test_segments_split_on_breakpoints(self):
-        s = ControlSchedule([0.0, 1.0, 2.0], [[1.0], [-1.0]])
-        segs = list(s.segments(0.5, 1.5))
-        assert [u[0] for _, _, u in segs] == [1.0, -1.0]
+        plant = ControlledHamiltonian(np.diag([1.0, -1.0]), (np.array([[0, 1], [1, 0]], complex),),
+                                      ControlSchedule([0.0, 1.0, 2.0], [[1.0], [-1.0]]))
+        cuts, values, dts = plant._pieces(np.array([0.5, 1.5]))
+        assert (cuts.tolist(), values[:, 0].tolist(), dts.tolist()) == ([0.5, 1.0, 1.5], [1.0, -1.0], [0.5, 0.5])
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -268,7 +269,8 @@ class TestIntervalPropagators:
             ControlSchedule([0.0, 0.4, 1.0, 1.7], rng.uniform(-1, 1, size=(3, 2))),
         )
         want = np.eye(3, dtype=complex)
-        for ta, tb, u in plant.schedule.segments(0.2, 1.5):
+        # the pieces [0.2, 0.4], [0.4, 1.0], [1.0, 1.5] and the rows in force on them
+        for ta, tb, u in zip([0.2, 0.4, 1.0], [0.4, 1.0, 1.5], plant.schedule.values):
             want = expm(-1j * plant.matrix_for(u) * (tb - ta)) @ want
         assert np.max(np.abs(evolve_unitary(plant, 0.2, 1.5) - want)) < 1e-12
 

@@ -12,6 +12,7 @@ from qphase import (
     PhasePoint,
     born_probability_via_metric,
     born_weights,
+    branch_outcome,
     branch_probabilities,
     closest_point_check,
     collapse,
@@ -64,6 +65,15 @@ class TestSelective:
     def test_nan_state_rejected(self, rng):
         with pytest.raises(NormalizationError):
             measure_selective(PhasePoint([np.nan, 0.0], [0.0, 0.0]), Observable(np.diag([0.0, 1.0])), rng)
+
+    @pytest.mark.parametrize("psi", [[1.0, 0.0, 0.0], [1.0, 1e-16, 0.0], [0.0, 0.0, 1j]])
+    def test_zero_weight_branch_raises(self, psi):
+        # the normalised projection would be all NaN, with a RuntimeWarning
+        psi, obs = np.array(psi, dtype=complex), Observable(np.diag([1.0, 2.0, 3.0]))
+        probs = born_weights(psi / np.linalg.norm(psi), obs)
+        for call in (lambda: collapse(psi, obs, 1), lambda: branch_outcome(psi, obs, probs, 1)):
+            with pytest.raises(ZeroProbabilityBranchError, match="branch 1"):
+                call()
 
     def test_born_statistics_3sigma(self):
         rng = np.random.default_rng(99)

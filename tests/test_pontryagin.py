@@ -101,7 +101,6 @@ def reference_objective_and_gradient(u_flat, plant, cost, z0, z_goal, grid, weig
     [u+, u-] for the l1 cost, whose running cost sum(u+ + u-) has slope dt.
     """
     m, r = grid.size - 1, len(plant.controls)
-    n = z0.size // 2
     u = u_flat.reshape(m, r)
     ljs = [real_block(-1j * h) for h in plant.controls]
     dts = np.diff(grid)
@@ -111,7 +110,7 @@ def reference_objective_and_gradient(u_flat, plant, cost, z0, z_goal, grid, weig
         e = expm(gen * dts[k])
         props.append((gen, e))
         zs.append(e @ zs[-1])
-        run_cost += cost.evaluate(PhasePoint(zs[k][:n], zs[k][n:]), u[k]) * dts[k]
+        run_cost += cost.rate(u[k]) * dts[k]
     a, b, jz_goal = _penalty_terms(zs[-1], z_goal)
     value = run_cost + weight * (1.0 - a * a - b * b)
     grad = np.zeros((m, r))
@@ -314,7 +313,7 @@ class TestSplitPolish:
     def test_controls_stay_in_the_box(self, lower, upper, channels):
         sol, dom = l1_inversion(channels=channels, lower=lower, upper=upper)
         u = sol.schedule.values
-        assert all(dom.contains(row, tol=0.0) for row in u)
+        assert np.all(u >= dom.lower) and np.all(u <= dom.upper)
         assert sol.cost == CostIntegrand("control-l1").rate(u) @ np.diff(sol.schedule.grid)
 
 

@@ -1,4 +1,8 @@
-"""Each demo script in scripts/ runs to completion with small arguments."""
+"""Each script in scripts/ runs to completion with small arguments.
+
+``{tmp}`` in an argument stands for the test's temporary directory, so no
+script writes into the checkout.
+"""
 
 import glob
 import os
@@ -13,6 +17,7 @@ SMALL_ARGS = {
     "run_pmp_twolevel.py": ["--grid", "20"],
     "run_steering_demo.py": ["--trials", "20"],
     "run_torus_demo.py": ["--pairs", "20"],
+    "write_artifact_digests.py": ["{tmp}/artifact_digests.json"],
 }
 
 
@@ -21,12 +26,12 @@ def test_every_script_has_small_arguments():
 
 
 @pytest.mark.parametrize("script", SCRIPTS)
-def test_script_runs(script):
+def test_script_runs(script, tmp_path):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", script), *SMALL_ARGS[script]],
+        [sys.executable, os.path.join(ROOT, "scripts", script), *(a.format(tmp=tmp_path) for a in SMALL_ARGS[script])],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -15,13 +15,18 @@ from hypothesis import strategies as st
 
 import qphase.cli
 import qphase.serialize
-from qphase.serialize import fmt_lines, write_csv, write_json, write_trials_json
+from qphase.serialize import fmt, fmt_lines, write_csv, write_json, write_trials_json
 
 HEADER = ["trial", "value", "tail"]
 
 
-def csv_text(tmp_path, header, rows):
-    write_csv(tmp_path / "out.csv", header, rows)
+def cells(row) -> str:
+    """The CSV line of one row, cell by cell: strings as they are, numbers through ``fmt``."""
+    return ",".join(c if isinstance(c, str) else fmt(c) for c in row) + "\n"
+
+
+def csv_text(tmp_path, header, lines):
+    write_csv(tmp_path / "out.csv", header, lines)
     return (tmp_path / "out.csv").read_bytes()
 
 
@@ -34,7 +39,7 @@ def test_csv_formats_ints_floats_and_strings(tmp_path):
         [-0.0, 5e-324, "inf"],
         [float("inf"), 9007199254740993, "1e-300"],
     ]
-    assert csv_text(tmp_path, HEADER, rows) == (
+    assert csv_text(tmp_path, HEADER, map(cells, rows)) == (
         b"trial,value,tail\n"
         b"0,0.10000000000000001,x,y\n"
         b"7,0.33333333333333331,pre-formatted\n"
@@ -46,14 +51,14 @@ def test_csv_formats_ints_floats_and_strings(tmp_path):
 
 
 def test_preformatted_lines_are_written_as_they_are(tmp_path):
-    write_csv(tmp_path / "out.csv", ["a", "b"], (f"{k},x\n" for k in range(3)), preformatted=True)
+    write_csv(tmp_path / "out.csv", ["a", "b"], (f"{k},x\n" for k in range(3)))
     assert (tmp_path / "out.csv").read_bytes() == b"a,b\n0,x\n1,x\n2,x\n"
 
 
 def test_fmt_lines_match_the_cell_by_cell_rows(tmp_path):
     rows = np.array([[0.1, 1 / 3, -0.0], [5e-324, np.inf, -2.5], [9007199254740993, np.nan, 1e-300]])
-    write_csv(tmp_path / "lines.csv", HEADER, fmt_lines(rows), preformatted=True)
-    assert (tmp_path / "lines.csv").read_bytes() == csv_text(tmp_path, HEADER, rows)
+    write_csv(tmp_path / "lines.csv", HEADER, fmt_lines(rows))
+    assert (tmp_path / "lines.csv").read_bytes() == csv_text(tmp_path, HEADER, map(cells, rows))
 
 
 def test_csv_with_no_rows_is_the_header_line(tmp_path):
@@ -63,34 +68,38 @@ def test_csv_with_no_rows_is_the_header_line(tmp_path):
 
 def test_csv_streams_a_generator_of_rows(tmp_path):
     tails = {0: "a,0.5", 1: "b,0.25"}
-    rows = ([k, tails[k % 2]] for k in range(4))
-    assert csv_text(tmp_path, ["k", "label", "p"], rows) == b"k,label,p\n0,a,0.5\n1,b,0.25\n2,a,0.5\n3,b,0.25\n"
+    lines = (cells([k, tails[k % 2]]) for k in range(4))
+    assert csv_text(tmp_path, ["k", "label", "p"], lines) == b"k,label,p\n0,a,0.5\n1,b,0.25\n2,a,0.5\n3,b,0.25\n"
 
 
-def per_line_csv(path, header, rows, preformatted=False):
-    """The writer with one ``write`` per row, as an oracle for the chunked one."""
+def per_line_csv(path, header, lines):
+    """The writer with one ``write`` per line, as an oracle for the chunked one."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(row if preformatted else ",".join(c if isinstance(c, str) else "%.17g" % float(c) for c in row) + "\n")
+        for line in lines:
+            fh.write(line)
 
 
 CHUNK = qphase.serialize._CHUNK
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
-@pytest.mark.parametrize("preformatted", [False, True], ids=["cells", "preformatted"])
+@pytest.mark.parametrize("source", ["cells", "preformatted"])
 @pytest.mark.parametrize("as_list", [True, False], ids=["list", "generator"])
-def test_chunked_csv_matches_a_per_line_writer(tmp_path, n, preformatted, as_list):
-    def rows():
-        for k in range(n):
-            row = [k, k / 7, f"s{k % 3}", -0.0 if k % 5 else np.inf]
-            yield ",".join(map(str, row)) + "\n" if preformatted else row
-
+def test_chunked_csv_matches_a_per_line_writer(tmp_path, n, source, as_list):
+    """Lines of float cells from ``fmt_lines`` against the cell-by-cell oracle, and lines made by hand."""
+    if source == "cells":
+        header = ["k", "x", "y"]
+        rows = np.array([[k, k / 7, -0.0 if k % 5 else np.inf] for k in range(n)]).reshape(n, 3)
+        want_lines, lines = map(cells, rows), fmt_lines(rows)
+    else:
+        header = ["k", "x", "s", "y"]
+        want_lines = [",".join(map(str, [k, k / 7, f"s{k % 3}", -0.0 if k % 5 else np.inf])) + "\n" for k in range(n)]
+        lines = iter(want_lines)
     want = tmp_path / "want.csv"
-    per_line_csv(want, ["k", "x", "s", "y"], rows(), preformatted)
+    per_line_csv(want, header, want_lines)
     got = tmp_path / "got.csv"
-    write_csv(got, ["k", "x", "s", "y"], list(rows()) if as_list else rows(), preformatted)
+    write_csv(got, header, list(lines) if as_list else lines)
     assert got.read_bytes() == want.read_bytes()
     assert len(got.read_bytes().splitlines()) == n + 1
 
@@ -229,7 +238,7 @@ WRITERS = {
     "trials": (lambda path: write_trials_json(path, [0, 1, 0], {0: {"f": 0.5}, 1: {"f": 1.0}}),
                json.dumps({"trials": [{"f": 0.5, "trial": 0}, {"f": 1.0, "trial": 1}, {"f": 0.5, "trial": 2}]},
                           indent=2, sort_keys=True) + "\n"),
-    "csv": (lambda path: write_csv(path, ["k", "x"], ([k, k / 3] for k in range(2 * CHUNK + 5))),
+    "csv": (lambda path: write_csv(path, ["k", "x"], fmt_lines([[k, k / 3] for k in range(2 * CHUNK + 5)])),
             "k,x\n" + "".join(f"{k},{k / 3:.17g}\n" for k in range(2 * CHUNK + 5))),
 }
 

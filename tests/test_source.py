@@ -2,7 +2,8 @@
 module-level name that no code in the package uses, no ``expm`` call, no
 SciPy anywhere, no ``raise`` of a builtin exception class in any module
 (every rejection is a ``QPhaseError``), no indented JSON written outside
-``serialize``, and no export that only tests reach.
+``serialize``, no export that only tests reach, and no option that only
+tests set.
 
 Every propagator goes through ``dynamics.interval_propagators``, and every
 search runs on the NumPy ``_solvers.minimize_box``, so qphase needs only NumPy
@@ -299,36 +300,47 @@ def export_definitions(init: ast.Module, modules: dict) -> dict:
 
 
 def uncalled_exports(init: ast.Module, modules: dict, production: list) -> list:
-    """Exports of ``init`` that no tree in ``production`` reads by name, attribute or string outside the definition."""
-    refs = {}
+    """Exports of ``init`` that no tree in ``production`` references outside the definition.
+
+    A function, class or module is referenced when it is read by name, as
+    an attribute or as a string; a method only as an attribute (``x.name``)
+    or as the name string of a ``getattr`` call, so a bare name or a dict key
+    that shares a method's name does not count.
+    """
+    names, attributes = {}, {}
     for tree in production:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                key = node.id
+                names.setdefault(node.id, []).append(id(node))
             elif isinstance(node, ast.Attribute):
-                key = node.attr
+                attributes.setdefault(node.attr, []).append(id(node))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                key = node.value
-            else:
-                continue
-            refs.setdefault(key, []).append(id(node))
+                names.setdefault(node.value, []).append(id(node))
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+                attributes.setdefault(node.args[1].value, []).append(id(node.args[1]))
     uncalled = []
     for qualname, definition in export_definitions(init, modules).items():
         inside = {id(n) for n in ast.walk(definition)} if definition is not None else set()
-        if all(ref in inside for ref in refs.get(qualname.split(".")[-1], [])):
+        name = qualname.split(".")[-1]
+        refs = attributes.get(name, []) + ([] if "." in qualname else names.get(name, []))
+        if all(ref in inside for ref in refs):
             uncalled.append(qualname)
     return sorted(uncalled)
 
 
-def test_every_export_has_a_caller():
-    modules = {m: parse(m) for m in MODULES}
-    production = list(modules.values()) + [
+def production_trees(modules: dict) -> list:
+    return list(modules.values()) + [
         parse_file(path)
         for path in non_test_files(os.path.join(REPO, "scripts"))
         + [os.path.join(REPO, "tests", "test_acceptance.py")]
         + non_test_files(os.path.join(REPO, "perfbench"))
     ]
-    uncalled = uncalled_exports(parse("__init__"), modules, production)
+
+
+def test_every_export_has_a_caller():
+    modules = {m: parse(m) for m in MODULES}
+    uncalled = uncalled_exports(parse("__init__"), modules, production_trees(modules))
     stray = [name for name in uncalled if name not in TEST_ONLY_EXPORTS]
     assert not stray, f"exported, but only tests reach: {stray}"
     called = sorted(set(TEST_ONLY_EXPORTS) - set(uncalled))
@@ -346,12 +358,116 @@ def test_export_scan_sees_every_form():
         "    def helper(self): pass\n"
         "    def by_string(self): pass\n"
         "    def uncalled(self): return self.uncalled()\n"
+        "    def shadowed(self): pass\n"
         "    def _private(self): pass\n"
         "Assigned = Used()\n"
     )
     other = ast.parse("def f(): return other\n")
-    caller = ast.parse("import qphase\nqphase.Cls().called()\ngetattr(obj, 'by_string')\nAssigned = 1\nm.x\n")
+    caller = ast.parse(
+        "import qphase\nqphase.Cls().called()\ngetattr(obj, 'by_string')\nAssigned = 1\nm.x\n"
+        "shadowed = {'shadowed': 0}\nprint(shadowed)\n"
+    )
     modules = {"m": m, "other": other}
     assert uncalled_exports(init, modules, [m, other, caller]) == [
-        "Assigned", "Cls.uncalled", "Recursive", "Unused", "other",
+        "Assigned", "Cls.shadowed", "Cls.uncalled", "Recursive", "Unused", "other",
+    ]
+
+
+# every option earns a caller: each parameter with a default, of an exported
+# function, of a public method of an exported class or of a public function of
+# a module the package re-exports whole, is passed by some production call
+# outside its own definition.  A value no caller sets is a constant.  Options
+# that tests alone set stay only for a planned caller:
+TEST_ONLY_OPTIONS = {
+    "stabilize_middle_level(record_steps=)": "ROADMAP item 1's --trace",
+}
+
+
+def option_functions(init: ast.Module, modules: dict) -> dict:
+    """Qualified name -> (def node, whether it is a method) of every callable whose options are scanned."""
+    found = {}
+    for qualname, definition in export_definitions(init, modules).items():
+        if isinstance(definition, ast.Module):
+            for f in definition.body:
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and not f.name.startswith("_"):
+                    found[f"{qualname}.{f.name}"] = (f, False)
+        elif isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(getattr(d, "id", None) == "staticmethod" for d in definition.decorator_list)
+            found[qualname] = (definition, "." in qualname and not static)
+    return found
+
+
+def defaulted_parameters(func, method: bool) -> list:
+    """(name, position) of each parameter with a default; the position counts after ``self`` or ``cls``,
+    and is None for a keyword-only parameter."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    skip = 1 if method else 0
+    found = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    return found + [(a.arg, None) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults) if d is not None]
+
+
+def sets_parameter(call: ast.Call, name: str, position) -> bool:
+    """Whether ``call`` passes the parameter by keyword, by position, or through a ``*`` or ``**`` splat."""
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unset_options(init: ast.Module, modules: dict, production: list, exempt=()) -> list:
+    """``name(parameter=)`` of every scanned option that no call in ``production`` outside the definition sets.
+
+    A call counts when it calls a name or attribute equal to the function's
+    name; the functions named in ``exempt`` are not scanned.
+    """
+    calls = {}
+    for tree in production:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for qualname, (func, method) in option_functions(init, modules).items():
+        if qualname in exempt:
+            continue
+        inside = {id(n) for n in ast.walk(func)}
+        outside = [call for call in calls.get(func.name, []) if id(call) not in inside]
+        for name, position in defaulted_parameters(func, method):
+            if not any(sets_parameter(call, name, position) for call in outside):
+                unset.append(f"{qualname}({name}=)")
+    return sorted(unset)
+
+
+def test_every_option_has_a_setter():
+    modules = {m: parse(m) for m in MODULES}
+    unset = unset_options(parse("__init__"), modules, production_trees(modules), TEST_ONLY_EXPORTS)
+    stray = [option for option in unset if option not in TEST_ONLY_OPTIONS]
+    assert not stray, f"options that no production call sets: {stray}"
+    stale = sorted(set(TEST_ONLY_OPTIONS) - set(unset))
+    assert not stale, f"{stale} now have a production setter or are gone: drop them from TEST_ONLY_OPTIONS"
+
+
+def test_option_scan_sees_every_form():
+    init = ast.parse("from .m import f, g, Cls, Exempt\nfrom . import util\n")
+    m = ast.parse(
+        "def f(a, b=1, *, c=2, d=3): return f(a, b, c=0, d=0)\n"
+        "def g(a, b=1, c=2): pass\n"
+        "class Cls:\n"
+        "    def method(self, x=1, y=2): pass\n"
+        "    @classmethod\n"
+        "    def make(cls, z=0): pass\n"
+        "    @staticmethod\n"
+        "    def static(s=0): pass\n"
+        "    def _private(self, p=0): pass\n"
+        "def Exempt(e=0): pass\n"
+    )
+    util = ast.parse("def helper(h=1): pass\ndef spread(a, s=1): pass\ndef _hidden(h=1): pass\n")
+    caller = ast.parse(
+        "f(1, c=3)\ng(1, **options)\nobj.method(5)\nCls.make(z=1)\nCls.static(1)\nspread(*args)\n"
+    )
+    modules = {"m": m, "util": util}
+    assert unset_options(init, modules, [m, util, caller], {"Exempt"}) == [
+        "Cls.method(y=)", "f(b=)", "f(d=)", "util.helper(h=)",
     ]

@@ -221,12 +221,12 @@ class TestPlanKicks:
 
     def test_integral_floats_and_numpy_integers_are_labels(self):
         plan = plan_kicks((1.0, np.int64(0)), (np.float64(3.0), 0))
-        assert plan.moves() == plan_kicks((1, 0), (3, 0)).moves()
+        assert plan.steps == plan_kicks((1, 0), (3, 0)).steps
 
     def test_deterministic(self):
         p1 = plan_kicks((-7, 12), (4, -9))
         p2 = plan_kicks((-7, 12), (4, -9))
-        assert p1.moves() == p2.moves()
+        assert p1.steps == p2.steps
 
 
 def in_box_distances(target, cat, radius) -> dict:
@@ -254,8 +254,8 @@ def test_plans_match_in_box_oracle(radius):
         dist = in_box_distances(target, cat, radius)
         assert len(dist) == len(labels)
         for start in labels:
-            moves = plan_kicks(start, target, cat, radius=radius).moves()
-            translation = plan_kicks(start, target, cat, allow_cat_moves=False, radius=radius).moves()
+            moves = plan_kicks(start, target, cat, radius=radius).steps
+            translation = plan_kicks(start, target, cat, allow_cat_moves=False, radius=radius).steps
             assert len(moves) == dist[start]
             if dist[start] == len(translation):
                 assert moves == translation
