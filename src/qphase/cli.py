@@ -49,7 +49,7 @@ from .serialize import (
     write_trials_json,
 )
 from .steering import build_frame_3level, stabilize_middle_level, steer_outcome
-from .torus import DEFAULT_CAT, CatMap, plan_kicks
+from .torus import CatMap, plan_kicks
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -180,8 +180,8 @@ def _integer_pair(field: str, value) -> tuple:
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb", buffering=0) as fh:  # one read, no text layer
+            raw = json.loads(fh.read().decode("utf-8"))
     except FileNotFoundError:
         raise ScenarioError("scenario", f"file not found: {path}")
     except OSError as exc:  # a directory, or a file we may not read
@@ -331,14 +331,17 @@ def cmd_stabilize(scenario: Scenario, args, seed: int) -> list:
 
 
 def cmd_torus_plan(scenario: Scenario, args, seed=None) -> list:
-    rows = scenario.get("system.torus.cat", DEFAULT_CAT)
-    if not isinstance(rows, (list, tuple)) or len(rows) != 2:
+    rows = scenario.get("system.torus.cat", _MISSING)
+    if rows is _MISSING:
+        cat = CatMap.default()
+    elif not isinstance(rows, (list, tuple)) or len(rows) != 2:
         raise ScenarioError("system.torus.cat", f"not a 2x2 integer matrix: {rows!r}")
-    rows = tuple(_integer_pair("system.torus.cat", row) for row in rows)
-    try:
-        cat = CatMap(rows)
-    except ValueError as exc:
-        raise ScenarioError("system.torus.cat", str(exc))
+    else:
+        rows = tuple(_integer_pair("system.torus.cat", row) for row in rows)
+        try:
+            cat = CatMap(rows)
+        except ValueError as exc:
+            raise ScenarioError("system.torus.cat", str(exc))
     k_start = _integer_pair("torus_start", scenario.require("torus_start"))
     k_target = _integer_pair("torus_target", scenario.require("torus_target"))
     allow_cat = scenario.get("allow_cat_moves", True)
@@ -400,7 +403,8 @@ def run(argv=None) -> int:
             raise ScenarioError("trials", "must be >= 1")
         scenario = load_scenario(args.scenario)
         try:
-            os.makedirs(args.out, exist_ok=True)
+            if not os.path.isdir(args.out):
+                os.makedirs(args.out, exist_ok=True)
         except OSError as exc:  # a file already holds the name, or a parent is one
             raise ScenarioError("out", f"cannot create directory {args.out}: {exc.strerror or exc}")
         seed = None

@@ -83,6 +83,7 @@ def lie_closure(generators) -> LieClosureReport:
 
     max_dim = n * n
     q = np.zeros((max_dim, max_dim), dtype=complex)
+    qc = np.zeros_like(q)  # qc[:d] == q[:d].conj(), written as each row is accepted
     d = 0
 
     def try_add(m: np.ndarray) -> None:
@@ -92,10 +93,11 @@ def lie_closure(generators) -> LieClosureReport:
             return
         v = m.ravel() / scale
         for _ in range(2):  # re-orthogonalize for stability
-            v -= np.real(q[:d].conj() @ v) @ q[:d]
+            v -= np.real(qc[:d] @ v) @ q[:d]
         nv = np.linalg.norm(v)
         if nv > _CLOSURE_TOL:
             q[d] = v / nv
+            np.conjugate(q[d], out=qc[d])
             d += 1
 
     for g in gens:
@@ -117,7 +119,7 @@ def lie_closure(generators) -> LieClosureReport:
     else:
         verdict = VERDICT_NOT
     q.flags.writeable = False
-    return LieClosureReport(q[:d].reshape(d, n, n), verdict, np.real(q[:d].conj() @ q[:d].T))
+    return LieClosureReport(q[:d].reshape(d, n, n), verdict, np.real(qc[:d] @ q[:d].T))
 
 
 @dataclass(frozen=True)

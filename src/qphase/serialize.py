@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from .errors import DimensionMismatchError
+
 _str_text = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
@@ -30,9 +32,11 @@ def fmt_lines(rows):
     """CSV lines of a 2-d array of floats, every cell as ``fmt`` writes it.
 
     One format operation per row; the lines end in ``"\\n"``, ready for
-    ``write_csv``.
+    ``write_csv``.  Anything but a 2-d array raises ``DimensionMismatchError``.
     """
     rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise DimensionMismatchError(f"fmt_lines needs a 2-d array of rows, got shape {rows.shape}")
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     return (line % tuple(row) for row in rows.tolist())
 
@@ -84,6 +88,8 @@ def _encode(obj, indent: str, memo: dict) -> str:
             if type(v) is float:  # inline: a Gram's floats are its whole cost
                 text = memo.get(v)
                 parts.append(_float_text(v, memo) if text is None else text)
+            elif type(v) is str:  # inline too: a plan's moves
+                parts.append(_str_text(v))
             else:
                 parts.append(_encode(v, inner, memo))
         return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"

@@ -58,7 +58,8 @@ class CatMap:
 
     @classmethod
     def default(cls) -> "CatMap":
-        return cls(DEFAULT_CAT)
+        """The map of ``DEFAULT_CAT``, one shared instance."""
+        return _DEFAULT_CAT_MAP
 
 
 def _label(k, what: str = "momentum label") -> tuple:
@@ -76,6 +77,9 @@ def _label(k, what: str = "momentum label") -> tuple:
     if not integral:
         raise ProtocolParameterError(f"{what} {k!r} is not a pair of integers")
     return label
+
+
+_DEFAULT_CAT_MAP = CatMap(DEFAULT_CAT)
 
 
 def _radius(radius) -> int:
@@ -137,6 +141,25 @@ class TorusState:
     def eigenstate(cls, k, radius: int = DEFAULT_RADIUS) -> "TorusState":
         return cls(((tuple(k), 1.0 + 0.0j),), radius)
 
+    @classmethod
+    def _relabelled(cls, s: "TorusState", move: str, cat: CatMap) -> "TorusState":
+        """``s`` with every label sent through ``move``, each checked against the box.
+
+        A move is a bijection of integer labels that keeps the amplitudes, so
+        the labels of a valid state stay distinct pairs of ints and the norm
+        stays 1: only the box check and the sort of ``__post_init__`` remain.
+        """
+        relabelled = []
+        for k, a in s.support:
+            k2 = move_step(move, k, cat)
+            if _outside(k2, s.radius):
+                raise TruncationOverflowError(f"{move} sends {k} to {k2}, outside the box")
+            relabelled.append((k2, a))
+        out = object.__new__(cls)
+        object.__setattr__(out, "support", tuple(sorted(relabelled)))  # labels are distinct
+        object.__setattr__(out, "radius", s.radius)
+        return out
+
 
 def apply_floquet_component(
     s: TorusState,
@@ -160,14 +183,7 @@ def apply_floquet_component(
         return TorusState(items, s.radius)
     if which in ("U1", "U2", "U3"):
         move = which if sign == 1 else which + "^-1"
-        cat = CatMap.default() if cat is None else cat
-        relabeled = []
-        for k, a in s.support:
-            k2 = move_step(move, k, cat)
-            if _outside(k2, s.radius):
-                raise TruncationOverflowError(f"{move} sends {k} to {k2}, outside the box")
-            relabeled.append((k2, a))
-        return TorusState(tuple(relabeled), s.radius)
+        return TorusState._relabelled(s, move, CatMap.default() if cat is None else cat)
     raise ProtocolParameterError(f"unknown Floquet component {which!r}")
 
 
@@ -205,6 +221,10 @@ class KickPlan:
             "moves": list(self.steps),
             "length": len(self),
         }
+
+
+# (Floquet component, sign) of each move, as apply_floquet_component takes them
+_FACTORS = {move: (move[:2], -1 if move.endswith("^-1") else 1) for move in MOVES}
 
 
 def _translation_moves(k_start, k_target) -> list:
@@ -249,6 +269,15 @@ def _neighbours(cat: CatMap, radius: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _blank_levels(size: int) -> np.ndarray:
+    """``_in_box_moves``'s ``dist`` before the search, read-only: unlabelled, with the -1 sentinel last."""
+    dist = np.full(size, np.iinfo(np.int32).max, dtype=np.int32)
+    dist[-1] = -1
+    dist.flags.writeable = False
+    return dist
+
+
 def _in_box_moves(k_start, k_target, cat: CatMap, radius: int) -> list:
     """Lexicographically first minimal move sequence that stays in the box.
 
@@ -282,8 +311,7 @@ def _in_box_moves(k_start, k_target, cat: CatMap, radius: int) -> list:
     """
     table = _neighbours(cat, radius)
     start, target = 2 * _index(k_start, radius), 2 * _index(k_target, radius) + 1
-    dist = np.full(len(table) + 1, np.iinfo(np.int32).max, dtype=np.int32)
-    dist[-1] = -1
+    dist = _blank_levels(len(table) + 1).copy()
     dist[start] = dist[target] = 0
     frontier, level = np.array([start, target]), 0
     partner = dist.take(frontier ^ 1)
@@ -343,6 +371,10 @@ def plan_kicks(k_start, k_target, cat: CatMap | None = None, allow_cat_moves: bo
     return KickPlan(tuple(moves), k_start, k_target)
 
 
+# the placeholder point of every reach_state step: PhasePoint is frozen and its arrays are read-only
+_NO_POINT = PhasePoint([0.0], [0.0])
+
+
 def reach_state(
     s0: TorusState,
     k_target,
@@ -357,14 +389,11 @@ def reach_state(
     k_target = _label(k_target)
     k0, state = measure_momentum(s0, rng)
     plan = plan_kicks(k0, k_target, cat, radius=s0.radius)
-    # one placeholder point for every step: PhasePoint is frozen and its arrays are read-only
-    point = PhasePoint([0.0], [0.0])
-    steps = [ProtocolStep("measure", {"k": list(k0)}, point)]
+    steps = [ProtocolStep("measure", {"k": list(k0)}, _NO_POINT)]
     for move in plan.steps:
-        which = move.split("^")[0]
-        sign = -1 if move.endswith("^-1") else 1
+        which, sign = _FACTORS[move]
         state = apply_floquet_component(state, which, sign=sign, cat=cat)
-        steps.append(ProtocolStep("evolve", {"move": move}, point))
+        steps.append(ProtocolStep("evolve", {"move": move}, _NO_POINT))
     final_k = state.support[0][0]
     fidelity = 1.0 if final_k == k_target and len(state.support) == 1 else 0.0
     return ProtocolTrace(tuple(steps), final_fidelity=fidelity, iterations=len(plan)), state

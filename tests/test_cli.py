@@ -544,7 +544,8 @@ class TestTorusPlanScenarioErrors:
         code, err = self._code(tmp_path, payload, capsys)
         assert code == EXIT_SCHEMA and field in err
 
-    @pytest.mark.parametrize("cat", [[[2, 0], [0, 2]], [[0, -1], [1, 0]], 5, [[2, 1]], [["a", 1], [1, 1]]])
+    # only an absent matrix means CatMap.default(); an explicit null is malformed
+    @pytest.mark.parametrize("cat", [[[2, 0], [0, 2]], [[0, -1], [1, 0]], 5, [[2, 1]], [["a", 1], [1, 1]], None])
     def test_bad_cat(self, tmp_path, capsys, cat):
         payload = {"system": {"torus": {"cat": cat}}, "torus_start": [1, 1], "torus_target": [0, 1]}
         code, err = self._code(tmp_path, payload, capsys)

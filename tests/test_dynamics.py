@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, expm_frechet
 
+import qphase.dynamics
 from qphase import (
     ClassicalHamiltonian,
     ControlSchedule,
@@ -183,6 +184,43 @@ class TestSampleTrajectory:
         x0 = random_point(rng, 3)
         points, _ = sample_trajectory(plant, x0, [0.5])
         assert np.array_equal(points[0], x0.flat())
+
+    @pytest.mark.parametrize("values, times", [
+        # samples split every interval, and rows recur out of order, -0.0 beside 0.0 included
+        ([[0.3, -1.0], [0.7, 0.2], [0.3, -1.0], [0.0, 0.2], [-0.0, 0.2], [0.7, 0.2]], np.linspace(0.0, 3.0, 25)),
+        ([[0.5, 0.5]] * 4, [0.0, 0.2, 0.2, 1.0, 1.7, 2.0]),
+        (None, np.linspace(0.0, 4.0, 33)),  # drift-only: every piece shares the empty row
+    ])
+    def test_one_diagonalisation_per_distinct_row(self, rng, monkeypatch, values, times):
+        """Bit for bit the per-piece path: every piece diagonalised, the pass and the energies as before."""
+        drift = random_hermitian(rng, 3)
+        if values is None:
+            plant = ControlledHamiltonian.drift_only(drift)
+        else:
+            grid = np.linspace(0.0, times[-1], len(values) + 1)
+            controls = tuple(random_hermitian(rng, 3) for _ in range(2))
+            plant = ControlledHamiltonian(drift, controls, ControlSchedule(grid, values))
+        x0, times = random_point(rng, 3), np.asarray(times, dtype=float)
+        cuts, pieces, dts = plant._pieces(times)
+        psis = forward_states(interval_propagators(plant, pieces, dts)[0], x0.amplitudes)[np.searchsorted(cuts, times)]
+        coeffs = np.ones((times.size, 1 + len(plant.controls)))
+        if plant.controls:
+            coeffs[:, 1:] = plant.schedule.value_at(times)
+        want_energies = 0.5 * np.einsum("ia,ij,ajk,ik->i", coeffs, psis.conj(), plant.hamiltonians, psis).real
+
+        rows = []
+        original = qphase.dynamics.interval_propagators
+
+        def counting(h, u, d):
+            rows.append(len(u))
+            return original(h, u, d)
+
+        monkeypatch.setattr(qphase.dynamics, "interval_propagators", counting)
+        points, energies = sample_trajectory(plant, x0, times)
+        assert np.array_equal(points, np.concatenate([psis.real, psis.imag], axis=1))
+        assert np.array_equal(energies, want_energies)
+        distinct = {tuple(row) for row in np.asarray(pieces).view(np.int64).tolist()}
+        assert rows == [len(distinct)] and len(distinct) < len(dts)
 
     def test_coverage_and_times_are_checked(self, rng):
         plant = self.plant(rng, [0.0, 1.0])

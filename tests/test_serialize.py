@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import qphase.cli
 import qphase.serialize
+from qphase.errors import DimensionMismatchError
 from qphase.serialize import fmt, fmt_lines, write_csv, write_json, write_trials_json
 
 HEADER = ["trial", "value", "tail"]
@@ -61,9 +62,16 @@ def test_fmt_lines_match_the_cell_by_cell_rows(tmp_path):
     assert (tmp_path / "lines.csv").read_bytes() == csv_text(tmp_path, HEADER, map(cells, rows))
 
 
+@pytest.mark.parametrize("rows", [[], [1.0, 2.0], np.zeros((2, 2, 2))])
+def test_fmt_lines_rejects_anything_but_rows(rows):
+    with pytest.raises(DimensionMismatchError):
+        fmt_lines(rows)
+
+
 def test_csv_with_no_rows_is_the_header_line(tmp_path):
     assert csv_text(tmp_path, HEADER, []) == b"trial,value,tail\n"
     assert csv_text(tmp_path, HEADER, iter(())) == b"trial,value,tail\n"
+    assert csv_text(tmp_path, HEADER, fmt_lines(np.zeros((0, 3)))) == b"trial,value,tail\n"
 
 
 def test_csv_streams_a_generator_of_rows(tmp_path):
@@ -208,6 +216,7 @@ def dumped_bytes(path, payload):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(payload=st.dictionaries(KEYS, TREES, max_size=6))
 @example(payload={"gram": [[0.0, -0.0, 2.7755575615628914e-17], [2.7755575615628914e-17, -0.0, 0.0]], "e": [], "f": {}})
+@example(payload={"moves": ["U2^-1", "U1", '"', "\\", "\n", "\u2603", "\U0001f600"], "k": [["U3"], ("U3",)]})
 def test_json_bytes_equal_json_dump(tmp_path, payload):
     """The typed encoder and its float memo write ``json.dump``'s bytes:
     signed zeros side by side, repeated round-off, non-finite floats,

@@ -69,6 +69,10 @@ class TestCatMap:
         with pytest.raises(ValueError):
             CatMap(((0, -1), (1, 0)))
 
+    def test_default_is_one_shared_instance(self):
+        assert CatMap.default() is CatMap.default()
+        assert CatMap.default() == CatMap(torus.DEFAULT_CAT)
+
 
 class TestFloquetComponents:
     def test_cat_kick_relabels(self):
@@ -101,6 +105,29 @@ class TestFloquetComponents:
         s = TorusState.eigenstate((32, 0), radius=32)
         with pytest.raises(TruncationOverflowError):
             apply_floquet_component(s, "U2", sign=-1)
+
+
+@pytest.mark.parametrize("cat", [CatMap.default(), CatMap(((3, 2), (1, 1)))])
+def test_relabelling_matches_the_checked_constructor(cat):
+    """A U1/U2/U3 move skips the label, duplicate and norm checks; its state
+    must equal the one ``TorusState`` builds from the moved support."""
+    rng = np.random.default_rng(11)
+    radius = 6
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        labels = {tuple(k) for k in rng.integers(-radius, radius + 1, (n, 2)).tolist()}
+        amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        s = TorusState(tuple(zip(labels, amps / np.linalg.norm(amps))), radius)
+        for which in ("U1", "U2", "U3"):
+            for sign in (1, -1):
+                move = which if sign == 1 else which + "^-1"
+                moved = tuple((torus.move_step(move, k, cat), a) for k, a in s.support)
+                if any(max(map(abs, k)) > radius for k, _ in moved):
+                    with pytest.raises(TruncationOverflowError):
+                        apply_floquet_component(s, which, sign, cat)
+                    continue
+                out = apply_floquet_component(s, which, sign, cat)
+                assert out == TorusState(moved, radius)
 
 
 class TestMeasureMomentum:
