@@ -271,7 +271,7 @@ def cmd_measure(scenario: Scenario, args, seed: int) -> list:
 
 def cmd_closure(scenario: Scenario, args, seed=None) -> list:
     plant = scenario.plant()
-    report = lie_closure(tuple(Observable(h) for h in plant.hamiltonians))
+    report = lie_closure(plant.hamiltonians)
     write_json(os.path.join(args.out, "closure.json"), report.to_json_dict())
     return ["closure.json"]
 

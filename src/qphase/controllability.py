@@ -18,9 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from ._solvers import minimize_box
-from .dynamics import ControlledHamiltonian, interval_propagators, overlap_gradient
+from .dynamics import ControlledHamiltonian, _as_hermitian, interval_propagators, overlap_gradient
 from .errors import DimensionMismatchError, ProtocolParameterError
-from .geometry import Observable, PhasePoint, from_phase
+from .geometry import PhasePoint, from_phase
+from .rng import _index
 
 VERDICT_U = "controllable-u(N)"
 VERDICT_SU = "controllable-su(N)"
@@ -72,13 +73,15 @@ def lie_closure(generators) -> LieClosureReport:
     additions and a before them) is scaled to unit norm and projected off
     the rows twice (classical Gram-Schmidt with re-orthogonalisation in
     Re(a^H b)); it is kept unless either norm is at most ``_CLOSURE_TOL``,
-    1e-10.  Rounds stop at N^2 or when one adds nothing.
+    1e-10.  Rounds stop at N^2 or when one adds nothing.  Each generator
+    is a Hermitian matrix or an ``Observable``, checked without an
+    eigendecomposition; H is traceless when |tr H| <= 1e-10 max(1, max|H_ij|).
     """
-    gens = [g if isinstance(g, Observable) else Observable(g) for g in generators]
+    gens = [_as_hermitian(g) for g in generators]
     if not gens:
         raise ProtocolParameterError("at least one generator required")
-    n = gens[0].dim
-    if any(g.dim != n for g in gens):
+    n = gens[0].shape[0]
+    if any(g.shape[0] != n for g in gens):
         raise DimensionMismatchError("generators must share one dimension")
 
     max_dim = n * n
@@ -101,7 +104,7 @@ def lie_closure(generators) -> LieClosureReport:
             d += 1
 
     for g in gens:
-        try_add(1j * g.matrix)
+        try_add(1j * g)
     basis = q.reshape(max_dim, n, n)
     lo, hi = 0, d
     while lo < hi and d < max_dim:
@@ -111,7 +114,7 @@ def lie_closure(generators) -> LieClosureReport:
                 break
         lo, hi = hi, d
 
-    traceless = all(g.is_traceless() for g in gens)
+    traceless = all(abs(np.trace(g)) <= 1e-10 * max(1.0, np.max(np.abs(g))) for g in gens)
     if d == max_dim:
         verdict = VERDICT_U
     elif traceless and d == max_dim - 1:
@@ -147,11 +150,6 @@ def group_element(report: LieClosureReport, params: np.ndarray) -> np.ndarray:
         raise ProtocolParameterError(f"closure coefficients must be finite, got {params.tolist()}")
     props, _, _ = interval_propagators(report._plant, params[None, :], [1.0])
     return props[0]
-
-
-def _check_budget(budget) -> None:
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
-        raise ProtocolParameterError(f"budget must be a non-negative integer, got {budget!r}")
 
 
 def _orbit_search(report: LieClosureReport, psi: np.ndarray, terminal, goal: float, budget: int, rng):
@@ -200,7 +198,7 @@ def orbit_membership(
     n = report._plant.dim
     if not x.dim == y.dim == n:
         raise DimensionMismatchError(f"states of dimensions {x.dim}, {y.dim} against a closure on C^{n}")
-    _check_budget(budget)
+    _index(budget, "budget")
     rng = np.random.default_rng(0) if rng is None else rng
     psi_x = from_phase(x).normalized().amplitudes
     psi_y = from_phase(y).normalized().amplitudes

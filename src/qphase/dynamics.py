@@ -167,12 +167,8 @@ def interval_propagators(plant: ControlledHamiltonian, u, dts):
     if dts.ndim != 1 or u.shape != (dts.size, len(plant.controls)):
         raise DimensionMismatchError("need one row of control values per interval")
     w, v = np.linalg.eigh(plant.drift + np.einsum("kj,jab->kab", u, plant.hamiltonians[1:]))
-    return _propagators(w, v, dts), w, v
-
-
-def _propagators(w, v, dts) -> np.ndarray:
-    """exp(-i H_k dts[k]) = V_k diag(exp(-i w_k dts[k])) V_k^H from the eigendata of each H_k."""
-    return (v * np.exp(-1j * w * dts[:, None])[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    props = (v * np.exp(-1j * w * dts[:, None])[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return props, w, v
 
 
 def overlap_gradient(plant: ControlledHamiltonian, w, v, dts, psis, lams) -> np.ndarray:
@@ -241,20 +237,6 @@ def evolve(h: ControlledHamiltonian, x0: PhasePoint, t0: float, t1: float) -> Ph
     return PhasePoint.from_amplitudes(evolve_unitary(h, t0, t1) @ psi0)
 
 
-def _distinct_rows(values: np.ndarray):
-    """Where each distinct row of ``values`` first occurs, and each row's index among those.
-
-    Rows compare by their bits, so 0.0 and -0.0 stay apart; ``np.unique``
-    would load ``numpy.ma`` (see ``_pieces``).
-    """
-    keys = list(map(tuple, values.view(np.int64).tolist()))
-    first = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    group = {key: g for g, key in enumerate(first)}
-    return list(first.values()), [group[key] for key in keys]
-
-
 def sample_trajectory(h: ControlledHamiltonian, x0: PhasePoint, times) -> tuple[np.ndarray, np.ndarray]:
     """Phase points and energies along the flow from x0 at times[0].
 
@@ -273,9 +255,7 @@ def sample_trajectory(h: ControlledHamiltonian, x0: PhasePoint, times) -> tuple[
     if times.ndim != 1 or times.size < 1 or not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
         raise ProtocolParameterError("times must be a non-decreasing 1-d array of finite sample times")
     cuts, values, dts = h._pieces(times)
-    first, which = _distinct_rows(values)  # a sample inside an interval repeats its row
-    _, w, v = interval_propagators(h, values[first], dts[first])
-    psis = forward_states(_propagators(w[which], v[which], dts), psi0)[np.searchsorted(cuts, times)]
+    psis = forward_states(interval_propagators(h, values, dts)[0], psi0)[np.searchsorted(cuts, times)]
     coeffs = np.ones((times.size, 1 + len(h.controls)))
     if h.controls:
         coeffs[:, 1:] = h.schedule.value_at(times)

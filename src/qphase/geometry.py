@@ -207,9 +207,6 @@ class Observable:
     def is_nondegenerate(self) -> bool:
         return len(self.eigenvalues) == self.dim
 
-    def is_traceless(self) -> bool:
-        return abs(np.trace(self.matrix)) <= 1e-10 * max(1.0, np.max(np.abs(self.matrix)))
-
     def branch_index(self, a: float) -> int:
         """Index of the spectral branch whose eigenvalue is closest to ``a``."""
         vals = np.asarray(self.eigenvalues)

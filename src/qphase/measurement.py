@@ -26,6 +26,7 @@ from .errors import (
     ZeroProbabilityBranchError,
 )
 from .geometry import Observable, PhasePoint, _readonly, g_form, hermitian
+from .rng import _index
 
 _STATE_TOL = 1e-9
 _ZERO_WEIGHT = 1e-14
@@ -36,9 +37,10 @@ def _positive(value) -> bool:
     return bool(np.isfinite(value) and value > 0)
 
 
-def _require_normalized(x: PhasePoint):
-    if not abs(x.norm_sq() - 1.0) <= _STATE_TOL:
-        raise NormalizationError(f"phase point has squared norm {x.norm_sq()!r}, expected 1")
+def _require_normalized(psi: np.ndarray):
+    norm_sq = float(np.vdot(psi, psi).real)
+    if not abs(norm_sq - 1.0) <= _STATE_TOL:
+        raise NormalizationError(f"state has squared norm {norm_sq!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,7 @@ def born_weights(psi: np.ndarray, a: Observable) -> np.ndarray:
     The Born weights scaled to sum 1; psi must be normalized, or
     ``NormalizationError`` is raised.
     """
-    norm_sq = float(np.vdot(psi, psi).real)
-    if not abs(norm_sq - 1.0) <= _STATE_TOL:
-        raise NormalizationError(f"state has squared norm {norm_sq!r}, expected 1")
+    _require_normalized(psi)
     probs = a.weights(psi)
     return probs / probs.sum()
 
@@ -127,12 +127,8 @@ def born_probability_via_metric(x: PhasePoint, a: Observable, eigenvalue: float)
     Evaluates ``(1 - G(psi - psi_a, psi - psi_a)/2)^2`` where psi_a is the
     normalized projection onto the eigenspace; equals ||P_a psi||^2.
     """
-    _require_normalized(x)
-    ppsi = a.project(x.amplitudes, a.branch_index(eigenvalue))
-    nrm = np.linalg.norm(ppsi)
-    if nrm <= 1e-15:
-        raise ZeroProbabilityBranchError("metric formula undefined on a zero-weight branch")
-    d = x - PhasePoint.from_amplitudes(ppsi / nrm)
+    _require_normalized(x.amplitudes)
+    d = x - PhasePoint.from_amplitudes(collapse(x.amplitudes, a, a.branch_index(eigenvalue)))
     return (1.0 - 0.5 * g_form(d, d)) ** 2
 
 
@@ -148,14 +144,10 @@ def closest_point_check(
     Draws ``trials`` Haar-random normalized states in the eigenspace and
     checks none comes closer to x than the normalized projection.
     """
-    basis = a.eigenspace_basis(eigenvalue)
     psi = x.amplitudes
-    ppsi = basis @ (basis.conj().T @ psi)
-    nrm = np.linalg.norm(ppsi)
-    if nrm <= 1e-15:
-        raise ZeroProbabilityBranchError("closest point undefined on a zero-weight branch")
-    d = x - PhasePoint.from_amplitudes(ppsi / nrm)
+    d = x - PhasePoint.from_amplitudes(collapse(psi, a, a.branch_index(eigenvalue)))
     dist_min = g_form(d, d)
+    basis = a.eigenspace_basis(eigenvalue)
     # trial t draws its r real parts, then its r imaginary parts
     z = rng.normal(size=(trials, 2, basis.shape[1]))
     c = z[:, 0] + 1j * z[:, 1]
@@ -172,7 +164,7 @@ def measure_nonselective(x: PhasePoint, basis: Observable) -> PhaseEnsemble:
     basis direction with weight q_k^2 + p_k^2 (in the measured basis);
     zero-weight branches are omitted.
     """
-    _require_normalized(x)
+    _require_normalized(x.amplitudes)
     if x.dim != basis.dim:
         raise DimensionMismatchError("state and basis dimensions differ")
     if not basis.is_nondegenerate():
@@ -268,15 +260,14 @@ def continuous_observe(
     """
     if not _positive(t_final):
         raise ProtocolParameterError("t_final must be finite and positive")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ProtocolParameterError("steps must be an integer >= 1")
+    steps = _index(steps, "steps", low=1)
     hm = h.matrix
     lam = m.observable.matrix
     if hm.shape != lam.shape or rho0.dim != hm.shape[0]:
         raise DimensionMismatchError("rho, H and Lambda dimensions differ")
     n = hm.shape[0]
     nn = n * n
-    block = min(int(steps), 64, max(1, 2**18 // nn**2))
+    block = min(steps, 64, max(1, 2**18 // nn**2))
     powers = np.empty((block, nn, nn), dtype=complex)
     powers[0] = _step_matrix(hm, lam, m.strength, t_final / steps)
     for j in range(1, block):

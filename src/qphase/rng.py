@@ -44,12 +44,12 @@ def stream(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=_counter(trial)))
 
 
-def _index(value, what: str, top: float = np.inf) -> int:
-    """``value`` as an int in [0, top]: a Python or NumPy integer, not a bool, float or str."""
+def _index(value, what: str, top: float = np.inf, low: int = 0) -> int:
+    """``value`` as an int in [low, top]: a Python or NumPy integer, not a bool, float or str."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ProtocolParameterError(f"{what} must be an integer, got {value!r}")
-    if not 0 <= value <= top:
-        raise ProtocolParameterError(f"{what} must lie in [0, {top}], got {value}")
+    if not low <= value <= top:
+        raise ProtocolParameterError(f"{what} must lie in [{low}, {top}], got {value}")
     return int(value)
 
 

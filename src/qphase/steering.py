@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controllability import LieClosureReport, VERDICT_NOT, _check_budget, _orbit_search, group_element
+from .controllability import LieClosureReport, VERDICT_NOT, _orbit_search, group_element
 from .errors import (
     DegenerateBasisError,
     DimensionMismatchError,
@@ -31,7 +31,6 @@ from .errors import (
     SteeringLabelError,
 )
 from .geometry import (
-    DEGENERACY_RTOL,
     Observable,
     PhasePoint,
     StateVector,
@@ -40,6 +39,7 @@ from .geometry import (
     to_phase,
 )
 from .measurement import _STATE_TOL, MeasurementOutcome, measure_selective
+from .rng import _index
 
 
 def ladder_drift(mu: float = 1.0) -> np.ndarray:
@@ -147,21 +147,21 @@ class SteeringObservable:
                 f"need one finite eigenvalue per frame vector ({len(self.frame)}), "
                 f"got {list(self.eigenvalues)!r}"
             )
-        # labels the Observable would merge into one branch are duplicates
-        gaps = np.diff(np.sort(labels))
-        if np.any(gaps <= DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(labels))))):
-            raise SteeringLabelError(f"steering eigenvalues must be distinct, got {list(self.eigenvalues)!r}")
         mats = np.column_stack([f.amplitudes for f in self.frame])
         gram = mats.conj().T @ mats
         if not np.max(np.abs(gram - np.eye(len(self.frame)))) <= 1e-10:
             raise FrameSearchError("frame is not orthonormal within 1e-10")
+        m = np.zeros((len(mats), len(mats)), dtype=complex)  # sized by the frame: the words check the goal's size
+        for a, f in zip(self.eigenvalues, self.frame):
+            m = m + a * np.outer(f.amplitudes, f.amplitudes.conj())
+        obs = Observable(m)
+        # the branches the labels land on: a frame smaller than the space adds a branch at 0
+        if len({obs.branch_index(a) for a in labels}) < len(self.frame):
+            raise SteeringLabelError(f"steering eigenvalues must be distinct, got {list(self.eigenvalues)!r}")
         for f, w in zip(self.frame, self.words):
             if w.apply(f).fidelity(self.goal) < 1.0 - 1e-9:
                 raise FrameSearchError("steering word does not reach the goal")
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, f in zip(self.eigenvalues, self.frame):
-            m = m + a * np.outer(f.amplitudes, f.amplitudes.conj())
-        object.__setattr__(self, "_observable", Observable(m))
+        object.__setattr__(self, "_observable", obs)
 
     @property
     def dim(self) -> int:
@@ -249,7 +249,7 @@ def build_frame_general(
     n = closure.basis.shape[1]
     if psi_f.dim != n:
         raise DimensionMismatchError(f"goal of dimension {psi_f.dim} against a closure of dimension {n}")
-    _check_budget(budget)
+    _index(budget, "budget")
     if closure.dimension == 0:
         raise FrameSearchError("a closure of dimension 0 moves no state, so the goal orbit holds no frame")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -531,8 +531,7 @@ def stabilize_middle_level(
         isinstance(disturbance, bool) or not (isinstance(disturbance, numbers.Real) and 0.0 <= disturbance <= 1.0)
     ):
         raise ProtocolParameterError(f"disturbance must be a probability in [0, 1], got {disturbance!r}")
-    if isinstance(n_periods, bool) or not isinstance(n_periods, (int, np.integer)) or n_periods < 0:
-        raise ProtocolParameterError(f"n_periods must be a non-negative integer, got {n_periods!r}")
+    n_periods = _index(n_periods, "n_periods")
     if x0.dim != 3:
         raise DimensionMismatchError(f"the ladder stabilizer needs a three-level state, got dimension {x0.dim}")
     obs, kick, levels, columns = _ladder_stabilizer(mu)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NormalizationError, ProtocolParameterError, QPhaseError, TruncationOverflowError
 from .geometry import PhasePoint
 from .measurement import draw_branch
+from .rng import _index as _count
 from .steering import ProtocolStep, ProtocolTrace
 
 DEFAULT_CAT = ((2, 1), (1, 1))
@@ -82,13 +83,6 @@ def _label(k, what: str = "momentum label") -> tuple:
 _DEFAULT_CAT_MAP = CatMap(DEFAULT_CAT)
 
 
-def _radius(radius) -> int:
-    """The box radius as an int; a bool, a non-integer or a negative value raises."""
-    if isinstance(radius, bool) or not isinstance(radius, (int, np.integer)) or radius < 0:
-        raise ProtocolParameterError(f"box radius {radius!r} is not an integer >= 0")
-    return int(radius)
-
-
 def _outside(k, radius: int) -> bool:
     return max(abs(k[0]), abs(k[1])) > radius
 
@@ -118,7 +112,7 @@ class TorusState:
     radius: int = DEFAULT_RADIUS
 
     def __post_init__(self):
-        radius = _radius(self.radius)
+        radius = _count(self.radius, "box radius")
         amplitudes = {}
         for k, a in self.support:
             k = _label(k)
@@ -269,15 +263,6 @@ def _neighbours(cat: CatMap, radius: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=8)
-def _blank_levels(size: int) -> np.ndarray:
-    """``_in_box_moves``'s ``dist`` before the search, read-only: unlabelled, with the -1 sentinel last."""
-    dist = np.full(size, np.iinfo(np.int32).max, dtype=np.int32)
-    dist[-1] = -1
-    dist.flags.writeable = False
-    return dist
-
-
 def _in_box_moves(k_start, k_target, cat: CatMap, radius: int) -> list:
     """Lexicographically first minimal move sequence that stays in the box.
 
@@ -311,7 +296,8 @@ def _in_box_moves(k_start, k_target, cat: CatMap, radius: int) -> list:
     """
     table = _neighbours(cat, radius)
     start, target = 2 * _index(k_start, radius), 2 * _index(k_target, radius) + 1
-    dist = _blank_levels(len(table) + 1).copy()
+    dist = np.full(len(table) + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    dist[-1] = -1
     dist[start] = dist[target] = 0
     frontier, level = np.array([start, target]), 0
     partner = dist.take(frontier ^ 1)
@@ -352,7 +338,7 @@ def plan_kicks(k_start, k_target, cat: CatMap | None = None, allow_cat_moves: bo
     not a pair of integers, or a radius that is not an integer >= 0, raises
     ``ProtocolParameterError``.
     """
-    k_start, k_target, radius = _label(k_start), _label(k_target), _radius(radius)
+    k_start, k_target, radius = _label(k_start), _label(k_target), _count(radius, "box radius")
     for k in (k_start, k_target):
         if _outside(k, radius):
             raise TruncationOverflowError(f"endpoint {k} outside |k_i| <= {radius}")

@@ -528,6 +528,22 @@ class TestTorusPlanCommand:
         assert plan["length"] == 1
 
 
+@pytest.mark.parametrize("command, payload, field, value, artifact", [
+    ("stabilize", {"initial_state": cv([1.0, 0, 0]), "disturbance": 0.2, "seed": 3}, "n_periods", 500,
+     "stabilize.json"),
+    ("torus-plan", {"torus_target": [4, -9]}, "torus_start", [1, 2], "plan.json"),
+])
+def test_integral_floats_read_as_ints(tmp_path, command, payload, field, value, artifact):
+    """A JSON 500.0 or [1.0, 2.0] writes the artifact that 500 or [1, 2] writes."""
+    as_float = [float(v) for v in value] if isinstance(value, list) else float(value)
+    got = []
+    for name, v in (("int", value), ("float", as_float)):
+        scen = write_scenario(tmp_path / f"{name}.json", dict(payload, **{field: v}))
+        assert run([command, "--scenario", scen, "--out", str(tmp_path / name)]) == EXIT_OK
+        got.append(read(tmp_path / name / artifact))
+    assert got[0] == got[1]
+
+
 class TestTorusPlanScenarioErrors:
     """Malformed torus-plan scenarios exit with a schema error, not a crash
     or a silent plan; an endpoint outside the radius-32 box is a domain error."""

@@ -104,7 +104,7 @@ def reference_closure(generators, tol: float = 1e-10) -> SimpleNamespace:
         frontier = new
 
     dim = len(basis_mats)
-    traceless = all(g.is_traceless() for g in gens)
+    traceless = all(abs(np.trace(g.matrix)) <= 1e-10 * max(1.0, np.max(np.abs(g.matrix))) for g in gens)
     if dim == max_dim:
         verdict = VERDICT_U
     elif traceless and dim == max_dim - 1:

@@ -174,6 +174,12 @@ class SkewedBasis:
     def eigenspace_basis(self, eigenvalue):
         return self.basis
 
+    def branch_index(self, eigenvalue):
+        return 0
+
+    def project(self, psi, branch):
+        return self.basis @ (self.basis.conj().T @ psi)
+
 
 class TestClosestPoint:
     def test_matches_the_loop_and_leaves_the_same_generator_state(self):

@@ -320,7 +320,7 @@ class TestSplitPolish:
 class TestControlDomain:
     def test_bounds_checked(self):
         d = ControlDomain([-1.0], [1.0])
-        assert d.contains([0.5]) and not d.contains([1.5])
+        assert d.contains([0.5]) and not d.contains([1.5]) and not d.contains([0.5, 0.5])
         assert d.clip([2.0])[0] == 1.0
 
     def test_rejects_inverted(self):

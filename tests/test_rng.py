@@ -1,9 +1,23 @@
-"""Per-trial Philox streams against the jump-ahead construction."""
+"""Per-trial Philox streams against the jump-ahead construction, and the one count rule."""
 
 import numpy as np
 import pytest
 
 import qphase.rng
+from qphase import (
+    DensityMatrix,
+    GaussianMeasurement,
+    Observable,
+    PhasePoint,
+    StateVector,
+    TorusState,
+    build_frame_general,
+    continuous_observe,
+    lie_closure,
+    orbit_membership,
+    plan_kicks,
+    stabilize_middle_level,
+)
 from qphase.errors import ProtocolParameterError
 from qphase.rng import first_uniforms, first_uniforms_at, stream
 
@@ -115,3 +129,41 @@ def test_numpy_integers_are_accepted():
         assert first_uniforms_at(3, np.array([0, 2, 7], dtype=dtype)).tolist() == want
     assert first_uniforms_at(3, [0, 2, 7]).tolist() == want
     assert first_uniforms_at(3, []).shape == (0,)
+
+
+def _closure_sz():
+    """The closure of i sigma_z, whose orbit through (1, 1)/sqrt 2 holds a state orthogonal to it."""
+    return lie_closure([np.diag([1.0, -1.0])])
+
+
+_PLUS = PhasePoint([2**-0.5, 2**-0.5], [0.0, 0.0])
+_SZ = Observable(np.diag([1.0, -1.0]))
+
+# entry point -> (call on the count, the count's lower bound, an accepted NumPy count)
+COUNTS = {
+    "stream-seed": (lambda v: stream(v), 0, np.int64(3)),
+    "stream-trial": (lambda v: stream(1, v), 0, np.int64(3)),
+    "first_uniforms-trials": (lambda v: first_uniforms(1, v), 0, np.int64(3)),
+    "TorusState-radius": (lambda v: TorusState.eigenstate((0, 0), v), 0, np.int64(3)),
+    "plan_kicks-radius": (lambda v: plan_kicks((0, 0), (1, 1), radius=v), 0, np.int64(3)),
+    "orbit_membership-budget": (lambda v: orbit_membership(_closure_sz(), _PLUS, _PLUS, budget=v), 0, np.int64(3)),
+    "build_frame_general-budget": (
+        lambda v: build_frame_general(StateVector([2**-0.5, 2**-0.5]), _closure_sz(), budget=v,
+                                      rng=np.random.default_rng(0)), 0, np.int64(2000)),
+    "stabilize_middle_level-n_periods": (
+        lambda v: stabilize_middle_level(PhasePoint([0.0, 1.0, 0.0], [0.0, 0.0, 0.0]), disturbance=0.1, n_periods=v),
+        0, np.int64(3)),
+    "continuous_observe-steps": (
+        lambda v: continuous_observe(DensityMatrix(np.diag([1.0, 0.0])), _SZ, GaussianMeasurement(_SZ, 1.0, 0.1),
+                                     0.2, v), 1, np.int64(3)),
+}
+
+
+@pytest.mark.parametrize("entry", list(COUNTS))
+def test_every_count_meets_the_one_rule(entry):
+    """Each count the package takes passes ``rng._index``: no bool, float or str, and no value below its bound."""
+    call, low, accepted = COUNTS[entry]
+    for bad in (True, 2.0, 2.5, float("nan"), "3", low - 1):
+        with pytest.raises(ProtocolParameterError):
+            call(bad)
+    call(accepted)

@@ -29,6 +29,7 @@ from qphase.errors import (
 )
 from qphase.controllability import VERDICT_NOT
 from qphase.steering import (
+    SteeringObservable,
     SteeringWord,
     h1_matrix,
     h2_matrix,
@@ -201,6 +202,17 @@ class TestFrame3Level:
             build_frame_3level(PSI_F, eigenvalues=labels)
         assert isinstance(info.value, QPhaseError)
 
+    def test_frame_is_checked_before_labels(self):
+        m = build_frame_3level(PSI_F)
+        with pytest.raises(FrameSearchError):
+            SteeringObservable((1.0, 1.0, 3.0), (m.frame[0], m.frame[0], m.frame[2]), m.words, m.goal)
+
+    def test_repeated_labels_on_a_partial_frame(self):
+        """Two frame vectors in C^3 leave a branch at 0, so the branch count alone would not see (1, 1)."""
+        m = build_frame_3level(PSI_F)
+        with pytest.raises(SteeringLabelError):
+            SteeringObservable((1.0, 1.0), m.frame[:2], m.words[:2], m.goal)
+
 
 class TestFrameGeneral:
     def test_recovers_orbit_frame(self, ladder_closure):
@@ -209,6 +221,11 @@ class TestFrameGeneral:
         assert np.max(np.abs(mat.conj().T @ mat - np.eye(3))) < 1e-10
         for f, w in zip(m.frame, m.words):
             assert w.apply(f).fidelity(m.goal) >= 1 - 1e-9
+
+    def test_closure_word_describes_its_coefficients(self, ladder_closure):
+        coeffs = np.linspace(-0.5, 0.5, ladder_closure.dimension)
+        word = SteeringWord.from_closure(ladder_closure, coeffs)
+        assert word.describe() == [{"family": "closure", "coefficients": coeffs.tolist()}]
 
     def test_controllable_closure_rejected(self):
         full = lie_closure(

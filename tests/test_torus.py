@@ -41,6 +41,7 @@ class TestTorusState:
     # int() alone would read the first and the third as ((2, 1), (1, 1)) and (0, 0)
     (lambda: CatMap(((2, 1), (1, 1.5))), ProtocolParameterError),
     (lambda: CatMap(((2, 1, 0), (1, 1, 0), (0, 0, 1))), ProtocolParameterError),
+    (lambda: CatMap(5), ProtocolParameterError),  # not iterable
     (lambda: TorusState((((0.5, 0), 1.0),)), ProtocolParameterError),
     (lambda: TorusState((((0, 0), 1 / R2), ((0, 0), 1j / R2))), ProtocolParameterError),
     (lambda: TorusState.eigenstate((0, 0), radius=2.5), ProtocolParameterError),
