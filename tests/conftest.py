@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -36,6 +40,27 @@ def restacked_propagators(plant, u, dts):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def run_script(script, args, timeout=120):
+    """Run ``scripts/<script>`` with ``args`` in a subprocess that imports ``src/``."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.fixture(scope="session")
+def digest_script_run(tmp_path_factory):
+    """One run of ``scripts/write_artifact_digests.py`` per session: the finished
+    process and the path it wrote.  It takes one round of every workload at
+    three seeds, so the digest test and the script test share it."""
+    written = tmp_path_factory.mktemp("digests") / "artifact_digests.json"
+    return run_script("write_artifact_digests.py", [str(written)], timeout=600), written
 
 
 def stabilize_reference(x0, mu=1.0, disturbance=None, n_periods=0, max_iters=10_000, rng=None):

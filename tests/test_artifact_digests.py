@@ -2,31 +2,28 @@
 
 ``scripts/write_artifact_digests.py`` runs one round of each benchmark
 workload at seeds 1-3, warm-ups included, through ``load_workloads``, each
-operation into a fresh directory.  The test runs that script once, which
-also covers the script.  Every file an operation writes is hashed; a
-manifest is hashed without its ``wall_time_s`` and ``scenario`` lines, the
-only ones that differ between runs and checkouts.  A direct call's result
-is hashed too: ``reach_state``'s trace and final state, and
-``continuous_observe``'s arrays through ``tobytes()``.  The digests the
-script writes must equal those of ``tests/data/artifact_digests.json``,
-versions included.  They hold for the Python and NumPy versions the file
-records; a change that alters artifact bytes on purpose commits a new file
-and lists each changed output.
+operation into a fresh directory.  The test reads the one run of that
+script a session makes, which ``tests/test_scripts.py`` also checks.  Every
+file an operation writes is hashed; a manifest is hashed without its
+``wall_time_s`` and ``scenario`` lines, the only ones that differ between
+runs and checkouts.  A direct call's result is hashed too: ``reach_state``'s
+trace and final state, and ``continuous_observe``'s arrays through
+``tobytes()``.  The digests the script writes must equal those of
+``tests/data/artifact_digests.json``, versions included.  They hold for the
+Python and NumPy versions the file records; a change that alters artifact
+bytes on purpose commits a new file and lists each changed output.
 """
 
 import hashlib
 import json
 import os
 import platform
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from test_workload_seeds import load_workloads
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "artifact_digests.json")
 WORKLOADS = ("synthesis", "trials", "propagate-plan")
 SEEDS = (1, 2, 3)
@@ -105,13 +102,8 @@ def committed():
     return data["digests"]
 
 
-def test_every_artifact_matches_its_committed_digest(committed, tmp_path):
-    written = tmp_path / "artifact_digests.json"
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "write_artifact_digests.py"), str(written)],
-                          env=env, capture_output=True, text=True, timeout=600)
+def test_every_artifact_matches_its_committed_digest(committed, digest_script_run):
+    done, written = digest_script_run
     assert done.returncode == 0, done.stderr
     with open(written) as fh:
         data = json.load(fh)
